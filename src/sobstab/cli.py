@@ -4,8 +4,10 @@ Subcommands: constants | eigenvalues | deficit-scan | alpha-estimate |
 verify-theorem2 | export-function.  Every command accepts a key=value
 config file (values overridden by flags), honors --seed whenever
 randomness is involved, prints floats with 12 significant digits, and
-uses the exit codes 0 (success), 2 (usage), 3 (numerical refusal:
-truncation too coarse), 4 (invariant violation detected).
+uses the exit codes 0 (success), 2 (usage), 3 (numerical refusal: a
+result the discretization cannot resolve, such as a spectral truncation
+too coarse or a stability ratio whose deficit rounds to zero), 4
+(invariant violation detected).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 
 from ._util import fmt12, round_floats
 from .conformal import PROFILE_GRAMMAR, parse_profile, pullback_to_sphere
-from .deficit import OptConfig, ScanConfig, run_scan
+from .deficit import DeficitReport, OptConfig, ScanConfig, ScanResult, run_scan
 from .specfun import SobolevParams, eigenvalue, local_constant, multiplicity, sharp_constant
 from .weaknorm import (
     TruncationError,
@@ -64,6 +66,10 @@ def _params(args) -> SobolevParams:
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _RefusalError(Exception):
     pass
 
 
@@ -184,19 +190,33 @@ def _scan_config(args) -> ScanConfig:
     return cfg
 
 
+def _outside_sandwich(report: DeficitReport) -> bool:
+    # 0 <= Psi <= d^2 must hold up to roundoff for every member
+    slack = _SANDWICH_SLACK * report.norm_star_sq
+    return report.deficit < -slack or report.deficit > report.distance**2 + slack
+
+
+def _checked_scan(p: SobolevParams, cfg: ScanConfig, opt: OptConfig) -> tuple[ScanResult, bool]:
+    """Run the scan; report a sandwich violation, refuse an alpha_hat <= 0."""
+    result = run_scan(p, cfg, opt)
+    violation = any(report is not None and _outside_sandwich(report)
+                    for _, _, _, report in result.entries)
+    if not violation and result.alpha_hat <= 0.0:
+        raise _RefusalError(
+            f"minimum stability ratio is {fmt12(result.alpha_hat)}: a member's deficit "
+            "rounds to zero, so alpha > 0 cannot be resolved; raise the smallest --eps")
+    return result, violation
+
+
 def _scan_jsonl(p: SobolevParams, cfg: ScanConfig) -> tuple[str, bool]:
     opt = OptConfig()
-    result = run_scan(p, cfg, opt)
-    violation = False
+    result, violation = _checked_scan(p, cfg, opt)
     lines = []
     for index, family, label, report in result.entries:
         record = {"index": index, "family": family, "label": label,
                   "skipped": report is None}
         if report is not None:
             record.update(report.to_json_dict())
-            slack = _SANDWICH_SLACK * report.norm_star_sq
-            if report.deficit < -slack or report.deficit > report.distance**2 + slack:
-                violation = True
         lines.append(_jsonl_line(record))
     summary = result.summary_dict()
     summary.update({
@@ -222,9 +242,9 @@ def cmd_deficit_scan(args) -> int:
 def cmd_alpha_estimate(args) -> int:
     p = _params(args)
     cfg = _scan_config(args)
-    result = run_scan(p, cfg, OptConfig())
+    result, violation = _checked_scan(p, cfg, OptConfig())
     _write_output(_json_text(result.summary_dict()), args.out)
-    return EXIT_OK
+    return EXIT_INVARIANT if violation else EXIT_OK
 
 
 def cmd_verify_theorem2(args) -> int:
@@ -399,7 +419,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except TruncationError as exc:
+    except (TruncationError, _RefusalError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
     except ValueError as exc:

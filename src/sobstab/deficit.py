@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -355,21 +353,12 @@ class ScanResult:
         }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SOBOLEV_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_scan(p: SobolevParams, cfg: ScanConfig,
              opt: OptConfig | None = None) -> ScanResult:
     """Evaluate every scan member and reduce to the minimum stability ratio.
 
-    Members are generated serially (fixed RNG order) and evaluated either
-    serially or on SOBOLEV_THREADS workers; reports are reduced in member
-    order either way, so the result is independent of the thread count.
+    Members are generated in a fixed RNG order, evaluated one after the
+    other and reduced in member order.
     """
     rule = gauss_jacobi_rule(p.N, cfg.rule_size)
     members = list(scan_members(p, cfg))
@@ -381,12 +370,7 @@ def run_scan(p: SobolevParams, cfg: ScanConfig,
         except OnManifoldError:
             return None
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(evaluate, members))
-    else:
-        reports = [evaluate(m) for m in members]
+    reports = [evaluate(m) for m in members]
 
     entries = []
     alpha = math.inf
@@ -415,8 +399,3 @@ def estimate_alpha(p: SobolevParams, cfg: ScanConfig,
                    opt: OptConfig | None = None) -> float:
     """Minimum observed ratio Psi/d^2 over the scan; an empirical estimate only."""
     return run_scan(p, cfg, opt).alpha_hat
-
-
-def scan_rule(p: SobolevParams, cfg: ScanConfig) -> QuadratureRule:
-    """The quadrature rule a scan with this configuration runs on."""
-    return gauss_jacobi_rule(p.N, cfg.rule_size)

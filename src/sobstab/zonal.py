@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .specfun import SobolevParams, _sphere_area, eigenvalue
 
@@ -104,6 +103,9 @@ def gauss_jacobi_rule(N: int, M: int) -> QuadratureRule:
         raise ValueError(f"dimension N must be >= 1, got {N}")
     if M < 2:
         raise ValueError(f"rule size M must be >= 2, got {M}")
+    # imported here so that commands which build no rule never load scipy
+    from scipy.linalg import eigh_tridiagonal
+
     off = np.sqrt([_recurrence_sq(N, n) for n in range(1, M)])
     nodes, vecs = eigh_tridiagonal(np.zeros(M), off)
     weights = _sphere_area(N) * vecs[0, :] ** 2

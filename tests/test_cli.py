@@ -112,6 +112,16 @@ class TestScanCommands:
         assert code == 2
         assert "seed" in err
 
+    def test_zero_ratio_is_refused(self, capsys):
+        # at eps = 1e-7 the deficit (~4/7 eps^2) is below the roundoff of ||u||_*^2 ~ 15
+        args = ["--N", "3", "--s", "2", "--seed", "1", "--eps", "1e-7",
+                "--n-normal", "5", "--n-random", "0", "--bubbles", "0.5"]
+        for command in ("alpha-estimate", "deficit-scan"):
+            code, out, err = run([command, *args], capsys)
+            assert code == 3
+            assert out == ""
+            assert err.startswith("refused:")
+
     def test_alpha_estimate_summary_only(self, capsys):
         code, out, _ = run(["alpha-estimate", *self.SCAN_ARGS], capsys)
         assert code == 0
@@ -227,3 +237,43 @@ class TestEntryPoint:
         second = subprocess.run(args, capture_output=True)
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout == second.stdout and len(first.stdout) > 0
+
+
+class TestSciPyImports:
+    @staticmethod
+    def scipy_modules(code: str) -> list[str]:
+        proc = subprocess.run(
+            [sys.executable, "-c", code + "\nimport sys\n"
+             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_cli_import_loads_no_scipy(self):
+        assert self.scipy_modules("import sobstab.cli") == []
+
+    def test_closed_form_commands_load_no_scipy(self):
+        code = ("import contextlib, io\nfrom sobstab.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert main(['constants', '--N', '3', '--s', '2']) == 0\n"
+                "    assert main(['eigenvalues', '--N', '3', '--s', '2']) == 0")
+        assert self.scipy_modules(code) == []
+
+    def test_no_command_loads_scipy_integrate(self):
+        commands = [
+            ["constants", "--N", "3", "--s", "2"],
+            ["eigenvalues", "--N", "3", "--s", "2"],
+            ["deficit-scan", "--N", "3", "--s", "2", "--seed", "1", "--K", "16",
+             "--n-normal", "1", "--n-random", "1", "--bubbles", "0.5"],
+            ["alpha-estimate", "--N", "3", "--s", "2", "--seed", "1", "--K", "16",
+             "--n-normal", "1", "--n-random", "1", "--bubbles", "0.5"],
+            ["verify-theorem2", "--N", "3", "--s", "2"],
+            ["export-function", "--N", "3", "--s", "2", "--K", "16",
+             "--profile", "gaussian"],
+        ]
+        code = ("import contextlib, io\nfrom sobstab.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()), "
+                "contextlib.redirect_stderr(io.StringIO()):\n"
+                f"    for argv in {commands!r}:\n"
+                "        assert main(argv) == 0, argv")
+        assert not [m for m in self.scipy_modules(code) if m.startswith("scipy.integrate")]

@@ -153,6 +153,24 @@ class TestTailIntegral:
                 assert extremizer_tail_lq(p, lam, r0) == pytest.approx(
                     _sphere_area(p.N - 1) * oracle, rel=1e-10)
 
+    def test_matches_incomplete_beta_over_dimensions_and_radii(self):
+        # x = r^2/(1+r^2) gives |S^(N-1)| B(x0..1; N/2, N/2) / 2 with
+        # x0 = a^2/(1+a^2); at 80 digits the oracle carries no cancellation
+        import mpmath
+
+        with mpmath.workdps(80):
+            for N in range(1, 25):
+                p = SobolevParams(N, 0.5)
+                lam = 2.0
+                for a in np.geomspace(1e-12, 1e3, 16):
+                    r0 = a / lam ** (2.0 / (N - p.s))
+                    A = mpmath.mpf(lam) ** (2 / (N - mpmath.mpf(p.s))) * mpmath.mpf(r0)
+                    half_n = mpmath.mpf(N) / 2
+                    oracle = (mpmath.pi ** half_n / mpmath.gamma(half_n)
+                              * mpmath.betainc(half_n, half_n, A * A / (1 + A * A), 1))
+                    assert extremizer_tail_lq(p, lam, r0) == pytest.approx(
+                        float(oracle), rel=1e-13), (N, a)
+
     def test_rejects_nonpositive_arguments(self):
         with pytest.raises(ValueError):
             extremizer_tail_lq(P32, 0.0, 1.0)
