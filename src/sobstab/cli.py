@@ -19,6 +19,11 @@ import json
 import sys
 from typing import Optional
 
+if __name__ == "__main__":  # `python -m sobstab.cli`: before numpy loads
+    from .__main__ import use_one_blas_thread
+
+    use_one_blas_thread()
+
 from ._util import fmt12, round_floats
 from .conformal import PROFILE_GRAMMAR, parse_profile, pullback_to_sphere
 from .deficit import DeficitReport, OptConfig, ScanConfig, ScanResult, run_scan

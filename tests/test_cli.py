@@ -1,6 +1,8 @@
+import ast
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -277,3 +279,70 @@ class TestSciPyImports:
                 f"    for argv in {commands!r}:\n"
                 "        assert main(argv) == 0, argv")
         assert not [m for m in self.scipy_modules(code) if m.startswith("scipy.integrate")]
+
+
+class TestBlasThreads:
+    # Records OPENBLAS_NUM_THREADS at the moment numpy is first imported,
+    # runs the CLI module as __main__, then prints what it saw.
+    PROBE = (
+        "import os, runpy, sys\n"
+        "seen = []\n"
+        "class Watch:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy' and not seen:\n"
+        "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.meta_path.insert(0, Watch())\n"
+        "sys.argv = ['sobstab', 'eigenvalues', '--N', '2', '--s', '1', '--kmax', '1']\n"
+        "try:\n"
+        "    runpy.run_module({module!r}, run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(repr(seen))\n"
+    )
+    THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    def numpy_saw(self, module: str, **env) -> list:
+        clean = {k: v for k, v in os.environ.items() if k not in self.THREAD_VARS}
+        proc = subprocess.run([sys.executable, "-c", self.PROBE.format(module=module)],
+                              capture_output=True, text=True, env={**clean, **env})
+        assert proc.returncode == 0, proc.stderr
+        return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+
+    @pytest.mark.parametrize("module", ["sobstab.cli", "sobstab"])
+    def test_command_loads_numpy_with_one_blas_thread(self, module):
+        assert self.numpy_saw(module) == ["1"]
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_thread_count_from_environment_wins(self, var):
+        expected = "3" if var == "OPENBLAS_NUM_THREADS" else None
+        assert self.numpy_saw("sobstab.cli", **{var: "3"}) == [expected]
+
+    def test_library_import_leaves_environment_alone(self):
+        code = ("import os, sys, contextlib, io\nfrom sobstab.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert main(['eigenvalues', '--N', '3', '--s', '2']) == 0\n"
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+        clean = {k: v for k, v in os.environ.items() if k not in self.THREAD_VARS}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=clean)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "None"
+
+
+class TestPackageImport:
+    def test_package_import_loads_no_numpy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, sobstab\nprint('numpy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_names_load_on_first_use(self):
+        import sobstab
+        from sobstab import specfun
+
+        assert sobstab.sharp_constant is specfun.sharp_constant
+        assert sobstab.weaknorm.compute_constants is sobstab.compute_constants
+        assert set(sobstab.__all__) <= set(dir(sobstab))
+        with pytest.raises(AttributeError):
+            sobstab.no_such_name
