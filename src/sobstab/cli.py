@@ -26,7 +26,7 @@ if __name__ == "__main__":  # `python -m sobstab.cli`: before numpy loads
 
 from ._util import fmt12, round_floats
 from .conformal import PROFILE_GRAMMAR, parse_profile, pullback_to_sphere
-from .deficit import DeficitReport, OptConfig, ScanConfig, ScanResult, run_scan
+from .deficit import DeficitReport, OnManifoldError, OptConfig, ScanConfig, ScanResult, run_scan
 from .specfun import SobolevParams, eigenvalue, local_constant, multiplicity, sharp_constant
 from .weaknorm import (
     TruncationError,
@@ -327,7 +327,9 @@ def _add_scan_options(sub: argparse.ArgumentParser) -> None:
                      help="highest random coefficient degree")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
+    commands = {}
     parser = argparse.ArgumentParser(
         prog="sobstab",
         description="Sharp fractional Sobolev constants, deficit scans, and "
@@ -335,30 +337,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("constants", help="table of all closed-form constants")
-    _add_common(sub)
+    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+        commands[name] = sub = subs.add_parser(name, help=help_text)
+        _add_common(sub)
+        return sub
+
+    sub = add("constants", "table of all closed-form constants")
     sub.add_argument("--kmax", type=int, default=10, help="highest eigenvalue index")
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sub.set_defaults(func=cmd_constants)
 
-    sub = subs.add_parser("eigenvalues", help="operator eigenvalues and multiplicities")
-    _add_common(sub)
+    sub = add("eigenvalues", "operator eigenvalues and multiplicities")
     sub.add_argument("--kmax", type=int, default=10)
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
     sub.set_defaults(func=cmd_eigenvalues)
 
-    sub = subs.add_parser("deficit-scan", help="seeded stability scan (JSON lines)")
-    _add_common(sub)
+    sub = add("deficit-scan", "seeded stability scan (JSON lines)")
     _add_scan_options(sub)
     sub.set_defaults(func=cmd_deficit_scan)
 
-    sub = subs.add_parser("alpha-estimate", help="summary record of a stability scan")
-    _add_common(sub)
+    sub = add("alpha-estimate", "summary record of a stability scan")
     _add_scan_options(sub)
     sub.set_defaults(func=cmd_alpha_estimate)
 
-    sub = subs.add_parser("verify-theorem2", help="weak-norm remainder bound harness")
-    _add_common(sub)
+    sub = add("verify-theorem2", "weak-norm remainder bound harness")
     sub.add_argument("--K", type=int, default=_DEFAULT_VERIFY_K, help="truncation degree")
     sub.add_argument("--profiles", type=str, default=None,
                      help=f"semicolon-separated profiles ({PROFILE_GRAMMAR}); "
@@ -366,14 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--cells", type=int, default=2048, help="radial cells for the weak norm")
     sub.set_defaults(func=cmd_verify_theorem2)
 
-    sub = subs.add_parser("export-function", help="zonal expansion of a radial profile as JSON")
-    _add_common(sub)
+    sub = add("export-function", "zonal expansion of a radial profile as JSON")
     sub.add_argument("--profile", type=str, required=True, help=PROFILE_GRAMMAR)
     sub.add_argument("--K", type=int, default=64)
     sub.add_argument("--M", type=int, default=None)
     sub.set_defaults(func=cmd_export_function)
 
-    return parser
+    return parser, commands
 
 
 def _coerce(text: str):
@@ -404,17 +405,17 @@ def _load_config(path: str) -> dict:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        # apply config-file defaults to the chosen subcommand before parsing
-        if "--config" in argv and argv.index("--config") + 1 < len(argv):
-            cfg_path = argv[argv.index("--config") + 1]
-            command = argv[0] if argv and not argv[0].startswith("-") else None
-            for action in parser._subparsers._group_actions:
-                sub = action.choices.get(command)
-                if sub is not None:
-                    sub.set_defaults(**_load_config(cfg_path))
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # config values become the chosen subcommand's defaults; parse again
+            values = _load_config(args.config)
+            for key in values:
+                if key not in vars(args) or key in ("command", "func"):
+                    raise _UsageError(f"{args.config}: unknown config key {key!r}")
+            commands[args.command].set_defaults(**values)
+            args = parser.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -424,7 +425,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TruncationError, _RefusalError) as exc:
+    except (TruncationError, _RefusalError, OnManifoldError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
     except ValueError as exc:

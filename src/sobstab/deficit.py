@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
@@ -107,13 +108,15 @@ def deficit(u: ZonalFunction, rule: QuadratureRule) -> float:
 
 
 def _nonlinear_integrals(u, rule, *extra):
-    # Returns |u|_q plus the integrals of |u|^(q-2) u * (each extra sample set).
+    # Returns |u|_q, the integrals I[z] = int |u|^(q-2) u z for each extra
+    # sample set z, and |u|^(q-2) at the nodes.
     q = u.params.q
     uv = node_values(u, rule)
     absu = np.abs(uv)
     lq = float((rule.weights @ absu**q) ** (1.0 / q))
-    kernel = absu ** (q - 2.0) * uv
-    return lq, [float(rule.weights @ (kernel * e)) for e in extra]
+    weight = absu ** (q - 2.0)
+    kernel = weight * uv
+    return lq, [float(rule.weights @ (kernel * e)) for e in extra], weight
 
 
 def gradient_form(u: ZonalFunction, v: ZonalFunction, rule: QuadratureRule) -> float:
@@ -121,7 +124,7 @@ def gradient_form(u: ZonalFunction, v: ZonalFunction, rule: QuadratureRule) -> f
     if norm_star(u) == 0.0:
         raise ValueError("gradient form undefined at u = 0")
     q = u.params.q
-    lq, (iv,) = _nonlinear_integrals(u, rule, node_values(v, rule))
+    lq, (iv,), _ = _nonlinear_integrals(u, rule, node_values(v, rule))
     return 2.0 * inner_star(u, v) - 2.0 * sharp_constant(u.params) * lq ** (2.0 - q) * iv
 
 
@@ -134,41 +137,76 @@ def hessian_form(u: ZonalFunction, v: ZonalFunction, w: ZonalFunction,
     """
     if norm_star(u) == 0.0:
         raise ValueError("hessian form undefined at u = 0")
-    p = u.params
-    q = p.q
-    s_const = sharp_constant(p)
-    uv = node_values(u, rule)
+    q = u.params.q
+    s_const = sharp_constant(u.params)
     vv = node_values(v, rule)
     wv = node_values(w, rule)
-    absu = np.abs(uv)
-    lq = float((rule.weights @ absu**q) ** (1.0 / q))
-    kernel = absu ** (q - 2.0)
-    i_v = float(rule.weights @ (kernel * uv * vv))
-    i_w = float(rule.weights @ (kernel * uv * wv))
-    i_vw = float(rule.weights @ (kernel * vv * wv))
+    lq, (i_v, i_w), weight = _nonlinear_integrals(u, rule, vv, wv)
+    i_vw = float(rule.weights @ (weight * vv * wv))
     half = (inner_star(v, w)
             - s_const * (2.0 - q) * lq ** (2.0 - 2.0 * q) * i_v * i_w
             - s_const * (q - 1.0) * lq ** (2.0 - q) * i_vw)
     return 2.0 * half
 
 
-def _projection(u: ZonalFunction, rule: QuadratureRule):
-    # Fast evaluator of the squared projection of u onto the ray through
-    # g_{t0}: proj(t0) = <u,g>_*^2 / ||g||_*^2, plus the optimal amplitude.
-    p = u.params
-    lam = lambdas(p, u.K)
-    weighted_basis = rule.basis(u.K) * rule.weights
-    lam_coeffs = lam * u.coeffs
+@lru_cache(maxsize=1)
+def _axial_family(rule: QuadratureRule, K: int, p: SobolevParams):
+    """Member-independent half of the projection: (lam, at), at(t0) -> (g, gg).
+
+    g = weighted_basis @ g_{t0}(nodes) and gg = ||g_{t0}||_*^2 depend on
+    the rule, K and (N, s) only, so the members of a scan share them:
+    they search the same t0 grid, and the golden-section brackets start
+    at grid points, so most t0 values recur.  g is read-only.  One table
+    (it pins the weighted basis, 2.4 MB at K = 384) of at most 256 t0
+    values; `run_scan` clears it when the scan ends.
+    """
+    lam = lambdas(p, K)
+    weighted_basis = rule.basis(K) * rule.weights
     t = rule.nodes
     beta = 0.5 * (p.N - p.s)
 
-    def proj(t0: float) -> tuple[float, float]:
+    @lru_cache(maxsize=256)
+    def at(t0: float) -> tuple[np.ndarray, float]:
         g = weighted_basis @ (1.0 - t0 * t) ** (-beta)
-        gg = float(lam @ (g * g))
+        g.setflags(write=False)
+        return g, float(lam @ (g * g))
+
+    return lam, at
+
+
+def _projection(u: ZonalFunction, rule: QuadratureRule):
+    """Evaluator t0 -> (<u,g>_*^2 / ||g||_*^2, <u,g>_* / ||g||_*^2) for g = g_{t0}.
+
+    The first value is the squared projection of u onto the ray through
+    g_{t0}, the second the optimal amplitude.  Only <u,g>_* is computed
+    per member; g and ||g||_*^2 come from the table of `_axial_family`,
+    shared by the members of a scan and bounded in size so that a scan's
+    peak memory stays put.  The table computes them by the same
+    expressions a member would, so every number is bit-identical to an
+    unshared evaluation.
+    """
+    lam, at = _axial_family(rule, u.K, u.params)
+    lam_coeffs = lam * u.coeffs
+
+    def proj(t0: float) -> tuple[float, float]:
+        g, gg = at(t0)
         ug = float(lam_coeffs @ g)
         return ug * ug / gg, ug / gg
 
     return proj
+
+
+@lru_cache(maxsize=8)
+def _t0_grid(cfg: OptConfig) -> np.ndarray:
+    # The bracketing grid of the distance search (read-only): n_grid
+    # equispaced points on [-cap, cap] plus the clipped starts.
+    cap = cfg.t0_cap
+    grid = np.unique(np.concatenate([
+        np.linspace(-cap, cap, cfg.n_grid),
+        np.clip(np.asarray(cfg.starts, dtype=float), -cap, cap),
+    ]))
+    grid.setflags(write=False)
+    return grid
 
 
 def distance(u: ZonalFunction, rule: QuadratureRule,
@@ -182,17 +220,19 @@ def distance(u: ZonalFunction, rule: QuadratureRule,
     within the axial family and an upper bound for the distance to the
     full manifold.  The zero function sits in the closure of the family:
     (0.0, None).
+
+    The extremizer side of every projection (g_{t0} in the weighted basis
+    and its norm) is shared with the other calls on the same rule, K and
+    (N, s) through a bounded table, see `_axial_family`; only <u,g>_* is
+    computed per call.  The table evaluates exactly the expressions a
+    single call would, so sharing it changes no bit of the result.
     """
     cfg = config or OptConfig()
     ns2 = norm_star(u) ** 2
     if ns2 == 0.0:
         return 0.0, None
     proj = _projection(u, rule)
-    cap = cfg.t0_cap
-    grid = np.unique(np.concatenate([
-        np.linspace(-cap, cap, cfg.n_grid),
-        np.clip(np.asarray(cfg.starts, dtype=float), -cap, cap),
-    ]))
+    grid = _t0_grid(cfg)
     values = np.array([proj(x)[0] for x in grid])
     best = (-math.inf, 0.0, 0.0)  # (projection, t0, c*)
     for i, val in enumerate(values):
@@ -358,7 +398,9 @@ def run_scan(p: SobolevParams, cfg: ScanConfig,
     """Evaluate every scan member and reduce to the minimum stability ratio.
 
     Members are generated in a fixed RNG order, evaluated one after the
-    other and reduced in member order.
+    other and reduced in member order.  They share one extremizer table
+    (`_axial_family`), which is dropped when the scan ends.  Raises
+    OnManifoldError when every member lies on the manifold.
     """
     rule = gauss_jacobi_rule(p.N, cfg.rule_size)
     members = list(scan_members(p, cfg))
@@ -370,7 +412,10 @@ def run_scan(p: SobolevParams, cfg: ScanConfig,
         except OnManifoldError:
             return None
 
-    reports = [evaluate(m) for m in members]
+    try:
+        reports = [evaluate(m) for m in members]
+    finally:
+        _axial_family.cache_clear()
 
     entries = []
     alpha = math.inf
@@ -384,7 +429,9 @@ def run_scan(p: SobolevParams, cfg: ScanConfig,
     if skipped:
         logger.info("stability scan skipped %d on-manifold member(s)", skipped)
     if not math.isfinite(alpha):
-        raise ValueError("scan produced no usable members")
+        raise OnManifoldError(
+            f"scan produced no usable members: all {len(members)} lie on the "
+            "extremizer manifold, so no stability ratio is defined")
     return ScanResult(
         entries=entries,
         alpha_hat=alpha,

@@ -124,6 +124,16 @@ class TestScanCommands:
             assert out == ""
             assert err.startswith("refused:")
 
+    def test_all_on_manifold_scan_is_refused(self, capsys):
+        # every member (eps = 1e-12) is skipped as on-manifold: a numerical
+        # refusal, not a usage error
+        code, out, err = run(["alpha-estimate", "--N", "3", "--s", "2", "--seed", "1",
+                              "--eps", "1e-12", "--n-normal", "1", "--n-random", "0",
+                              "--bubbles", ""], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("refused: scan produced no usable members")
+
     def test_alpha_estimate_summary_only(self, capsys):
         code, out, _ = run(["alpha-estimate", *self.SCAN_ARGS], capsys)
         assert code == 0
@@ -219,6 +229,15 @@ class TestConfigFile:
                             "--s", "2", "--seed", "1"], capsys)
         assert code == 2
         assert "key=value" in err
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("kmax=3\nkmaxx=5\n")
+        code, out, err = run(["eigenvalues", "--N", "3", "--s", "2", "--config", str(cfg)],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {cfg}: unknown config key 'kmaxx'\n"
 
 
 class TestEntryPoint:

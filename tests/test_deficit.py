@@ -9,20 +9,24 @@ from sobstab.deficit import (
     OptConfig,
     OptimizerError,
     ScanConfig,
+    _axial_family,
+    _t0_grid,
     deficit,
     distance,
     estimate_alpha,
     gradient_form,
     hessian_form,
     run_scan,
+    scan_members,
     stability_ratio,
 )
-from sobstab.specfun import eigenvalue, local_constant
+from sobstab.specfun import SobolevParams, eigenvalue, local_constant
 from sobstab.zonal import (
     ZonalFunction,
     basis_function,
     constant,
     default_rule,
+    gauss_jacobi_rule,
     norm_star,
 )
 
@@ -327,6 +331,59 @@ class TestScans:
                          n_normal=0, n_random=0, bubble_t0=())
         alpha = estimate_alpha(P32, cfg)
         assert alpha == pytest.approx(local_constant(P32), rel=2e-3)
+
+
+class TestSharedExtremizerTable:
+    # Members of a scan share g_{t0} and ||g_{t0}||_*^2 through
+    # _axial_family; sharing must not change a single bit of any report.
+    CFG = ScanConfig(seed=7, n_normal=2, n_random=3, bubble_t0=(0.5, 0.8))
+
+    def test_scan_reports_equal_unshared_evaluation(self):
+        result = run_scan(P32, self.CFG)
+        rule = gauss_jacobi_rule(3, self.CFG.rule_size)
+        members = list(scan_members(P32, self.CFG))
+        assert {family for family, _, _ in members} == {"local", "random", "bubble"}
+        for (_, _, _, report), (_, label, u) in reversed(list(zip(result.entries, members))):
+            _axial_family.cache_clear()
+            alone = stability_ratio(u, rule)
+            assert report == alone, label  # ratio, distance, nearest.c and .t0 included
+
+    def test_table_lives_only_as_long_as_the_scan(self):
+        run_scan(P32, self.CFG)
+        assert _axial_family.cache_info().currsize == 0
+        on_manifold = ScanConfig(seed=1, eps_grid=(1e-12,), normal_modes=(2,),
+                                 n_normal=0, n_random=0, bubble_t0=())
+        with pytest.raises(OnManifoldError):
+            run_scan(P32, on_manifold)
+        assert _axial_family.cache_info().currsize == 0
+        with pytest.raises(OptimizerError):  # raised while the table is in use
+            run_scan(P32, self.CFG, OptConfig(max_iter=1))
+        assert _axial_family.cache_info().currsize == 0
+
+    def test_cached_arrays_are_read_only(self, rule32):
+        _, at = _axial_family(rule32, 64, P32)
+        g, _ = at(0.3)
+        grid = _t0_grid(OptConfig())
+        for array in (g, grid):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        _axial_family.cache_clear()
+
+    def test_table_is_keyed_by_degree_and_parameters(self, rule32):
+        rng = np.random.default_rng(11)
+        p31 = SobolevParams(3, 1.0)
+        members = [smooth_random_zonal(P32, rng, K=64, offset=1.0),
+                   smooth_random_zonal(P32, rng, K=32, offset=1.0),
+                   smooth_random_zonal(p31, rng, K=32, offset=1.0)]
+        cold = []
+        for u in members:
+            _axial_family.cache_clear()
+            cold.append(distance(u, rule32))
+        _axial_family.cache_clear()
+        warm = [distance(u, rule32) for u in members]
+        _axial_family.cache_clear()
+        assert warm == cold
 
 
 class TestOptimizerBudget:
