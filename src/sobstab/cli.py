@@ -83,18 +83,14 @@ def _seed_note(args) -> None:
         print("note: --seed ignored (command has no randomness)", file=sys.stderr)
 
 
-def _floats_csv(text) -> tuple[float, ...]:
-    if isinstance(text, (int, float)):
-        return (float(text),)
+def _floats_csv(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
         raise _UsageError(f"bad numeric list {text!r}: {exc}") from None
 
 
-def _ints_csv(text) -> tuple[int, ...]:
-    if isinstance(text, int):
-        return (text,)
+def _ints_csv(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
@@ -327,9 +323,8 @@ def _add_scan_options(sub: argparse.ArgumentParser) -> None:
                      help="highest random coefficient degree")
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser, and each subcommand's parser by name."""
-    commands = {}
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="sobstab",
         description="Sharp fractional Sobolev constants, deficit scans, and "
@@ -338,7 +333,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subs = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        commands[name] = sub = subs.add_parser(name, help=help_text)
+        sub = subs.add_parser(name, help=help_text)
         _add_common(sub)
         return sub
 
@@ -374,48 +369,49 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--M", type=int, default=None)
     sub.set_defaults(func=cmd_export_function)
 
-    return parser, commands
+    return parser
 
 
-def _coerce(text: str):
-    low = text.strip()
-    if low.lower() in ("true", "false"):
-        return low.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(low)
-        except ValueError:
-            pass
-    return low
-
-
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> dict[str, str]:
+    """The key=value pairs of a config file, keys with '-' read as '_'."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise _UsageError(f"{path}: cannot read config file ({exc.strerror})") from None
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = _coerce(value)
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise _UsageError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
+        key, value = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = build_parser()
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
-            # config values become the chosen subcommand's defaults; parse again
             values = _load_config(args.config)
             for key in values:
                 if key not in vars(args) or key in ("command", "func"):
                     raise _UsageError(f"{args.config}: unknown config key {key!r}")
-            commands[args.command].set_defaults(**values)
-            args = parser.parse_args(argv)
+            # Config values become flags placed right after the command, so
+            # they pass the same type and choices checks as typed flags, and
+            # the flags typed after them override them.
+            at = argv.index(args.command) + 1
+            flags = [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
+            try:
+                args = parser.parse_args(argv[:at] + flags + argv[at:])
+            except SystemExit as exc:
+                if exc.code:
+                    print(f"note: {args.config} supplies {' '.join(flags)}", file=sys.stderr)
+                raise
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -74,6 +74,16 @@ class OptConfig:
     starts: tuple[float, ...] = (-0.8, -0.4, 0.0, 0.4, 0.8)
     n_grid: int = 49
 
+    def __post_init__(self) -> None:
+        if not 0 < self.t0_cap < 1:
+            raise ValueError("t0_cap must lie in (0, 1)")
+        if not self.t0_tol > 0:
+            raise ValueError("t0_tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if self.n_grid < 3:
+            raise ValueError("n_grid must be >= 3")
+
 
 @dataclass(frozen=True)
 class DeficitReport:
@@ -151,62 +161,46 @@ def hessian_form(u: ZonalFunction, v: ZonalFunction, w: ZonalFunction,
 
 @lru_cache(maxsize=1)
 def _axial_family(rule: QuadratureRule, K: int, p: SobolevParams):
-    """Member-independent half of the projection: (lam, at), at(t0) -> (g, gg).
+    """Member-independent half of the distance search: (lam, at, grid_block).
 
     g = weighted_basis @ g_{t0}(nodes) and gg = ||g_{t0}||_*^2 depend on
-    the rule, K and (N, s) only, so the members of a scan share them:
-    they search the same t0 grid, and the golden-section brackets start
-    at grid points, so most t0 values recur.  g is read-only.  One table
-    (it pins the weighted basis, 2.4 MB at K = 384) of at most 256 t0
-    values; `run_scan` clears it when the scan ends.
+    the rule, K and (N, s) only, so the members of a scan share them.
+    `at(t0) -> (g, gg)` serves the golden-section search: its brackets
+    start at grid points, so most t0 values recur; it keeps at most 256
+    of them.  `grid_block(cfg) -> (grid, G, gg)` holds, per OptConfig,
+    the bracketing t0 grid, the stacked g rows of its points and their
+    norms, so that one product G @ (lam * coeffs) scores a member's whole
+    grid.  Every row and norm comes from the expression `at` uses.  All
+    arrays are read-only.  One table (it pins the weighted basis, 2.4 MB
+    at K = 384, and a grid block of 160 KiB); `run_scan` clears it when
+    the scan ends.
     """
     lam = lambdas(p, K)
     weighted_basis = rule.basis(K) * rule.weights
     t = rule.nodes
     beta = 0.5 * (p.N - p.s)
 
-    @lru_cache(maxsize=256)
-    def at(t0: float) -> tuple[np.ndarray, float]:
-        g = weighted_basis @ (1.0 - t0 * t) ** (-beta)
+    def extremizer(t0: float) -> tuple[np.ndarray, float]:
+        g = weighted_basis.dot((1.0 - t0 * t) ** (-beta))
         g.setflags(write=False)
-        return g, float(lam @ (g * g))
+        return g, float(lam.dot(g * g))
 
-    return lam, at
+    @lru_cache(maxsize=8)
+    def grid_block(cfg: OptConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # n_grid equispaced points on [-cap, cap] plus the clipped starts
+        cap = cfg.t0_cap
+        grid = np.unique(np.concatenate([
+            np.linspace(-cap, cap, cfg.n_grid),
+            np.clip(np.asarray(cfg.starts, dtype=float), -cap, cap),
+        ]))
+        rows = [extremizer(x) for x in grid.tolist()]
+        G = np.array([g for g, _ in rows])
+        gg = np.array([norm for _, norm in rows])
+        for array in (grid, G, gg):
+            array.setflags(write=False)
+        return grid, G, gg
 
-
-def _projection(u: ZonalFunction, rule: QuadratureRule):
-    """Evaluator t0 -> (<u,g>_*^2 / ||g||_*^2, <u,g>_* / ||g||_*^2) for g = g_{t0}.
-
-    The first value is the squared projection of u onto the ray through
-    g_{t0}, the second the optimal amplitude.  Only <u,g>_* is computed
-    per member; g and ||g||_*^2 come from the table of `_axial_family`,
-    shared by the members of a scan and bounded in size so that a scan's
-    peak memory stays put.  The table computes them by the same
-    expressions a member would, so every number is bit-identical to an
-    unshared evaluation.
-    """
-    lam, at = _axial_family(rule, u.K, u.params)
-    lam_coeffs = lam * u.coeffs
-
-    def proj(t0: float) -> tuple[float, float]:
-        g, gg = at(t0)
-        ug = float(lam_coeffs @ g)
-        return ug * ug / gg, ug / gg
-
-    return proj
-
-
-@lru_cache(maxsize=8)
-def _t0_grid(cfg: OptConfig) -> np.ndarray:
-    # The bracketing grid of the distance search (read-only): n_grid
-    # equispaced points on [-cap, cap] plus the clipped starts.
-    cap = cfg.t0_cap
-    grid = np.unique(np.concatenate([
-        np.linspace(-cap, cap, cfg.n_grid),
-        np.clip(np.asarray(cfg.starts, dtype=float), -cap, cap),
-    ]))
-    grid.setflags(write=False)
-    return grid
+    return lam, lru_cache(maxsize=256)(extremizer), grid_block
 
 
 def distance(u: ZonalFunction, rule: QuadratureRule,
@@ -221,36 +215,47 @@ def distance(u: ZonalFunction, rule: QuadratureRule,
     full manifold.  The zero function sits in the closure of the family:
     (0.0, None).
 
-    The extremizer side of every projection (g_{t0} in the weighted basis
-    and its norm) is shared with the other calls on the same rule, K and
-    (N, s) through a bounded table, see `_axial_family`; only <u,g>_* is
-    computed per call.  The table evaluates exactly the expressions a
-    single call would, so sharing it changes no bit of the result.
+    The extremizer side (g_{t0} in the weighted basis and its norm) is
+    shared with the other calls on the same rule, K and (N, s) through
+    the table of `_axial_family`; per call only <u,g>_* is computed.  The
+    grid is scored by one product with the stacked grid rows, and those
+    values only choose the brackets: every value the golden-section
+    search compares, and the returned (d, c, t0), come from the per-point
+    product lam_coeffs @ g, so the result does not depend on how the
+    grid product rounds.
     """
     cfg = config or OptConfig()
     ns2 = norm_star(u) ** 2
     if ns2 == 0.0:
         return 0.0, None
-    proj = _projection(u, rule)
-    grid = _t0_grid(cfg)
-    values = np.array([proj(x)[0] for x in grid])
-    best = (-math.inf, 0.0, 0.0)  # (projection, t0, c*)
-    for i, val in enumerate(values):
-        left = values[i - 1] if i > 0 else -math.inf
-        right = values[i + 1] if i + 1 < values.size else -math.inf
-        if val < left or val < right:
-            continue  # not a bracketed local maximum
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, grid.size - 1)]
-        if hi > lo:
-            t0, neg = golden_section_min(lambda x: -proj(x)[0], lo, hi,
-                                         tol=cfg.t0_tol, max_iter=cfg.max_iter)
-        else:
-            t0, neg = grid[i], -val
-        if -neg > best[0]:
-            best = (-neg, float(t0), proj(t0)[1])
-    projection, t0_best, c_best = best
+    lam, at, grid_block = _axial_family(rule, u.K, u.params)
+    grid, G, gg = grid_block(cfg)
+    lam_coeffs = lam * u.coeffs
+
+    def neg_projection(t0: float) -> float:
+        # -<u,g>_*^2 / ||g||_*^2 at g = g_{t0}
+        g, norm = at(t0)
+        ug = float(lam_coeffs.dot(g))
+        return -(ug * ug / norm)
+
+    ug = G @ lam_coeffs
+    values = ug * ug / gg
+    padded = np.concatenate(([-math.inf], values, [-math.inf]))
+    peaks = ~((values < padded[:-2]) | (values < padded[2:]))  # local maxima
+    bounds = grid.tolist()
+    last = len(bounds) - 1
+    projection, t0_best = -math.inf, None
+    for i in np.flatnonzero(peaks).tolist():
+        t0, neg = golden_section_min(neg_projection, bounds[max(i - 1, 0)],
+                                     bounds[min(i + 1, last)],
+                                     tol=cfg.t0_tol, max_iter=cfg.max_iter)
+        if -neg > projection:
+            projection, t0_best = -neg, t0
     d = math.sqrt(max(ns2 - projection, 0.0))
+    if t0_best is None:
+        return d, None
+    g, norm = at(t0_best)
+    c_best = float(lam_coeffs.dot(g)) / norm
     nearest = None if c_best == 0.0 else ManifoldPoint(c_best, t0_best)
     return d, nearest
 

@@ -239,6 +239,34 @@ class TestConfigFile:
         assert out == ""
         assert err == f"error: {cfg}: unknown config key 'kmaxx'\n"
 
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        code, out, err = run(["eigenvalues", "--N", "3", "--s", "2", "--config",
+                              str(missing)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {missing}: cannot read config file (No such file or directory)\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("format=xml", "argument --format: invalid choice: 'xml'"),
+        ("kmax=2.5", "argument --kmax: invalid int value: '2.5'"),
+    ])
+    def test_config_values_pass_the_flag_checks(self, tmp_path, capsys, line, message):
+        # a config value is refused exactly as the same value typed as a flag
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eigenvalues", "--N", "3", "--s", "2", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert out == ""
+        assert message in err
+        assert err.endswith(f"note: {cfg} supplies --{line}\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["eigenvalues", "--N", "3", "--s", "2", "--" + line])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

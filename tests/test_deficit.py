@@ -1,8 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from sobstab._util import golden_section_min
 from sobstab.conformal import ManifoldPoint, conformal_shift, manifold_zonal
 from sobstab.deficit import (
     OnManifoldError,
@@ -10,7 +13,6 @@ from sobstab.deficit import (
     OptimizerError,
     ScanConfig,
     _axial_family,
-    _t0_grid,
     deficit,
     distance,
     estimate_alpha,
@@ -27,6 +29,8 @@ from sobstab.zonal import (
     constant,
     default_rule,
     gauss_jacobi_rule,
+    inner_star,
+    lambdas,
     norm_star,
 )
 
@@ -188,10 +192,12 @@ class TestDistance:
         d, nearest = distance(u, rule32)
         assert d > 0
         assert abs(nearest.t0) > 0.5
-        from sobstab.deficit import _projection
 
-        proj = _projection(u, rule32)
-        assert proj(nearest.t0)[0] > proj(0.0)[0]
+        def projection(t0):
+            g = manifold_zonal(P32, ManifoldPoint(1.0, t0), rule32, 64)
+            return inner_star(u, g) ** 2 / norm_star(g) ** 2
+
+        assert projection(nearest.t0) > projection(0.0)
 
 
 class TestStabilityRatio:
@@ -290,6 +296,18 @@ class TestScans:
         result = run_scan(P32, cfg)
         assert len(result.entries) == cfg.n_members
 
+    def test_opt_config_validation(self):
+        for bad in ({"t0_cap": 0.0}, {"t0_cap": 1.0}, {"t0_cap": 1.2}, {"t0_cap": math.nan},
+                    {"t0_tol": 0.0}, {"t0_tol": -1e-10}, {"max_iter": 0},
+                    {"n_grid": 2}, {"n_grid": 1, "starts": ()}):
+            with pytest.raises(ValueError):
+                OptConfig(**bad)
+        # the smallest accepted grid still brackets and refines
+        u = constant(P32, 1.0, 64) + 0.1 * unit_mode(P32, 2)
+        d, nearest = distance(u, default_rule(3, 64), OptConfig(n_grid=3, starts=()))
+        assert d == pytest.approx(0.1, rel=1e-6)
+        assert abs(nearest.t0) < 1e-6
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ScanConfig(seed=1, n_normal=-1)
@@ -361,14 +379,39 @@ class TestSharedExtremizerTable:
         assert _axial_family.cache_info().currsize == 0
 
     def test_cached_arrays_are_read_only(self, rule32):
-        _, at = _axial_family(rule32, 64, P32)
+        _, at, grid_block = _axial_family(rule32, 64, P32)
         g, _ = at(0.3)
-        grid = _t0_grid(OptConfig())
-        for array in (g, grid):
+        for array in (g, *grid_block(OptConfig())):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
         _axial_family.cache_clear()
+
+    def test_grid_block_rows_are_the_table_rows(self, rule32):
+        _, at, grid_block = _axial_family(rule32, 64, P32)
+        grid, G, gg = grid_block(OptConfig())
+        assert grid.size == 49 + 4  # the starts +-0.4 and +-0.8 are off the linspace
+        for t0, row, norm in zip(grid.tolist(), G, gg.tolist()):
+            g, g_norm = at(t0)
+            assert np.array_equal(row, g) and norm == g_norm
+        _axial_family.cache_clear()
+
+    def test_grid_block_lives_only_as_long_as_the_scan(self):
+        # a block built before a scan on the same table is dropped with it
+        rule = gauss_jacobi_rule(3, self.CFG.rule_size)
+        u = constant(P32, 1.0, self.CFG.K) + 0.1 * unit_mode(P32, 2, self.CFG.K)
+        on_manifold = ScanConfig(seed=1, eps_grid=(1e-12,), normal_modes=(2,),
+                                 n_normal=0, n_random=0, bubble_t0=())
+        for scan, raises in ((self.CFG, None), (on_manifold, OnManifoldError)):
+            distance(u, rule)
+            block = weakref.ref(_axial_family(rule, self.CFG.K, P32)[2](OptConfig())[1])
+            if raises is None:
+                run_scan(P32, scan)
+            else:
+                with pytest.raises(raises):
+                    run_scan(P32, scan)
+            gc.collect()
+            assert block() is None
 
     def test_table_is_keyed_by_degree_and_parameters(self, rule32):
         rng = np.random.default_rng(11)
@@ -384,6 +427,74 @@ class TestSharedExtremizerTable:
         warm = [distance(u, rule32) for u in members]
         _axial_family.cache_clear()
         assert warm == cold
+
+
+def per_point_distance(u, rule, cfg=OptConfig()):
+    # The distance search as it was before the grid product: every grid
+    # point is scored by its own projection, g built from scratch.
+    lam = lambdas(u.params, u.K)
+    weighted_basis = rule.basis(u.K) * rule.weights
+    beta = 0.5 * (u.params.N - u.params.s)
+    lam_coeffs = lam * u.coeffs
+
+    def proj(t0):
+        g = weighted_basis @ (1.0 - t0 * rule.nodes) ** (-beta)
+        ug = float(lam_coeffs @ g)
+        gg = float(lam @ (g * g))
+        return ug * ug / gg, ug / gg
+
+    cap = cfg.t0_cap
+    grid = np.unique(np.concatenate([np.linspace(-cap, cap, cfg.n_grid),
+                                     np.clip(np.asarray(cfg.starts), -cap, cap)]))
+    values = [proj(x)[0] for x in grid]
+    best = (-math.inf, 0.0, 0.0)
+    for i, val in enumerate(values):
+        left = values[i - 1] if i > 0 else -math.inf
+        right = values[i + 1] if i + 1 < len(values) else -math.inf
+        if val < left or val < right:
+            continue
+        t0, neg = golden_section_min(lambda x: -proj(x)[0], grid[max(i - 1, 0)],
+                                     grid[min(i + 1, grid.size - 1)],
+                                     tol=cfg.t0_tol, max_iter=cfg.max_iter)
+        if -neg > best[0]:
+            best = (-neg, float(t0), proj(t0)[1])
+    d = math.sqrt(max(norm_star(u) ** 2 - best[0], 0.0))
+    return d, ManifoldPoint(best[2], best[1])
+
+
+class TestGridProduct:
+    # distance scores its grid with one product per member; the brackets,
+    # and so (d, nearest), must equal those of the per-point scan.
+
+    def test_random_and_local_members(self):
+        rng = np.random.default_rng(61)
+        for p in (P32, SobolevParams(5, 0.5), SobolevParams(8, 3.3)):
+            rule = gauss_jacobi_rule(p.N, 130)
+            members = [smooth_random_zonal(p, rng, K=64) for _ in range(4)]
+            members += [smooth_random_zonal(p, rng, K=64, offset=1.0) for _ in range(2)]
+            members += [constant(p, 1.0, 64) + eps * unit_mode(p, k)
+                        for eps in (1e-1, 1e-3) for k in (2, 3)]
+            for u in members:
+                assert distance(u, rule) == per_point_distance(u, rule)
+        _axial_family.cache_clear()
+
+    @pytest.mark.parametrize("N, s", [(3, 2.0), (5, 0.5), (8, 3.3)])
+    def test_even_two_bubble_members(self, N, s):
+        # Exactly even members: the nearest points +t0 and -t0 tie, and the
+        # sign the per-point search picks must be kept.  At (5, 0.5) and
+        # (8, 3.3) the widest pair resolves to two off-center points, and
+        # K = 64 picks the negative one.
+        p = SobolevParams(N, s)
+        cfg = ScanConfig(seed=1, K=64, n_normal=0, n_random=0, eps_grid=(),
+                         normal_modes=())
+        rule = gauss_jacobi_rule(N, cfg.rule_size)
+        for _, label, u in scan_members(p, cfg):
+            assert not np.any(u.coeffs[1::2]), label
+            d, nearest = distance(u, rule)
+            assert (d, nearest) == per_point_distance(u, rule), label
+            if label == "bubble:t0=0.8" and N > 3:
+                assert nearest.t0 < -0.5
+        _axial_family.cache_clear()
 
 
 class TestOptimizerBudget:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -76,6 +77,40 @@ class TestGaussJacobiRule:
             x, w = roots_jacobi(M, alpha, alpha)
             assert np.allclose(rule.nodes, x, rtol=0, atol=5e-13)
             assert np.allclose(rule.weights, _sphere_area(N - 1) * w, rtol=5e-12)
+
+    @pytest.mark.parametrize("N, M", [(3, 66), (2, 66), (8, 130)])
+    def test_matches_30_digit_newton_rule(self, N, M):
+        # Oracle: each node of the lower half (the rule is exactly symmetric)
+        # Newton-refined as a root of the Jacobi polynomial P_M^(a,a),
+        # a = (N-2)/2, at 30 digits; weights from the Gauss-Jacobi formula
+        # 2^(2a+1) G(M+a+1)^2 / (G(M+2a+1) M!) / ((1-x^2) P_M'(x)^2),
+        # times |S^(N-1)|.  The rule here is at 2.2e-16 and 1.1e-12.
+        rule = gauss_jacobi_rule(N, M)
+        with mpmath.workdps(30):
+            a = mpmath.mpf(N - 2) / 2
+            area = 2 * mpmath.pi ** (mpmath.mpf(N) / 2) / mpmath.gamma(mpmath.mpf(N) / 2)
+            scale = (area * 2 ** (2 * a + 1) * mpmath.gamma(M + a + 1) ** 2
+                     / (mpmath.gamma(M + 2 * a + 1) * mpmath.factorial(M)))
+
+            def derivative(x):
+                return (M + 2 * a + 1) / 2 * mpmath.jacobi(M - 1, a + 1, a + 1, x)
+
+            total = mpmath.mpf(0)
+            for node, weight in zip(rule.nodes[: M // 2], rule.weights[: M // 2]):
+                x = mpmath.mpf(node)
+                for _ in range(8):
+                    step = mpmath.jacobi(M, a, a, x) / derivative(x)
+                    x -= step
+                    if abs(step) < mpmath.mpf(10) ** -27:
+                        break
+                else:
+                    pytest.fail(f"Newton did not converge at node {node}")
+                w = scale / ((1 - x * x) * derivative(x) ** 2)
+                total += 2 * w
+                assert abs(node - x) <= 1e-15, node
+                assert abs(weight / w - 1) <= 5e-12, node
+            # the oracle itself: the weights carry the whole measure |S^N|
+            assert abs(total / _sphere_area(N) - 1) < 1e-14
 
     def test_rejects_tiny_rule(self):
         with pytest.raises(ValueError):
