@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -57,8 +58,11 @@ def _json_text(obj) -> str:
     return json.dumps(round_floats(obj), indent=2) + "\n"
 
 
+_encode_jsonl = json.JSONEncoder(separators=(", ", ": ")).encode
+
+
 def _jsonl_line(obj) -> str:
-    return json.dumps(round_floats(obj), separators=(", ", ": ")) + "\n"
+    return _encode_jsonl(round_floats(obj)) + "\n"
 
 
 def _params(args) -> SobolevParams:
@@ -70,7 +74,7 @@ def _params(args) -> SobolevParams:
         raise _UsageError(str(exc)) from None
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -83,18 +87,19 @@ def _seed_note(args) -> None:
         print("note: --seed ignored (command has no randomness)", file=sys.stderr)
 
 
-def _floats_csv(text: str) -> tuple[float, ...]:
+def _csv(text: str, kind: type = float) -> tuple:
     try:
-        return tuple(float(x) for x in text.split(",") if x.strip())
+        return tuple(kind(x) for x in text.split(",") if x.strip())
     except ValueError as exc:
-        raise _UsageError(f"bad numeric list {text!r}: {exc}") from None
+        what = "integer" if kind is int else "numeric"
+        raise _UsageError(f"bad {what} list {text!r}: {exc}") from None
 
 
-def _ints_csv(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
-    except ValueError as exc:
-        raise _UsageError(f"bad integer list {text!r}: {exc}") from None
+def _eigen_rows(p: SobolevParams, kmax: int) -> list[dict]:
+    if kmax < 0:
+        raise _UsageError(f"--kmax must be >= 0, got {kmax}")
+    return [{"k": k, "lambda": eigenvalue(p, k), "multiplicity": multiplicity(p.N, k)}
+            for k in range(kmax + 1)]
 
 
 # --- subcommand implementations ---
@@ -104,17 +109,13 @@ def cmd_constants(args) -> int:
     _seed_note(args)
     p = _params(args)
     wc = compute_constants(p)
-    kmax = args.kmax
     doc = {
         "N": p.N,
         "s": p.s,
         "q": p.q,
         "sharp_constant": sharp_constant(p),
         "local_constant": local_constant(p),
-        "eigenvalues": [
-            {"k": k, "lambda": eigenvalue(p, k), "multiplicity": multiplicity(p.N, k)}
-            for k in range(kmax + 1)
-        ],
+        "eigenvalues": _eigen_rows(p, args.kmax),
         "weak_norm_constants": wc.to_json_dict(),
     }
     if args.format == "json":
@@ -154,8 +155,7 @@ def cmd_constants(args) -> int:
 def cmd_eigenvalues(args) -> int:
     _seed_note(args)
     p = _params(args)
-    rows = [{"k": k, "lambda": eigenvalue(p, k), "multiplicity": multiplicity(p.N, k)}
-            for k in range(args.kmax + 1)]
+    rows = _eigen_rows(p, args.kmax)
     if args.format == "json":
         _write_output(_json_text({"N": p.N, "s": p.s, "eigenvalues": rows}), args.out)
     elif args.format == "csv":
@@ -181,9 +181,9 @@ def _scan_config(args) -> ScanConfig:
         M=args.M,
         n_normal=args.n_normal,
         n_random=args.n_random,
-        eps_grid=_floats_csv(args.eps),
-        normal_modes=_ints_csv(args.modes),
-        bubble_t0=_floats_csv(args.bubbles),
+        eps_grid=_csv(args.eps),
+        normal_modes=_csv(args.modes, int),
+        bubble_t0=_csv(args.bubbles),
         random_max_degree=args.max_degree,
     )
     if cfg.n_members == 0:
@@ -285,6 +285,8 @@ def cmd_verify_theorem2(args) -> int:
 def cmd_export_function(args) -> int:
     _seed_note(args)
     p = _params(args)
+    if args.profile is None:
+        raise _UsageError("--profile is required (flag or config file)")
     profile = parse_profile(args.profile, p)
     rule = gauss_jacobi_rule(p.N, args.M if args.M else 2 * args.K + 2)
     u = pullback_to_sphere(profile, rule, args.K)
@@ -340,20 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("constants", "table of all closed-form constants")
     sub.add_argument("--kmax", type=int, default=10, help="highest eigenvalue index")
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sub.set_defaults(func=cmd_constants)
 
     sub = add("eigenvalues", "operator eigenvalues and multiplicities")
     sub.add_argument("--kmax", type=int, default=10)
     sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    sub.set_defaults(func=cmd_eigenvalues)
 
     sub = add("deficit-scan", "seeded stability scan (JSON lines)")
     _add_scan_options(sub)
-    sub.set_defaults(func=cmd_deficit_scan)
 
     sub = add("alpha-estimate", "summary record of a stability scan")
     _add_scan_options(sub)
-    sub.set_defaults(func=cmd_alpha_estimate)
 
     sub = add("verify-theorem2", "weak-norm remainder bound harness")
     sub.add_argument("--K", type=int, default=_DEFAULT_VERIFY_K, help="truncation degree")
@@ -361,15 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"semicolon-separated profiles ({PROFILE_GRAMMAR}); "
                           "default: bump family on the unit-measure ball")
     sub.add_argument("--cells", type=int, default=2048, help="radial cells for the weak norm")
-    sub.set_defaults(func=cmd_verify_theorem2)
 
     sub = add("export-function", "zonal expansion of a radial profile as JSON")
-    sub.add_argument("--profile", type=str, required=True, help=PROFILE_GRAMMAR)
+    sub.add_argument("--profile", type=str, default=None, help=PROFILE_GRAMMAR)
     sub.add_argument("--K", type=int, default=64)
     sub.add_argument("--M", type=int, default=None)
-    sub.set_defaults(func=cmd_export_function)
 
     return parser
+
+
+# One parser per process, built on first use: parsing does not change it.
+_parser = functools.cache(build_parser)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -393,13 +393,13 @@ def _load_config(path: str) -> dict[str, str]:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.config is not None:
             values = _load_config(args.config)
             for key in values:
-                if key not in vars(args) or key in ("command", "func"):
+                if key not in vars(args) or key == "command":
                     raise _UsageError(f"{args.config}: unknown config key {key!r}")
             # Config values become flags placed right after the command, so
             # they pass the same type and choices checks as typed flags, and
@@ -412,19 +412,14 @@ def main(argv: Optional[list[str]] = None) -> int:
                 if exc.code:
                     print(f"note: {args.config} supplies {' '.join(flags)}", file=sys.stderr)
                 raise
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # looked up per call, so that a replaced cmd_* function is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except SystemExit as exc:  # from argparse: 2 on a bad flag or value, 0 after --help
+        return exc.code
     except (TruncationError, _RefusalError, OnManifoldError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
-    except ValueError as exc:
+    except ValueError as exc:  # _UsageError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

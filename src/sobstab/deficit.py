@@ -181,7 +181,12 @@ def _axial_family(rule: QuadratureRule, K: int, p: SobolevParams):
     beta = 0.5 * (p.N - p.s)
 
     def extremizer(t0: float) -> tuple[np.ndarray, float]:
-        g = weighted_basis.dot((1.0 - t0 * t) ** (-beta))
+        # (1 - t0 t)^(-beta) in one array of its own per call, so that no
+        # other thread can write between the power and the product
+        w = np.multiply(t, t0)
+        np.subtract(1.0, w, out=w)
+        np.power(w, -beta, out=w)
+        g = weighted_basis.dot(w)
         g.setflags(write=False)
         return g, float(lam.dot(g * g))
 
@@ -335,14 +340,6 @@ class ScanConfig:
                 + self.n_random + len(self.bubble_t0))
 
 
-def _normal_direction(p: SobolevParams, coeffs_tail: np.ndarray, K: int) -> ZonalFunction:
-    # Normal space at the constant extremizer: degrees >= 2, unit ||.||_*.
-    a = np.zeros(K + 1)
-    a[2:2 + coeffs_tail.size] = coeffs_tail
-    v = ZonalFunction(p, a)
-    return v * (1.0 / norm_star(v))
-
-
 def scan_members(p: SobolevParams, cfg: ScanConfig) -> Iterator[tuple[str, str, ZonalFunction]]:
     """Yield (family, label, member) in the deterministic scan order."""
     if cfg.n_members == 0:
@@ -350,21 +347,31 @@ def scan_members(p: SobolevParams, cfg: ScanConfig) -> Iterator[tuple[str, str, 
     rng = np.random.default_rng(cfg.seed)
     rule = gauss_jacobi_rule(p.N, cfg.rule_size)
     K = cfg.K
-    one = constant(p, 1.0, K)
+    lam = lambdas(p, K)
+    one = constant(p, 1.0, K).coeffs
     kmax = min(cfg.random_max_degree, K)
     if cfg.normal_modes and max(cfg.normal_modes) > kmax:
         raise ValueError("normal_modes exceed the random_max_degree/K window")
+
+    def near_one(tail: np.ndarray, eps: float) -> ZonalFunction:
+        # 1 + eps v with v = the tail at degrees >= 2 at unit ||.||_*: the
+        # operations of `one + eps * (v * (1 / norm_star(v)))` in one array
+        # (adding all of `one` keeps 0.0 + x, which turns -0.0 into +0.0)
+        a = np.zeros(K + 1)
+        a[2:2 + tail.size] = tail
+        a *= 1.0 / math.sqrt(float(lam.dot(a * a)))
+        a *= eps
+        a += one
+        return ZonalFunction(p, a)
 
     for eps in cfg.eps_grid:
         for k in cfg.normal_modes:
             tail = np.zeros(kmax - 1)
             tail[k - 2] = 1.0
-            v = _normal_direction(p, tail, K)
-            yield "local", f"local:e{k}:eps={eps:g}", one + eps * v
+            yield "local", f"local:e{k}:eps={eps:g}", near_one(tail, eps)
         for j in range(cfg.n_normal):
             tail = rng.standard_normal(kmax - 1) * cfg.random_decay ** np.arange(kmax - 1)
-            v = _normal_direction(p, tail, K)
-            yield "local", f"local:rand{j}:eps={eps:g}", one + eps * v
+            yield "local", f"local:rand{j}:eps={eps:g}", near_one(tail, eps)
 
     for j in range(cfg.n_random):
         a = np.zeros(K + 1)
@@ -409,28 +416,20 @@ def run_scan(p: SobolevParams, cfg: ScanConfig,
     """
     rule = gauss_jacobi_rule(p.N, cfg.rule_size)
     members = list(scan_members(p, cfg))
-
-    def evaluate(item):
-        family, label, u = item
-        try:
-            return stability_ratio(u, rule, opt)
-        except OnManifoldError:
-            return None
-
+    entries = []
     try:
-        reports = [evaluate(m) for m in members]
+        for idx, (family, label, u) in enumerate(members):
+            try:
+                report = stability_ratio(u, rule, opt)
+            except OnManifoldError:
+                report = None
+            entries.append((idx, family, label, report))
     finally:
         _axial_family.cache_clear()
 
-    entries = []
-    alpha = math.inf
-    skipped = 0
-    for idx, ((family, label, _u), report) in enumerate(zip(members, reports)):
-        entries.append((idx, family, label, report))
-        if report is None:
-            skipped += 1
-        elif report.ratio < alpha:
-            alpha = report.ratio
+    ratios = [report.ratio for *_, report in entries if report is not None]
+    alpha = min([math.inf] + ratios)  # from inf, so a NaN ratio is never the minimum
+    skipped = len(entries) - len(ratios)
     if skipped:
         logger.info("stability scan skipped %d on-manifold member(s)", skipped)
     if not math.isfinite(alpha):

@@ -240,6 +240,8 @@ def radial_cells(u: RadialFunction, n_cells: int = 2048,
     exact ball masses at the grid radii.
     """
     p = u.params
+    if n_cells < 1:
+        raise ValueError(f"the weak norm needs at least one radial cell, got {n_cells}")
     if r_max is None:
         if not math.isfinite(u.support_radius):
             raise ValueError("r_max required for profiles with unbounded support")

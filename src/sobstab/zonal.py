@@ -179,7 +179,7 @@ class ZonalFunction:
         arr = np.array(self.coeffs, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("coeffs must be a non-empty 1-D array")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
@@ -271,13 +271,13 @@ def node_values(u: ZonalFunction, rule: QuadratureRule) -> np.ndarray:
     """Values of u at the rule's nodes (cached basis fast path)."""
     if rule.N != u.params.N:
         raise ValueError(f"rule dimension {rule.N} != params dimension {u.params.N}")
-    return u.coeffs @ rule.basis(u.K)
+    return u.coeffs.dot(rule.basis(u.K))
 
 
 def norm_star(u: ZonalFunction) -> float:
     """Spectral norm sqrt(sum lambda_k a_k^2) of the conformal quadratic form."""
     lam = lambdas(u.params, u.K)
-    return math.sqrt(float(lam @ (u.coeffs * u.coeffs)))
+    return math.sqrt(float(lam.dot(u.coeffs * u.coeffs)))
 
 
 def inner_star(u: ZonalFunction, v: ZonalFunction) -> float:
@@ -299,7 +299,7 @@ def norm_lp(u: ZonalFunction, p: float, rule: QuadratureRule) -> float:
     if p < 1.0:
         raise ValueError(f"norm_lp requires p >= 1, got {p}")
     vals = np.abs(node_values(u, rule))
-    return float((rule.weights @ vals**p) ** (1.0 / p))
+    return float(rule.weights.dot(vals**p) ** (1.0 / p))
 
 
 def to_json_dict(u: ZonalFunction) -> dict:

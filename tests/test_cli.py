@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from sobstab import cli
 from sobstab.cli import main
 from sobstab.zonal import from_json_dict
 
@@ -65,6 +66,11 @@ class TestConstantsCommand:
         _, _, err = run(["constants", "--N", "3", "--s", "2", "--seed", "5"], capsys)
         assert "ignored" in err
 
+    def test_negative_kmax_is_usage_error(self, capsys):
+        code, out, err = run(["constants", "--N", "3", "--s", "2", "--kmax", "-1",
+                              "--format", "json"], capsys)
+        assert (code, out, err) == (2, "", "error: --kmax must be >= 0, got -1\n")
+
 
 class TestEigenvaluesCommand:
     def test_csv(self, capsys):
@@ -75,6 +81,10 @@ class TestEigenvaluesCommand:
         assert lines[0] == "k,lambda,multiplicity"
         assert lines[1].startswith("0,0.75,1")
         assert lines[2].startswith("1,3.75,4")
+
+    def test_negative_kmax_is_usage_error(self, capsys):
+        code, out, err = run(["eigenvalues", "--N", "3", "--s", "2", "--kmax", "-1"], capsys)
+        assert (code, out, err) == (2, "", "error: --kmax must be >= 0, got -1\n")
 
 
 class TestScanCommands:
@@ -167,6 +177,13 @@ class TestVerifyCommand:
         assert code == 3
         assert "increase K" in err
 
+    def test_zero_cells_is_usage_error(self, capsys):
+        # no cell would give a weak norm of 0 and a margin equal to the lhs
+        code, out, err = run(["verify-theorem2", "--N", "3", "--s", "2", "--cells", "0"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: the weak norm needs at least one radial cell, got 0\n"
+
     def test_custom_profile_list(self, capsys):
         code, out, _ = run(["verify-theorem2", "--N", "3", "--s", "2",
                             "--profiles", "bump:0.62035,2;bump:0.62035,4"], capsys)
@@ -208,6 +225,19 @@ class TestExportCommand:
                             "--profile", "sombrero"], capsys)
         assert code == 2
         assert "unknown profile" in err
+
+    def test_profile_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "export.cfg"
+        cfg.write_text("profile=gaussian:1\n")
+        argv = ["export-function", "--N", "3", "--s", "2", "--K", "8"]
+        flag = run(argv + ["--profile", "gaussian:1"], capsys)
+        assert flag[0] == 0 and flag[1]
+        assert run(argv + ["--config", str(cfg)], capsys) == flag
+
+    def test_missing_profile_is_usage_error(self, capsys):
+        code, out, err = run(["export-function", "--N", "3", "--s", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: --profile is required (flag or config file)\n"
 
 
 class TestConfigFile:
@@ -255,17 +285,49 @@ class TestConfigFile:
         # a config value is refused exactly as the same value typed as a flag
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["eigenvalues", "--N", "3", "--s", "2", "--config", str(cfg)])
-        out, err = capsys.readouterr()
-        assert excinfo.value.code == 2
+        code, out, err = run(["eigenvalues", "--N", "3", "--s", "2", "--config", str(cfg)],
+                             capsys)
+        assert code == 2
         assert out == ""
-        assert message in err
+        assert err.startswith("usage: sobstab eigenvalues ")
+        assert f"sobstab eigenvalues: error: {message}" in err
         assert err.endswith(f"note: {cfg} supplies --{line}\n")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["eigenvalues", "--N", "3", "--s", "2", "--" + line])
-        assert excinfo.value.code == 2
-        assert message in capsys.readouterr().err
+        code, out, flag_err = run(["eigenvalues", "--N", "3", "--s", "2", "--" + line], capsys)
+        assert (code, out) == (2, "")
+        assert err == flag_err + f"note: {cfg} supplies --{line}\n"
+
+    def test_help_returns_zero(self, capsys):
+        code, out, err = run(["eigenvalues", "--help"], capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: sobstab eigenvalues ")
+
+
+class TestSharedParser:
+    # main builds its parser once per process; no call may change it.
+    ARGV = ["eigenvalues", "--N", "3", "--s", "2"]
+
+    def test_parser_is_built_once(self, capsys):
+        run(self.ARGV, capsys)
+        built = cli._parser.cache_info().misses
+        run(self.ARGV, capsys)
+        run(self.ARGV + ["--kmax", "2"], capsys)
+        assert built == cli._parser.cache_info().misses == 1
+        assert cli._parser() is cli._parser()
+
+    def test_config_call_leaves_nothing_behind(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kmax=3\nformat=csv\nseed=4\n")
+        before = run(self.ARGV, capsys)
+        configured = run(self.ARGV + ["--config", str(cfg)], capsys)
+        assert configured[0] == 0 and configured[1].startswith("k,lambda,multiplicity")
+        assert run(self.ARGV, capsys) == before
+        assert before[0] == 0 and len(before[1].splitlines()) == 11
+
+    def test_replaced_handler_runs(self, capsys, monkeypatch):
+        run(self.ARGV, capsys)
+        monkeypatch.setattr(cli, "cmd_eigenvalues", lambda args: 7 if args.kmax == 10 else 8)
+        assert main(self.ARGV) == 7
+        assert main(self.ARGV + ["--kmax", "1"]) == 8
 
 
 class TestEntryPoint:

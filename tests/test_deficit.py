@@ -429,6 +429,71 @@ class TestSharedExtremizerTable:
         assert warm == cold
 
 
+BENCH_PAIRS = [(3, 2.0), (2, 1.0), (5, 0.5), (8, 3.3)]
+
+
+def unit_normal_directions(p, cfg):
+    # (eps, v) of every near-manifold scan member, v at unit ||.||_*, built
+    # by the ZonalFunction operators in the scan's RNG order.
+    rng = np.random.default_rng(cfg.seed)
+    kmax = min(cfg.random_max_degree, cfg.K)
+    directions = []
+    for eps in cfg.eps_grid:
+        tails = [np.eye(kmax - 1)[k - 2] for k in cfg.normal_modes]
+        tails += [rng.standard_normal(kmax - 1) * cfg.random_decay ** np.arange(kmax - 1)
+                  for _ in range(cfg.n_normal)]
+        for tail in tails:
+            a = np.zeros(cfg.K + 1)
+            a[2:2 + tail.size] = tail
+            v = ZonalFunction(p, a)
+            directions.append((eps, v * (1.0 / norm_star(v))))
+    return directions
+
+
+class TestBitIdenticalArithmetic:
+    # The scan builds each near-manifold member in one array and each
+    # extremizer row with in-place ufuncs; both must equal the plain
+    # expressions bit for bit, the sign of every zero included.
+
+    @pytest.mark.parametrize("K", [64, 384])
+    @pytest.mark.parametrize("N, s", BENCH_PAIRS)
+    def test_local_members_equal_the_operator_expression(self, N, s, K):
+        p = SobolevParams(N, s)
+        # eps = 5e-324 rounds the small negative entries of eps * v to -0.0,
+        # which `one + eps * v` turns into +0.0
+        cfg = ScanConfig(seed=K + N, K=K, n_normal=8, n_random=0, bubble_t0=(),
+                         eps_grid=(0.1, 1e-3, 1e-7, 5e-324))
+        local = [u for family, _, u in scan_members(p, cfg) if family == "local"]
+        directions = unit_normal_directions(p, cfg)
+        assert len(local) == len(directions) == 4 * (3 + 8)
+        one = constant(p, 1.0, K)
+        negative_zeros = 0
+        for u, (eps, v) in zip(local, directions):
+            step = (eps * v).coeffs
+            negative_zeros += np.count_nonzero(np.signbit(step) & (step == 0.0))
+            expected = (one + eps * v).coeffs
+            assert np.array_equal(u.coeffs, expected)
+            assert np.array_equal(np.signbit(u.coeffs), np.signbit(expected))
+        assert negative_zeros > 0
+
+    @pytest.mark.parametrize("N, s", BENCH_PAIRS + [(4, 2.0)])  # N - s = 2: beta = 1
+    def test_table_rows_equal_the_power_expression(self, N, s):
+        p = SobolevParams(N, s)
+        K = 64
+        rule = gauss_jacobi_rule(N, 2 * K + 2)
+        lam, at, _ = _axial_family(rule, K, p)
+        weighted_basis = rule.basis(K) * rule.weights
+        beta = 0.5 * (N - s)
+        try:
+            for t0 in np.random.default_rng(N).uniform(-0.95, 0.95, 200).tolist():
+                g, norm = at(t0)
+                ref = weighted_basis.dot((1.0 - t0 * rule.nodes) ** (-beta))
+                assert np.array_equal(g, ref), t0
+                assert norm == float(lam.dot(ref * ref))
+        finally:
+            _axial_family.cache_clear()
+
+
 def per_point_distance(u, rule, cfg=OptConfig()):
     # The distance search as it was before the grid product: every grid
     # point is scored by its own projection, g built from scratch.
