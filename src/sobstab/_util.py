@@ -1,14 +1,25 @@
-"""Small shared numerics helpers (derivative-free 1-D search, float formatting)."""
+"""Small numpy-free helpers: derivative-free 1-D search, float formatting, CLI vocabulary."""
 
 from __future__ import annotations
 
 import math
 from typing import Callable
 
-__all__ = ["golden_section_min", "OptimizerError", "fmt12", "round_floats"]
+__all__ = ["golden_section_min", "OptimizerError", "RefusalError", "PROFILE_GRAMMAR", "fmt12",
+           "round_floats"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+
+# The grammar of conformal.parse_profile, here so that the CLI's help loads no numpy.
+PROFILE_GRAMMAR = (
+    "gaussian[:width] | bump[:radius[,sharpness]] | extremizer[:scale] | "
+    "mollified_extremizer[:scale[,radius]]"
+)
+
+
+class RefusalError(Exception):
+    """A result the discretization cannot resolve; the CLI refuses it (exit 3)."""
 
 
 class OptimizerError(RuntimeError):

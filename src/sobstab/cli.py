@@ -18,24 +18,20 @@ import functools
 import io
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 if __name__ == "__main__":  # `python -m sobstab.cli`: before numpy loads
     from .__main__ import use_one_blas_thread
 
     use_one_blas_thread()
 
-from ._util import fmt12, round_floats
-from .conformal import PROFILE_GRAMMAR, parse_profile, pullback_to_sphere
-from .deficit import DeficitReport, OnManifoldError, OptConfig, ScanConfig, ScanResult, run_scan
+# Each command imports the numerical modules it runs, so that a call
+# loads no module (numpy among them) that its command does not use.
+from ._util import PROFILE_GRAMMAR, RefusalError, fmt12, round_floats
 from .specfun import SobolevParams, eigenvalue, local_constant, multiplicity, sharp_constant
-from .weaknorm import (
-    TruncationError,
-    compute_constants,
-    unit_ball_radius,
-    verify_theorem2,
-)
-from .zonal import gauss_jacobi_rule, to_json_dict
+
+if TYPE_CHECKING:
+    from .deficit import DeficitReport, ScanConfig, ScanResult
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -78,10 +74,6 @@ class _UsageError(ValueError):
     pass
 
 
-class _RefusalError(Exception):
-    pass
-
-
 def _seed_note(args) -> None:
     if getattr(args, "seed", None) is not None:
         print("note: --seed ignored (command has no randomness)", file=sys.stderr)
@@ -102,77 +94,70 @@ def _eigen_rows(p: SobolevParams, kmax: int) -> list[dict]:
             for k in range(kmax + 1)]
 
 
+def _write_table(args, doc: dict, header: tuple, rows: list[tuple], line) -> None:
+    """Write `doc` as JSON, `rows` as CSV under `header`, or each row as text `line(*row)`."""
+    if args.format == "json":
+        text = _json_text(doc)
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        text = buf.getvalue()
+    else:
+        text = "".join(line(*row) for row in rows)
+    _write_output(text, args.out)
+
+
+def _constants_line(name: str, value) -> str:
+    # an eigenvalue and its multiplicity share one text line
+    if name.startswith("lambda_"):
+        return f"{name:<16s} {value}"
+    if name.startswith("multiplicity_"):
+        return f"  (multiplicity {value})\n"
+    return f"{name:<16s} {value}\n"
+
+
 # --- subcommand implementations ---
 
 
 def cmd_constants(args) -> int:
+    from .weaknorm import compute_constants
+
     _seed_note(args)
     p = _params(args)
-    wc = compute_constants(p)
+    eigen = _eigen_rows(p, args.kmax)
+    weak = compute_constants(p).to_json_dict()
     doc = {
         "N": p.N,
         "s": p.s,
         "q": p.q,
         "sharp_constant": sharp_constant(p),
         "local_constant": local_constant(p),
-        "eigenvalues": _eigen_rows(p, args.kmax),
-        "weak_norm_constants": wc.to_json_dict(),
+        "eigenvalues": eigen,
+        "weak_norm_constants": weak,
     }
-    if args.format == "json":
-        _write_output(_json_text(doc), args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "value"])
-        writer.writerow(["N", p.N])
-        writer.writerow(["s", fmt12(p.s)])
-        writer.writerow(["q", fmt12(p.q)])
-        writer.writerow(["sharp_constant", fmt12(doc["sharp_constant"])])
-        writer.writerow(["local_constant", fmt12(doc["local_constant"])])
-        for row in doc["eigenvalues"]:
-            writer.writerow([f"lambda_{row['k']}", fmt12(row["lambda"])])
-            writer.writerow([f"multiplicity_{row['k']}", row["multiplicity"]])
-        for name, value in wc.to_json_dict().items():
-            writer.writerow([name, fmt12(value)])
-        _write_output(buf.getvalue(), args.out)
-    else:
-        lines = [
-            f"N                {p.N}",
-            f"s                {fmt12(p.s)}",
-            f"q                {fmt12(p.q)}",
-            f"sharp_constant   {fmt12(doc['sharp_constant'])}",
-            f"local_constant   {fmt12(doc['local_constant'])}",
-        ]
-        for row in doc["eigenvalues"]:
-            lines.append(f"lambda_{row['k']:<2d}        {fmt12(row['lambda'])}"
-                         f"  (multiplicity {row['multiplicity']})")
-        for name, value in wc.to_json_dict().items():
-            lines.append(f"{name:<16s} {fmt12(value)}")
-        _write_output("\n".join(lines) + "\n", args.out)
+    rows = [("N", p.N), *((name, fmt12(doc[name]))
+                          for name in ("s", "q", "sharp_constant", "local_constant"))]
+    for row in eigen:
+        rows += [(f"lambda_{row['k']}", fmt12(row["lambda"])),
+                 (f"multiplicity_{row['k']}", row["multiplicity"])]
+    rows += [(name, fmt12(value)) for name, value in weak.items()]
+    _write_table(args, doc, ("name", "value"), rows, _constants_line)
     return EXIT_OK
 
 
 def cmd_eigenvalues(args) -> int:
     _seed_note(args)
     p = _params(args)
-    rows = _eigen_rows(p, args.kmax)
-    if args.format == "json":
-        _write_output(_json_text({"N": p.N, "s": p.s, "eigenvalues": rows}), args.out)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["k", "lambda", "multiplicity"])
-        for row in rows:
-            writer.writerow([row["k"], fmt12(row["lambda"]), row["multiplicity"]])
-        _write_output(buf.getvalue(), args.out)
-    else:
-        lines = [f"{row['k']:<4d} {fmt12(row['lambda']):<20s} {row['multiplicity']}"
-                 for row in rows]
-        _write_output("\n".join(lines) + "\n", args.out)
+    eigen = _eigen_rows(p, args.kmax)
+    rows = [(row["k"], fmt12(row["lambda"]), row["multiplicity"]) for row in eigen]
+    _write_table(args, {"N": p.N, "s": p.s, "eigenvalues": eigen}, ("k", "lambda", "multiplicity"),
+                 rows, "{:<4} {:<20} {}\n".format)
     return EXIT_OK
 
 
 def _scan_config(args) -> ScanConfig:
+    from .deficit import ScanConfig
+
     if args.seed is None:
         raise _UsageError("a --seed is required for scan commands")
     cfg = ScanConfig(
@@ -197,21 +182,26 @@ def _outside_sandwich(report: DeficitReport) -> bool:
     return report.deficit < -slack or report.deficit > report.distance**2 + slack
 
 
-def _checked_scan(p: SobolevParams, cfg: ScanConfig, opt: OptConfig) -> tuple[ScanResult, bool]:
+def _checked_scan(p: SobolevParams, cfg: ScanConfig) -> tuple[ScanResult, bool]:
     """Run the scan; report a sandwich violation, refuse an alpha_hat <= 0."""
-    result = run_scan(p, cfg, opt)
+    from .deficit import run_scan
+
+    result = run_scan(p, cfg)
     violation = any(report is not None and _outside_sandwich(report)
                     for _, _, _, report in result.entries)
     if not violation and result.alpha_hat <= 0.0:
-        raise _RefusalError(
+        raise RefusalError(
             f"minimum stability ratio is {fmt12(result.alpha_hat)}: a member's deficit "
             "rounds to zero, so alpha > 0 cannot be resolved; raise the smallest --eps")
     return result, violation
 
 
-def _scan_jsonl(p: SobolevParams, cfg: ScanConfig) -> tuple[str, bool]:
-    opt = OptConfig()
-    result, violation = _checked_scan(p, cfg, opt)
+def cmd_deficit_scan(args) -> int:
+    from .deficit import OptConfig
+
+    p = _params(args)
+    cfg = _scan_config(args)
+    result, violation = _checked_scan(p, cfg)
     lines = []
     for index, family, label, report in result.entries:
         record = {"index": index, "family": family, "label": label,
@@ -226,29 +216,25 @@ def _scan_jsonl(p: SobolevParams, cfg: ScanConfig) -> tuple[str, bool]:
                      "bubble": len(cfg.bubble_t0)},
         "K": cfg.K,
         "M": cfg.rule_size,
-        "t0_cap": opt.t0_cap,
+        "t0_cap": OptConfig.t0_cap,
     })
     lines.append(_jsonl_line(summary))
-    return "".join(lines), violation
-
-
-def cmd_deficit_scan(args) -> int:
-    p = _params(args)
-    cfg = _scan_config(args)
-    text, violation = _scan_jsonl(p, cfg)
-    _write_output(text, args.out)
+    _write_output("".join(lines), args.out)
     return EXIT_INVARIANT if violation else EXIT_OK
 
 
 def cmd_alpha_estimate(args) -> int:
     p = _params(args)
-    cfg = _scan_config(args)
-    result, violation = _checked_scan(p, cfg, OptConfig())
+    result, violation = _checked_scan(p, _scan_config(args))
     _write_output(_json_text(result.summary_dict()), args.out)
     return EXIT_INVARIANT if violation else EXIT_OK
 
 
 def cmd_verify_theorem2(args) -> int:
+    from .conformal import parse_profile
+    from .weaknorm import compute_constants, unit_ball_radius, verify_theorem2
+    from .zonal import gauss_jacobi_rule
+
     _seed_note(args)
     p = _params(args)
     wc = compute_constants(p)
@@ -260,14 +246,9 @@ def cmd_verify_theorem2(args) -> int:
     if not profile_specs:
         raise _UsageError("no profiles selected")
     rule = gauss_jacobi_rule(p.N, 2 * args.K + 2)
-    cases = []
-    violation = False
-    for spec_text in profile_specs:
-        profile = parse_profile(spec_text, p)
-        case = verify_theorem2(profile, rule, args.K, constants=wc, n_cells=args.cells)
-        cases.append(case)
-        if case.margin < -1e-6 * case.lhs:
-            violation = True
+    cases = [verify_theorem2(parse_profile(spec_text, p), rule, args.K, constants=wc,
+                             n_cells=args.cells) for spec_text in profile_specs]
+    violation = any(case.margin < -1e-6 * case.lhs for case in cases)
     doc = {
         "N": p.N,
         "s": p.s,
@@ -283,6 +264,9 @@ def cmd_verify_theorem2(args) -> int:
 
 
 def cmd_export_function(args) -> int:
+    from .conformal import parse_profile, pullback_to_sphere
+    from .zonal import gauss_jacobi_rule, to_json_dict
+
     _seed_note(args)
     p = _params(args)
     if args.profile is None:
@@ -416,7 +400,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as exc:  # from argparse: 2 on a bad flag or value, 0 after --help
         return exc.code
-    except (TruncationError, _RefusalError, OnManifoldError) as exc:
+    except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
     except ValueError as exc:  # _UsageError among them

@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._util import PROFILE_GRAMMAR
 from .specfun import SobolevParams
 from .zonal import QuadratureRule, ZonalFunction, analyze, synthesize
 
@@ -235,11 +236,6 @@ _PROFILE_BUILDERS = {
     "extremizer": extremizer_profile,
     "mollified_extremizer": mollified_extremizer_profile,
 }
-
-PROFILE_GRAMMAR = (
-    "gaussian[:width] | bump[:radius[,sharpness]] | extremizer[:scale] | "
-    "mollified_extremizer[:scale[,radius]]"
-)
 
 
 def parse_profile(text: str, params: SobolevParams) -> RadialFunction:

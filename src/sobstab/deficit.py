@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._util import OptimizerError, golden_section_min
+from ._util import OptimizerError, RefusalError, golden_section_min
 from .conformal import ManifoldPoint, manifold_samples
 from .specfun import SobolevParams, local_constant, sharp_constant
 from .zonal import (
@@ -55,7 +55,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-class OnManifoldError(ValueError):
+class OnManifoldError(RefusalError, ValueError):
     """Stability ratio requested for a function lying on the manifold."""
 
 
@@ -329,6 +329,11 @@ class ScanConfig:
             raise ValueError("normal modes start at degree 2")
         if any(not 0 < t0 < 1 for t0 in self.bubble_t0):
             raise ValueError("bubble separations must lie in (0, 1)")
+        if self.random_max_degree < 0:
+            raise ValueError(f"random_max_degree must be >= 0, got {self.random_max_degree}")
+        if self.random_max_degree < 2 and self.n_normal > 0 and self.eps_grid:
+            raise ValueError("random normal-space members need random_max_degree >= 2, "
+                             f"got {self.random_max_degree}")
 
     @property
     def rule_size(self) -> int:
@@ -415,6 +420,7 @@ def run_scan(p: SobolevParams, cfg: ScanConfig,
     OnManifoldError when every member lies on the manifold.
     """
     rule = gauss_jacobi_rule(p.N, cfg.rule_size)
+    opt = opt or OptConfig()  # one object: each member's search looks its grid up by it
     members = list(scan_members(p, cfg))
     entries = []
     try:

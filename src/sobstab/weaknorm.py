@@ -15,13 +15,13 @@ both sides for smooth radial test functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from ._util import golden_section_min
+from ._util import RefusalError
 from .conformal import RadialFunction, pullback_to_sphere
 from .specfun import SobolevParams, _sphere_area, log_gamma, sharp_constant
 from .zonal import QuadratureRule, lambdas, norm_lp, norm_star
@@ -34,7 +34,6 @@ __all__ = [
     "unit_ball_radius",
     "weak_norm",
     "radial_cells",
-    "radial_weak_norm",
     "extremizer_weak_norm",
     "extremizer_tail_lq",
     "compute_constants",
@@ -43,7 +42,7 @@ __all__ = [
 ]
 
 
-class TruncationError(RuntimeError):
+class TruncationError(RefusalError, RuntimeError):
     """Spectral truncation too coarse for the requested computation."""
 
 
@@ -74,15 +73,7 @@ class WeakNormConstants:
     C: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "r0": self.r0,
-            "extremizer_weak": self.extremizer_weak,
-            "C1": self.C1,
-            "C2": self.C2,
-            "C0": self.C0,
-            "C": self.C,
-        }
+        return asdict(self)
 
 
 def weak_norm(values, measures, p: SobolevParams) -> float:
@@ -116,70 +107,17 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _radial_mass(fn: Callable[[np.ndarray], np.ndarray], N: int, R: float) -> float:
-    # |S^(N-1)| * int_0^R fn(r) r^(N-1) dr by composite Gauss-Legendre on
-    # [0, 1] plus decade panels; fn smooth and non-oscillatory here.
-    if R <= 0.0:
-        return 0.0
-    edges = [0.0]
-    x = 1.0
-    while x < R:
-        edges.append(x)
-        x *= 10.0
-    edges.append(R)
-    gl_x, gl_w = _gl_nodes(64)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        r = mid + half * gl_x
-        total += half * float(gl_w @ (fn(r) * r ** (N - 1)))
-    return _sphere_area(N - 1) * total
-
-
-def _ball_ratio(u: RadialFunction, R: float) -> float:
-    # |B_R|^(-s/N) int_{B_R} |u| dx
-    p = u.params
-    mass = _radial_mass(lambda r: np.abs(u(r)), p.N, R)
-    return (ball_volume(p.N) * R ** p.N) ** (-p.s / p.N) * mass
-
-
-def radial_weak_norm(u: RadialFunction, R_hi: Optional[float] = None,
-                     tail_exponent: Optional[float] = None) -> float:
-    """Weak norm of a radial function with monotone |u| via its ball ratios.
-
-    Golden-section over log R locates the best superlevel ball.  Profiles
-    with the critical decay r^(-(N-s)) approach their sup only as
-    R -> infinity; pass tail_exponent = s to add a Richardson-extrapolated
-    tail candidate (the ball ratio approaches its limit like R^(-s)).
-    """
-    p = u.params
-    if math.isfinite(u.support_radius):
-        hi = u.support_radius
-    else:
-        hi = R_hi if R_hi is not None else 1e6
-    lo = min(1e-2, 0.5 * hi)
-    x, neg = golden_section_min(lambda y: -_ball_ratio(u, math.exp(y)),
-                                math.log(lo), math.log(hi), tol=1e-12, max_iter=400)
-    best = -neg
-    best = max(best, _ball_ratio(u, hi))
-    if tail_exponent is not None and not math.isfinite(u.support_radius):
-        f1 = _ball_ratio(u, hi)
-        f2 = _ball_ratio(u, 10.0 * hi)
-        c = 10.0 ** (-tail_exponent)
-        best = max(best, (f2 - c * f1) / (1.0 - c))
-    return best
-
-
 def extremizer_weak_norm(p: SobolevParams) -> float:
     """Weak L^(q/2) norm of the standard extremizer (1 + r^2)^(-(N-s)/2) on R^N.
 
-    Superlevel sets are centered balls; the ball ratio increases to its
-    supremum as the radius grows, so the golden-section scan is
-    supplemented by a tail extrapolation in R^(-s).
+    Its superlevel sets are centered balls, and the ball ratio
+    |B_R|^(-s/N) int_{B_R} |u| rises with R, so the norm is its limit
+    |S^(N-1)| |B_1|^(-s/N) / s as R -> infinity.  Proof: with
+    beta = (N-s)/2 and I(R) = int_0^R (1 + r^2)^(-beta) r^(N-1) dr, the
+    ratio's R-derivative has the sign of h(R) = R^N (1 + R^2)^(-beta) - s I(R),
+    and h(0) = 0, h'(R) = (N-s) R^(N-1) (1 + R^2)^(-beta-1) > 0.
     """
-    beta = 0.5 * (p.N - p.s)
-    u = RadialFunction(p, lambda r: (1.0 + r * r) ** (-beta), name="extremizer:1")
-    return radial_weak_norm(u, R_hi=1e6, tail_exponent=p.s)
+    return _sphere_area(p.N - 1) * ball_volume(p.N) ** (-p.s / p.N) / p.s
 
 
 def extremizer_tail_lq(p: SobolevParams, lam: float, r0: float) -> float:

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,18 @@ S_MENU = (0.3, 0.5, 1.0, 1.5, 2.0, 2.5, 3.3)
 PARAM_GRID = [SobolevParams(N, s) for N in range(1, 9) for s in S_MENU if s < N]
 
 P32 = SobolevParams(3, 2.0)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def python_env(env=None) -> dict:
+    """`env` (default: this process's environment) with the package's src first on PYTHONPATH.
+
+    Child Python processes import sobstab from this checkout through it.
+    """
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture(scope="session")

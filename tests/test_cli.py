@@ -5,12 +5,18 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from sobstab import cli
 from sobstab.cli import main
 from sobstab.zonal import from_json_dict
+
+from conftest import python_env
+
+# Exact output of `constants` and `eigenvalues` in every format, keyed by argv.
+TABLES = json.loads((Path(__file__).parent / "cli_tables.json").read_text())
 
 
 def run(args, capsys):
@@ -87,6 +93,12 @@ class TestEigenvaluesCommand:
         assert (code, out, err) == (2, "", "error: --kmax must be >= 0, got -1\n")
 
 
+class TestTableBytes:
+    @pytest.mark.parametrize("argv", sorted(TABLES))
+    def test_exact_output(self, capsys, argv):
+        assert run(argv.split(), capsys) == (0, TABLES[argv], "")
+
+
 class TestScanCommands:
     SCAN_ARGS = ["--N", "3", "--s", "2", "--seed", "42",
                  "--n-normal", "4", "--n-random", "4", "--bubbles", "0.4,0.6"]
@@ -118,6 +130,16 @@ class TestScanCommands:
                             "--modes", "", "--bubbles", ""], capsys)
         assert code == 2
         assert "zero members" in err
+
+    @pytest.mark.parametrize("degree, message", [
+        ("1", "random normal-space members need random_max_degree >= 2, got 1"),
+        ("-1", "random_max_degree must be >= 0, got -1"),
+    ])
+    def test_random_degree_below_the_normal_space(self, capsys, degree, message):
+        code, out, err = run(["deficit-scan", "--N", "3", "--s", "2", "--seed", "1", "--K", "8",
+                              f"--max-degree={degree}", "--modes", "", "--n-normal", "1",
+                              "--n-random", "1"], capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_seed_required(self, capsys):
         code, _, err = run(["deficit-scan", "--N", "3", "--s", "2"], capsys)
@@ -192,7 +214,7 @@ class TestVerifyCommand:
 
     def test_margin_violation_exit_code(self, capsys, monkeypatch):
         # a (synthetic) negative margin must surface as an invariant violation
-        import sobstab.cli as cli
+        from sobstab import weaknorm
         from sobstab.weaknorm import Theorem2Case
 
         def fake_verify(profile, rule, K, constants=None, n_cells=0):
@@ -200,7 +222,7 @@ class TestVerifyCommand:
                                 weak=1.0, omega_measure=1.0,
                                 norm_star_sq=1.0, lq_norm=1.0)
 
-        monkeypatch.setattr(cli, "verify_theorem2", fake_verify)
+        monkeypatch.setattr(weaknorm, "verify_theorem2", fake_verify)
         code, _, _ = run(["verify-theorem2", "--N", "3", "--s", "2"], capsys)
         assert code == 4
 
@@ -335,7 +357,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "sobstab.cli", "eigenvalues",
              "--N", "2", "--s", "0.5", "--kmax", "1", "--format", "csv"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=python_env())
         assert proc.returncode == 0
         assert proc.stdout.startswith("k,lambda,multiplicity")
 
@@ -344,8 +366,8 @@ class TestEntryPoint:
         args = [sys.executable, "-m", "sobstab.cli", "deficit-scan",
                 "--N", "2", "--s", "0.5", "--seed", "31",
                 "--n-normal", "2", "--n-random", "2", "--bubbles", "0.5"]
-        first = subprocess.run(args, capture_output=True)
-        second = subprocess.run(args, capture_output=True)
+        first = subprocess.run(args, capture_output=True, env=python_env())
+        second = subprocess.run(args, capture_output=True, env=python_env())
         assert first.returncode == 0 and second.returncode == 0
         assert first.stdout == second.stdout and len(first.stdout) > 0
 
@@ -356,7 +378,7 @@ class TestSciPyImports:
         proc = subprocess.run(
             [sys.executable, "-c", code + "\nimport sys\n"
              "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=python_env())
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.split()
 
@@ -390,6 +412,38 @@ class TestSciPyImports:
         assert not [m for m in self.scipy_modules(code) if m.startswith("scipy.integrate")]
 
 
+class TestCommandImports:
+    # A CLI call loads the numerical modules of its command only.
+    BASE = {"sobstab._util", "sobstab.specfun", "sobstab.cli"}
+    NUMERIC = {"numpy", "sobstab.conformal", "sobstab.zonal"}
+    SCAN = ["--N", "3", "--s", "2", "--seed", "1", "--K", "16", "--n-normal", "1",
+            "--n-random", "1", "--bubbles", "0.5"]
+
+    @pytest.mark.parametrize("argv, extra", [
+        (None, set()),
+        (["--help"], set()),
+        (["eigenvalues", "--N", "3", "--s", "2"], set()),
+        (["constants", "--N", "3", "--s", "2"], NUMERIC | {"sobstab.weaknorm"}),
+        (["verify-theorem2", "--N", "3", "--s", "2"], NUMERIC | {"sobstab.weaknorm"}),
+        (["export-function", "--N", "3", "--s", "2", "--K", "16", "--profile", "gaussian"],
+         NUMERIC),
+        (["deficit-scan", *SCAN], NUMERIC | {"sobstab.deficit"}),
+        (["alpha-estimate", *SCAN], NUMERIC | {"sobstab.deficit"}),
+    ], ids=["import", "help", "eigenvalues", "constants", "verify-theorem2", "export-function",
+            "deficit-scan", "alpha-estimate"])
+    def test_loaded_modules(self, argv, extra):
+        code = "import contextlib, io, sys\nfrom sobstab.cli import main\n"
+        if argv is not None:
+            code += ("with contextlib.redirect_stdout(io.StringIO()):\n"
+                     f"    assert main({argv!r}) == 0\n")
+        code += ("print(' '.join(m for m in sys.modules "
+                 "if m == 'numpy' or m.startswith('sobstab.')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=python_env())
+        assert proc.returncode == 0, proc.stderr
+        assert set(proc.stdout.split()) == self.BASE | extra
+
+
 class TestBlasThreads:
     # Records OPENBLAS_NUM_THREADS at the moment numpy is first imported,
     # runs the CLI module as __main__, then prints what it saw.
@@ -401,7 +455,7 @@ class TestBlasThreads:
         "        if name == 'numpy' and not seen:\n"
         "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
         "sys.meta_path.insert(0, Watch())\n"
-        "sys.argv = ['sobstab', 'eigenvalues', '--N', '2', '--s', '1', '--kmax', '1']\n"
+        "sys.argv = ['sobstab', 'constants', '--N', '2', '--s', '1', '--kmax', '1']\n"
         "try:\n"
         "    runpy.run_module({module!r}, run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"
@@ -413,7 +467,7 @@ class TestBlasThreads:
     def numpy_saw(self, module: str, **env) -> list:
         clean = {k: v for k, v in os.environ.items() if k not in self.THREAD_VARS}
         proc = subprocess.run([sys.executable, "-c", self.PROBE.format(module=module)],
-                              capture_output=True, text=True, env={**clean, **env})
+                              capture_output=True, text=True, env=python_env({**clean, **env}))
         assert proc.returncode == 0, proc.stderr
         return ast.literal_eval(proc.stdout.strip().splitlines()[-1])
 
@@ -433,7 +487,7 @@ class TestBlasThreads:
                 "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
         clean = {k: v for k, v in os.environ.items() if k not in self.THREAD_VARS}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=clean)
+                              env=python_env(clean))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "None"
 
@@ -442,7 +496,7 @@ class TestPackageImport:
     def test_package_import_loads_no_numpy(self):
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, sobstab\nprint('numpy' in sys.modules)"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=python_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 

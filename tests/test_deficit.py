@@ -318,6 +318,21 @@ class TestScans:
         with pytest.raises(ValueError):
             ScanConfig(seed=1, bubble_t0=(1.0,))
 
+    @pytest.mark.parametrize("degree, message", [
+        (1, "random normal-space members need random_max_degree >= 2, got 1"),
+        (-1, "random_max_degree must be >= 0, got -1"),
+    ])
+    def test_random_degree_below_the_normal_space(self, degree, message):
+        # normal-space members have degrees 2..random_max_degree; with none
+        # of those degrees their tail would be empty, of norm 0
+        with pytest.raises(ValueError, match=message):
+            ScanConfig(seed=1, K=8, normal_modes=(), n_normal=1, random_max_degree=degree)
+        if degree >= 0:
+            for no_normal in ({"n_normal": 0}, {"eps_grid": ()}):
+                cfg = ScanConfig(seed=1, K=8, normal_modes=(), random_max_degree=degree,
+                                 **no_normal)
+                assert len(run_scan(P32, cfg).entries) == cfg.n_members
+
     def test_thread_count_does_not_change_result(self, monkeypatch):
         cfg = ScanConfig(seed=5, n_normal=3, n_random=3, bubble_t0=(0.5,))
         serial = run_scan(P32, cfg)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from sobstab.conformal import (
     bump_profile,
@@ -21,7 +22,6 @@ from sobstab.weaknorm import (
     extremizer_tail_lq,
     extremizer_weak_norm,
     radial_cells,
-    radial_weak_norm,
     unit_ball_radius,
     verify_theorem2,
     weak_norm,
@@ -109,21 +109,58 @@ class TestExtremizerWeakNorm:
     def test_frozen_oracle_value(self):
         assert extremizer_weak_norm(P32) == pytest.approx(U_WEAK_32_ORACLE, rel=1e-8)
 
+    def test_matches_frozen_oracle_to_roundoff(self):
+        assert extremizer_weak_norm(P32) == pytest.approx(U_WEAK_32_ORACLE, rel=1e-14)
+
+    # PARAM_GRID holds the four (N, s) pairs of the benchmark workloads too
+    @pytest.mark.parametrize("p", PARAM_GRID, ids=lambda p: f"{p.N},{p.s}")
+    def test_ball_ratio_rises_to_the_closed_form(self, p):
+        # |B_R|^(-s/N) int_{B_R} (1+|x|^2)^(-beta) dx at 40 digits, with
+        # int_0^R r^(N-1) (1+r^2)^(-beta) dr = R^N/N 2F1(beta, N/2; N/2+1; -R^2)
+        import mpmath
+
+        with mpmath.workdps(40):
+            N, s = p.N, mpmath.mpf(p.s)
+            half_n = mpmath.mpf(N) / 2
+            area = 2 * mpmath.pi ** half_n / mpmath.gamma(half_n)
+            vol = mpmath.pi ** half_n / mpmath.gamma(half_n + 1)
+            limit = area * vol ** (-s / N) / s
+            ratios = []
+            for R in map(mpmath.mpf, ("0.01", "0.1", "1", "10", "100", "1e4", "1e6")):
+                mass = area * R ** N / N * mpmath.hyp2f1((N - s) / 2, half_n, half_n + 1, -R * R)
+                ratios.append((vol * R ** N) ** (-s / N) * mass)
+            assert all(a < b for a, b in zip(ratios, ratios[1:]))
+            assert ratios[-1] < limit
+            assert extremizer_weak_norm(p) == pytest.approx(float(limit), rel=1e-14)
+
     def test_scaling_under_dilation(self):
+        # cells of extremizer_profile(p, lam) on [0, R/mu] are those of the
+        # undilated profile on [0, R] rescaled, so the cell evaluator gives
+        # 1/lam times its value, and both stay below the closed form
         for p in (P32, SobolevParams(2, 0.5), SobolevParams(5, 3.3)):
             base = extremizer_weak_norm(p)
+            unit = weak_norm(*radial_cells(extremizer_profile(p), r_max=1e3), p)
+            assert unit < base
             for lam in (0.5, 2.0):
-                scaled = radial_weak_norm(extremizer_profile(p, lam),
-                                          R_hi=1e6, tail_exponent=p.s)
-                assert scaled == pytest.approx(base / lam, rel=1e-6), (p.N, p.s, lam)
+                mu = lam ** (2.0 / (p.N - p.s))
+                cells = radial_cells(extremizer_profile(p, lam), r_max=1e3 / mu)
+                assert weak_norm(*cells, p) == pytest.approx(unit / lam, rel=1e-12), (p, lam)
 
     def test_interior_maximum_profiles(self):
-        # compact support: the best ball is interior and needs no tail handling
-        profile = bump_profile(P32, 1.0, 1.0)
-        direct = radial_weak_norm(profile)
-        values, measures = radial_cells(profile, n_cells=4096)
-        cells = weak_norm(values, measures, P32)
-        assert direct == pytest.approx(cells, rel=1e-6)
+        # compact support: the best ball is interior, where the ball ratio's
+        # R-derivative changes sign, i.e. R^N u(R) = s int_0^R u r^(N-1) dr
+        p = P32
+        profile = bump_profile(p, 1.0, 1.0)
+
+        def mass(R):
+            return quad(lambda r: float(profile(np.array(r))) * r ** (p.N - 1), 0.0, R,
+                        epsabs=0.0, epsrel=1e-13)[0]
+
+        best = brentq(lambda R: R ** p.N * float(profile(np.array(R))) - p.s * mass(R),
+                      0.1, 0.999, xtol=1e-14)
+        direct = (ball_volume(p.N) * best**p.N) ** (-p.s / p.N) * sphere_area(p.N - 1) * mass(best)
+        cells = weak_norm(*radial_cells(profile, n_cells=4096), p)
+        assert cells == pytest.approx(direct, rel=1e-6)
 
 
 class TestTailIntegral:
