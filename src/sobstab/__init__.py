@@ -6,86 +6,41 @@ extremizer family (conformal), deficit/distance/stability scans
 (deficit), weak-norm remainder constants (weaknorm), and the command
 line front end (cli).
 
-The names below are loaded on first use, so importing the package loads
-no numpy: `python -m sobstab.cli` must set its BLAS defaults before
-numpy starts its BLAS (see `sobstab.__main__`).
+A package name is the first of that name in the `__all__` of specfun,
+zonal, conformal, deficit and weaknorm; a submodule name is the module
+(`sobstab.deficit.deficit` is the function).  Names load on first use, so
+importing the package loads no numpy: `python -m sobstab.cli` must set its
+BLAS defaults before numpy starts its BLAS (see `sobstab.__main__`).
 """
 
 import importlib
 
-_EXPORTS = {
-    "specfun": (
-        "SobolevParams",
-        "eigenvalue",
-        "lambda1_identity_residual",
-        "local_constant",
-        "log_gamma",
-        "multiplicity",
-        "sharp_constant",
-        "sphere_area",
-    ),
-    "zonal": (
-        "QuadratureRule",
-        "ZonalFunction",
-        "analyze",
-        "basis_eval",
-        "basis_function",
-        "constant",
-        "default_rule",
-        "gauss_jacobi_rule",
-        "inner_star",
-        "norm_lp",
-        "norm_star",
-        "synthesize",
-    ),
-    "conformal": (
-        "ManifoldPoint",
-        "RadialFunction",
-        "conformal_shift",
-        "manifold_zonal",
-        "parse_profile",
-        "pullback_to_sphere",
-        "stereo_radius",
-    ),
-    "deficit": (
-        "DeficitReport",
-        "OnManifoldError",
-        "OptConfig",
-        "ScanConfig",
-        "deficit",
-        "distance",
-        "estimate_alpha",
-        "gradient_form",
-        "hessian_form",
-        "run_scan",
-        "stability_ratio",
-    ),
-    "weaknorm": (
-        "TruncationError",
-        "WeakNormConstants",
-        "compute_constants",
-        "extremizer_tail_lq",
-        "extremizer_weak_norm",
-        "verify_theorem2",
-        "weak_norm",
-    ),
-}
-_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "cli")
+_MODULES = ("specfun", "zonal", "conformal", "deficit", "weaknorm")
+_SUBMODULES = (*_MODULES, "cli")
 
-__all__ = sorted(_ORIGIN)
 __version__ = "0.1.0"
+
+
+def _modules():
+    # lazily, so that a name's lookup imports no module listed after its own
+    return (importlib.import_module(f".{name}", __name__) for name in _MODULES)
 
 
 def __getattr__(name: str):
     if name in _SUBMODULES:
         return importlib.import_module(f".{name}", __name__)
-    if name not in _ORIGIN:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    if name == "__all__":
+        value = sorted({n for module in _modules() for n in module.__all__} - {*_SUBMODULES})
+    else:
+        # a dunder probe (copy, pickle, inspect) imports nothing
+        owners = () if name.startswith("__") else _modules()
+        module = next((module for module in owners if name in module.__all__), None)
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(module, name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__, *_SUBMODULES})
+    return sorted({*globals(), *_SUBMODULES, *__getattr__("__all__")})

@@ -233,7 +233,7 @@ def cmd_alpha_estimate(args) -> int:
 def cmd_verify_theorem2(args) -> int:
     from .conformal import parse_profile
     from .weaknorm import compute_constants, unit_ball_radius, verify_theorem2
-    from .zonal import gauss_jacobi_rule
+    from .zonal import default_rule
 
     _seed_note(args)
     p = _params(args)
@@ -245,7 +245,7 @@ def cmd_verify_theorem2(args) -> int:
         profile_specs = [f"bump:{r0!r},{sharp}" for sharp in (1.0, 2.0, 4.0)]
     if not profile_specs:
         raise _UsageError("no profiles selected")
-    rule = gauss_jacobi_rule(p.N, 2 * args.K + 2)
+    rule = default_rule(p.N, args.K)
     cases = [verify_theorem2(parse_profile(spec_text, p), rule, args.K, constants=wc,
                              n_cells=args.cells) for spec_text in profile_specs]
     violation = any(case.margin < -1e-6 * case.lhs for case in cases)
@@ -265,14 +265,14 @@ def cmd_verify_theorem2(args) -> int:
 
 def cmd_export_function(args) -> int:
     from .conformal import parse_profile, pullback_to_sphere
-    from .zonal import gauss_jacobi_rule, to_json_dict
+    from .zonal import default_rule, gauss_jacobi_rule, to_json_dict
 
     _seed_note(args)
     p = _params(args)
     if args.profile is None:
         raise _UsageError("--profile is required (flag or config file)")
     profile = parse_profile(args.profile, p)
-    rule = gauss_jacobi_rule(p.N, args.M if args.M else 2 * args.K + 2)
+    rule = default_rule(p.N, args.K) if args.M is None else gauss_jacobi_rule(p.N, args.M)
     u = pullback_to_sphere(profile, rule, args.K)
     _write_output(_json_text(to_json_dict(u)), args.out)
     return EXIT_OK
@@ -281,15 +281,14 @@ def cmd_export_function(args) -> int:
 # --- parser / config plumbing ---
 
 
-def _add_common(sub: argparse.ArgumentParser, *, seed: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     # not argparse-required so they may come from a --config file instead
     sub.add_argument("--N", type=int, default=None, help="dimension (integer >= 1)")
     sub.add_argument("--s", type=float, default=None, help="order, 0 < s < N")
     sub.add_argument("--config", type=str, default=None,
                      help="key=value config file; flags override")
     sub.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    if seed:
-        sub.add_argument("--seed", type=int, default=None, help="RNG seed")
+    sub.add_argument("--seed", type=int, default=None, help="RNG seed")
 
 
 def _add_scan_options(sub: argparse.ArgumentParser) -> None:

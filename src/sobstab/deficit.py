@@ -181,12 +181,7 @@ def _axial_family(rule: QuadratureRule, K: int, p: SobolevParams):
     beta = 0.5 * (p.N - p.s)
 
     def extremizer(t0: float) -> tuple[np.ndarray, float]:
-        # (1 - t0 t)^(-beta) in one array of its own per call, so that no
-        # other thread can write between the power and the product
-        w = np.multiply(t, t0)
-        np.subtract(1.0, w, out=w)
-        np.power(w, -beta, out=w)
-        g = weighted_basis.dot(w)
+        g = weighted_basis.dot((1.0 - t0 * t) ** (-beta))
         g.setflags(write=False)
         return g, float(lam.dot(g * g))
 

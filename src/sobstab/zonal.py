@@ -85,10 +85,6 @@ class QuadratureRule:
             self._basis_cache[K] = E
         return E
 
-    def integrate(self, samples: np.ndarray) -> float:
-        """Integral over S^N of a zonal integrand given by node samples."""
-        return float(self.weights @ np.asarray(samples, dtype=float))
-
 
 @lru_cache(maxsize=None)
 def gauss_jacobi_rule(N: int, M: int) -> QuadratureRule:

@@ -1,8 +1,10 @@
 import ast
 import csv
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -261,6 +263,13 @@ class TestExportCommand:
         assert (code, out) == (2, "")
         assert err == "error: --profile is required (flag or config file)\n"
 
+    @pytest.mark.parametrize("M", ["0", "1"])
+    def test_rule_below_two_nodes_is_usage_error(self, capsys, M):
+        code, out, err = run(["export-function", "--N", "3", "--s", "2", "--K", "4",
+                              "--profile", "gaussian", "--M", M], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: rule size M must be >= 2, got {M}\n"
+
 
 class TestConfigFile:
     def test_config_defaults_and_flag_override(self, tmp_path, capsys):
@@ -509,3 +518,60 @@ class TestPackageImport:
         assert set(sobstab.__all__) <= set(dir(sobstab))
         with pytest.raises(AttributeError):
             sobstab.no_such_name
+
+    def test_dunder_probe_imports_nothing(self):
+        code = ("import sys, sobstab\nbefore = set(sys.modules)\n"
+                "assert not hasattr(sobstab, '__wrapped__')\nprint(set(sys.modules) - before)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=python_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "set()"
+
+    def test_readme_quick_tour_runs(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        tour = re.search(r"## Library quick tour\n\n```python\n(.*?)```", readme, re.S).group(1)
+        proc = subprocess.run([sys.executable, "-c", tour], capture_output=True, text=True,
+                              env=python_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("5.47790408953")
+
+
+class TestPackageNamespace:
+    # A package name is the first of that name in these modules' __all__;
+    # a submodule name is the submodule.
+    MODULES = ("specfun", "zonal", "conformal", "deficit", "weaknorm")
+    SUBMODULES = (*MODULES, "cli")
+
+    @pytest.mark.parametrize("module", MODULES)
+    def test_module_names_are_package_names(self, module):
+        import sobstab
+
+        mod = importlib.import_module(f"sobstab.{module}")
+        names = [name for name in mod.__all__ if name not in self.SUBMODULES]
+        assert names
+        for name in names:
+            assert getattr(sobstab, name) is getattr(mod, name), name
+
+    def test_package_names_are_the_union(self):
+        import sobstab
+
+        union = {name for module in self.MODULES
+                 for name in importlib.import_module(f"sobstab.{module}").__all__}
+        assert sorted(union - set(self.SUBMODULES)) == sobstab.__all__
+
+    @pytest.mark.parametrize("name, module", [("PROFILE_GRAMMAR", "conformal"),
+                                              ("OptimizerError", "deficit")])
+    def test_name_exported_twice_is_one_object(self, name, module):
+        import sobstab
+        from sobstab import _util
+
+        mod = importlib.import_module(f"sobstab.{module}")
+        assert name in _util.__all__ and name in mod.__all__
+        assert getattr(sobstab, name) is getattr(mod, name) is getattr(_util, name)
+
+    @pytest.mark.parametrize("name", SUBMODULES)
+    def test_submodule_names_are_modules(self, name):
+        import sobstab
+
+        assert getattr(sobstab, name) is importlib.import_module(f"sobstab.{name}")
+        assert name not in sobstab.__all__
