@@ -32,6 +32,7 @@ from .specfun import SobolevParams, eigenvalue, local_constant, multiplicity, sh
 
 if TYPE_CHECKING:
     from .deficit import DeficitReport, ScanConfig, ScanResult
+    from .zonal import QuadratureRule
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,6 +73,15 @@ def _params(args) -> SobolevParams:
 
 class _UsageError(ValueError):
     pass
+
+
+def _rule(p: SobolevParams, K: int, M: Optional[int] = None) -> QuadratureRule:
+    """The quadrature rule of a degree-K expansion: M nodes, by default 2K + 2."""
+    from .zonal import default_rule, gauss_jacobi_rule
+
+    if K < 0:
+        raise _UsageError(f"truncation degree K must be >= 0, got {K}")
+    return default_rule(p.N, K) if M is None else gauss_jacobi_rule(p.N, M)
 
 
 def _seed_note(args) -> None:
@@ -197,7 +207,7 @@ def _checked_scan(p: SobolevParams, cfg: ScanConfig) -> tuple[ScanResult, bool]:
 
 
 def cmd_deficit_scan(args) -> int:
-    from .deficit import OptConfig
+    from .deficit import T0_CAP
 
     p = _params(args)
     cfg = _scan_config(args)
@@ -216,7 +226,7 @@ def cmd_deficit_scan(args) -> int:
                      "bubble": len(cfg.bubble_t0)},
         "K": cfg.K,
         "M": cfg.rule_size,
-        "t0_cap": OptConfig.t0_cap,
+        "t0_cap": T0_CAP,
     })
     lines.append(_jsonl_line(summary))
     _write_output("".join(lines), args.out)
@@ -233,7 +243,6 @@ def cmd_alpha_estimate(args) -> int:
 def cmd_verify_theorem2(args) -> int:
     from .conformal import parse_profile
     from .weaknorm import compute_constants, unit_ball_radius, verify_theorem2
-    from .zonal import default_rule
 
     _seed_note(args)
     p = _params(args)
@@ -245,7 +254,7 @@ def cmd_verify_theorem2(args) -> int:
         profile_specs = [f"bump:{r0!r},{sharp}" for sharp in (1.0, 2.0, 4.0)]
     if not profile_specs:
         raise _UsageError("no profiles selected")
-    rule = default_rule(p.N, args.K)
+    rule = _rule(p, args.K)
     cases = [verify_theorem2(parse_profile(spec_text, p), rule, args.K, constants=wc,
                              n_cells=args.cells) for spec_text in profile_specs]
     violation = any(case.margin < -1e-6 * case.lhs for case in cases)
@@ -265,14 +274,14 @@ def cmd_verify_theorem2(args) -> int:
 
 def cmd_export_function(args) -> int:
     from .conformal import parse_profile, pullback_to_sphere
-    from .zonal import default_rule, gauss_jacobi_rule, to_json_dict
+    from .zonal import to_json_dict
 
     _seed_note(args)
     p = _params(args)
     if args.profile is None:
         raise _UsageError("--profile is required (flag or config file)")
     profile = parse_profile(args.profile, p)
-    rule = default_rule(p.N, args.K) if args.M is None else gauss_jacobi_rule(p.N, args.M)
+    rule = _rule(p, args.K, args.M)
     u = pullback_to_sphere(profile, rule, args.K)
     _write_output(_json_text(to_json_dict(u)), args.out)
     return EXIT_OK

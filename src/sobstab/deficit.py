@@ -38,7 +38,7 @@ from .zonal import (
 __all__ = [
     "OnManifoldError",
     "OptimizerError",
-    "OptConfig",
+    "T0_CAP",
     "DeficitReport",
     "ScanConfig",
     "ScanResult",
@@ -59,30 +59,13 @@ class OnManifoldError(RefusalError, ValueError):
     """Stability ratio requested for a function lying on the manifold."""
 
 
-@dataclass(frozen=True)
-class OptConfig:
-    """Settings for the axial distance search.
-
-    A deterministic n_grid-point scan over [-t0_cap, t0_cap] (always
-    including the configured starts) brackets every local optimum of the
-    projection; each bracket is refined by golden section to t0_tol.
-    """
-
-    t0_cap: float = 0.95
-    t0_tol: float = 1e-10
-    max_iter: int = 200
-    starts: tuple[float, ...] = (-0.8, -0.4, 0.0, 0.4, 0.8)
-    n_grid: int = 49
-
-    def __post_init__(self) -> None:
-        if not 0 < self.t0_cap < 1:
-            raise ValueError("t0_cap must lie in (0, 1)")
-        if not self.t0_tol > 0:
-            raise ValueError("t0_tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.n_grid < 3:
-            raise ValueError("n_grid must be >= 3")
+# Fixed settings: the t0 search of `distance` and the random scan members.
+T0_CAP = 0.95
+_T0_TOL = 1e-10
+_T0_GRID = np.unique(np.concatenate([np.linspace(-T0_CAP, T0_CAP, 49),
+                                     [-0.8, -0.4, 0.0, 0.4, 0.8]]))
+_T0_GRID.setflags(write=False)
+_RANDOM_DECAY = 0.75  # random members' degree-k coefficients scale as _RANDOM_DECAY**k
 
 
 @dataclass(frozen=True)
@@ -159,78 +142,70 @@ def hessian_form(u: ZonalFunction, v: ZonalFunction, w: ZonalFunction,
     return 2.0 * half
 
 
-@lru_cache(maxsize=1)
-def _axial_family(rule: QuadratureRule, K: int, p: SobolevParams):
-    """Member-independent half of the distance search: (lam, at, grid_block).
+class _AxialTable:
+    """Member-independent half of the distance search for one (rule, K, (N, s)).
 
     g = weighted_basis @ g_{t0}(nodes) and gg = ||g_{t0}||_*^2 depend on
-    the rule, K and (N, s) only, so the members of a scan share them.
+    the rule, K and (N, s) only, so the members of a scan share one
+    table, which `run_scan` builds and drops with the scan.  `G` and `gg`
+    hold the stacked g rows of the t0 grid and their norms, so that one
+    product G @ (lam * coeffs) scores a member's whole grid.
     `at(t0) -> (g, gg)` serves the golden-section search: its brackets
     start at grid points, so most t0 values recur; it keeps at most 256
-    of them.  `grid_block(cfg) -> (grid, G, gg)` holds, per OptConfig,
-    the bracketing t0 grid, the stacked g rows of its points and their
-    norms, so that one product G @ (lam * coeffs) scores a member's whole
-    grid.  Every row and norm comes from the expression `at` uses.  All
-    arrays are read-only.  One table (it pins the weighted basis, 2.4 MB
-    at K = 384, and a grid block of 160 KiB); `run_scan` clears it when
-    the scan ends.
+    of them.  Every row and norm comes from the same expression, and all
+    arrays are read-only.
     """
-    lam = lambdas(p, K)
-    weighted_basis = rule.basis(K) * rule.weights
-    t = rule.nodes
-    beta = 0.5 * (p.N - p.s)
 
-    def extremizer(t0: float) -> tuple[np.ndarray, float]:
-        g = weighted_basis.dot((1.0 - t0 * t) ** (-beta))
-        g.setflags(write=False)
-        return g, float(lam.dot(g * g))
+    def __init__(self, rule: QuadratureRule, K: int, p: SobolevParams) -> None:
+        self.key = (rule, K, p)
+        lam = self.lam = lambdas(p, K)
+        weighted_basis = rule.basis(K) * rule.weights
+        t = rule.nodes
+        beta = 0.5 * (p.N - p.s)
 
-    @lru_cache(maxsize=8)
-    def grid_block(cfg: OptConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # n_grid equispaced points on [-cap, cap] plus the clipped starts
-        cap = cfg.t0_cap
-        grid = np.unique(np.concatenate([
-            np.linspace(-cap, cap, cfg.n_grid),
-            np.clip(np.asarray(cfg.starts, dtype=float), -cap, cap),
-        ]))
-        rows = [extremizer(x) for x in grid.tolist()]
-        G = np.array([g for g, _ in rows])
-        gg = np.array([norm for _, norm in rows])
-        for array in (grid, G, gg):
-            array.setflags(write=False)
-        return grid, G, gg
+        def extremizer(t0: float) -> tuple[np.ndarray, float]:
+            g = weighted_basis.dot((1.0 - t0 * t) ** (-beta))
+            g.setflags(write=False)
+            return g, float(lam.dot(g * g))
 
-    return lam, lru_cache(maxsize=256)(extremizer), grid_block
+        rows = [extremizer(x) for x in _T0_GRID.tolist()]
+        self.G = np.array([g for g, _ in rows])
+        self.gg = np.array([norm for _, norm in rows])
+        self.G.setflags(write=False)
+        self.gg.setflags(write=False)
+        self.at = lru_cache(maxsize=256)(extremizer)
 
 
 def distance(u: ZonalFunction, rule: QuadratureRule,
-             config: OptConfig | None = None) -> tuple[float, Optional[ManifoldPoint]]:
+             table: _AxialTable | None = None) -> tuple[float, Optional[ManifoldPoint]]:
     """Distance from u to the axial extremizer family in ||.||_*.
 
     The amplitude is eliminated in closed form (c* = <u,g>/||g||^2),
     leaving a 1-D minimization of ||u||^2 - <u,g_{t0}>^2/||g_{t0}||^2 over
-    t0 in [-cap, cap]: a bracketing grid scan followed by golden-section
-    refinement of every local optimum.  Returns (d, nearest); d is exact
-    within the axial family and an upper bound for the distance to the
-    full manifold.  The zero function sits in the closure of the family:
-    (0.0, None).
+    t0 in [-T0_CAP, T0_CAP]: a bracketing grid scan followed by
+    golden-section refinement of every local optimum.  Returns
+    (d, nearest); d is exact within the axial family and an upper bound
+    for the distance to the full manifold.  The zero function sits in the
+    closure of the family: (0.0, None).
 
-    The extremizer side (g_{t0} in the weighted basis and its norm) is
-    shared with the other calls on the same rule, K and (N, s) through
-    the table of `_axial_family`; per call only <u,g>_* is computed.  The
-    grid is scored by one product with the stacked grid rows, and those
-    values only choose the brackets: every value the golden-section
+    The extremizer side (g_{t0} in the weighted basis and its norm) comes
+    from `table`, which must be built for this rule, u.K and u.params; a
+    call without one builds its own.  Per call only <u,g>_* is computed.
+    The grid is scored by one product with the stacked grid rows, and
+    those values only choose the brackets: every value the golden-section
     search compares, and the returned (d, c, t0), come from the per-point
-    product lam_coeffs @ g, so the result does not depend on how the
-    grid product rounds.
+    product lam_coeffs @ g, so the result does not depend on how the grid
+    product rounds.
     """
-    cfg = config or OptConfig()
+    if table is None:
+        table = _AxialTable(rule, u.K, u.params)
+    elif table.key != (rule, u.K, u.params):
+        raise ValueError("extremizer table was built for another rule, K or (N, s)")
     ns2 = norm_star(u) ** 2
     if ns2 == 0.0:
         return 0.0, None
-    lam, at, grid_block = _axial_family(rule, u.K, u.params)
-    grid, G, gg = grid_block(cfg)
-    lam_coeffs = lam * u.coeffs
+    at = table.at
+    lam_coeffs = table.lam * u.coeffs
 
     def neg_projection(t0: float) -> float:
         # -<u,g>_*^2 / ||g||_*^2 at g = g_{t0}
@@ -238,17 +213,16 @@ def distance(u: ZonalFunction, rule: QuadratureRule,
         ug = float(lam_coeffs.dot(g))
         return -(ug * ug / norm)
 
-    ug = G @ lam_coeffs
-    values = ug * ug / gg
+    ug = table.G @ lam_coeffs
+    values = ug * ug / table.gg
     padded = np.concatenate(([-math.inf], values, [-math.inf]))
     peaks = ~((values < padded[:-2]) | (values < padded[2:]))  # local maxima
-    bounds = grid.tolist()
+    bounds = _T0_GRID.tolist()
     last = len(bounds) - 1
     projection, t0_best = -math.inf, None
     for i in np.flatnonzero(peaks).tolist():
         t0, neg = golden_section_min(neg_projection, bounds[max(i - 1, 0)],
-                                     bounds[min(i + 1, last)],
-                                     tol=cfg.t0_tol, max_iter=cfg.max_iter)
+                                     bounds[min(i + 1, last)], tol=_T0_TOL)
         if -neg > projection:
             projection, t0_best = -neg, t0
     d = math.sqrt(max(ns2 - projection, 0.0))
@@ -261,22 +235,21 @@ def distance(u: ZonalFunction, rule: QuadratureRule,
 
 
 def stability_ratio(u: ZonalFunction, rule: QuadratureRule,
-                    config: OptConfig | None = None) -> DeficitReport:
+                    table: _AxialTable | None = None) -> DeficitReport:
     """Full deficit report with ratio = Psi / d^2; errors out on the manifold.
 
     The ratio never exceeds 1 (up to quadrature slack): the first half of
     the two-sided stability bound, which only strengthens when d is the
-    axial upper bound.
+    axial upper bound.  `table` is passed on to `distance`.
     """
-    cfg = config or OptConfig()
     ns2 = norm_star(u) ** 2
     lq = norm_lp(u, u.params.q, rule)
     psi = ns2 - sharp_constant(u.params) * lq * lq
-    d, nearest = distance(u, rule, cfg)
+    d, nearest = distance(u, rule, table)
     if d <= 1e-9 * math.sqrt(ns2):
         raise OnManifoldError(
             f"distance {d:.3e} is below the on-manifold threshold; ratio undefined")
-    boundary = bool(nearest is not None and abs(nearest.t0) >= cfg.t0_cap - 1e-6)
+    boundary = bool(nearest is not None and abs(nearest.t0) >= T0_CAP - 1e-6)
     return DeficitReport(
         norm_star_sq=ns2,
         lq_norm=lq,
@@ -311,7 +284,6 @@ class ScanConfig:
     normal_modes: tuple[int, ...] = (2, 3, 4)
     bubble_t0: tuple[float, ...] = (0.2, 0.35, 0.5, 0.65, 0.8)
     random_max_degree: int = 16
-    random_decay: float = 0.75
 
     def __post_init__(self) -> None:
         if self.K < 2:
@@ -370,12 +342,12 @@ def scan_members(p: SobolevParams, cfg: ScanConfig) -> Iterator[tuple[str, str, 
             tail[k - 2] = 1.0
             yield "local", f"local:e{k}:eps={eps:g}", near_one(tail, eps)
         for j in range(cfg.n_normal):
-            tail = rng.standard_normal(kmax - 1) * cfg.random_decay ** np.arange(kmax - 1)
+            tail = rng.standard_normal(kmax - 1) * _RANDOM_DECAY ** np.arange(kmax - 1)
             yield "local", f"local:rand{j}:eps={eps:g}", near_one(tail, eps)
 
     for j in range(cfg.n_random):
         a = np.zeros(K + 1)
-        a[: kmax + 1] = rng.standard_normal(kmax + 1) * cfg.random_decay ** np.arange(kmax + 1)
+        a[: kmax + 1] = rng.standard_normal(kmax + 1) * _RANDOM_DECAY ** np.arange(kmax + 1)
         yield "random", f"random:{j}", ZonalFunction(p, a)
 
     for t0 in cfg.bubble_t0:
@@ -405,28 +377,24 @@ class ScanResult:
         }
 
 
-def run_scan(p: SobolevParams, cfg: ScanConfig,
-             opt: OptConfig | None = None) -> ScanResult:
+def run_scan(p: SobolevParams, cfg: ScanConfig) -> ScanResult:
     """Evaluate every scan member and reduce to the minimum stability ratio.
 
     Members are generated in a fixed RNG order, evaluated one after the
-    other and reduced in member order.  They share one extremizer table
-    (`_axial_family`), which is dropped when the scan ends.  Raises
-    OnManifoldError when every member lies on the manifold.
+    other and reduced in member order.  They share one extremizer table,
+    which lives as long as the scan.  Raises OnManifoldError when every
+    member lies on the manifold.
     """
     rule = gauss_jacobi_rule(p.N, cfg.rule_size)
-    opt = opt or OptConfig()  # one object: each member's search looks its grid up by it
     members = list(scan_members(p, cfg))
+    table = _AxialTable(rule, cfg.K, p)
     entries = []
-    try:
-        for idx, (family, label, u) in enumerate(members):
-            try:
-                report = stability_ratio(u, rule, opt)
-            except OnManifoldError:
-                report = None
-            entries.append((idx, family, label, report))
-    finally:
-        _axial_family.cache_clear()
+    for idx, (family, label, u) in enumerate(members):
+        try:
+            report = stability_ratio(u, rule, table)
+        except OnManifoldError:
+            report = None
+        entries.append((idx, family, label, report))
 
     ratios = [report.ratio for *_, report in entries if report is not None]
     alpha = min([math.inf] + ratios)  # from inf, so a NaN ratio is never the minimum
@@ -447,7 +415,6 @@ def run_scan(p: SobolevParams, cfg: ScanConfig,
     )
 
 
-def estimate_alpha(p: SobolevParams, cfg: ScanConfig,
-                   opt: OptConfig | None = None) -> float:
+def estimate_alpha(p: SobolevParams, cfg: ScanConfig) -> float:
     """Minimum observed ratio Psi/d^2 over the scan; an empirical estimate only."""
-    return run_scan(p, cfg, opt).alpha_hat
+    return run_scan(p, cfg).alpha_hat

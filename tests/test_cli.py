@@ -174,13 +174,6 @@ class TestScanCommands:
         doc = json.loads(out)
         assert set(doc) >= {"alpha_hat", "local_constant", "n_members", "seed"}
 
-    def test_thread_env_does_not_change_bytes(self, tmp_path, capsys, monkeypatch):
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        run(["deficit-scan", *self.SCAN_ARGS, "--out", str(p1)], capsys)
-        monkeypatch.setenv("SOBOLEV_THREADS", "4")
-        run(["deficit-scan", *self.SCAN_ARGS, "--out", str(p2)], capsys)
-        assert p1.read_bytes() == p2.read_bytes()
-
 
 class TestVerifyCommand:
     def test_default_family_passes(self, tmp_path, capsys):
@@ -207,6 +200,12 @@ class TestVerifyCommand:
                              capsys)
         assert (code, out) == (2, "")
         assert err == "error: the weak norm needs at least one radial cell, got 0\n"
+
+    def test_negative_degree_is_usage_error(self, capsys):
+        code, out, err = run(["verify-theorem2", "--N", "3", "--s", "2", "--K", "-1"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: truncation degree K must be >= 0, got -1\n"
 
     def test_custom_profile_list(self, capsys):
         code, out, _ = run(["verify-theorem2", "--N", "3", "--s", "2",
@@ -269,6 +268,13 @@ class TestExportCommand:
                               "--profile", "gaussian", "--M", M], capsys)
         assert (code, out) == (2, "")
         assert err == f"error: rule size M must be >= 2, got {M}\n"
+
+    @pytest.mark.parametrize("rule_size", [[], ["--M", "8"]])
+    def test_negative_degree_is_usage_error(self, capsys, rule_size):
+        code, out, err = run(["export-function", "--N", "3", "--s", "2", "--K", "-1",
+                              "--profile", "gaussian", *rule_size], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: truncation degree K must be >= 0, got -1\n"
 
 
 class TestConfigFile:

@@ -5,14 +5,18 @@ import weakref
 import numpy as np
 import pytest
 
+import sobstab.deficit as deficit_module
 from sobstab._util import golden_section_min
 from sobstab.conformal import ManifoldPoint, conformal_shift, manifold_zonal
 from sobstab.deficit import (
+    T0_CAP,
     OnManifoldError,
-    OptConfig,
     OptimizerError,
     ScanConfig,
-    _axial_family,
+    _RANDOM_DECAY,
+    _T0_GRID,
+    _T0_TOL,
+    _AxialTable,
     deficit,
     distance,
     estimate_alpha,
@@ -296,18 +300,6 @@ class TestScans:
         result = run_scan(P32, cfg)
         assert len(result.entries) == cfg.n_members
 
-    def test_opt_config_validation(self):
-        for bad in ({"t0_cap": 0.0}, {"t0_cap": 1.0}, {"t0_cap": 1.2}, {"t0_cap": math.nan},
-                    {"t0_tol": 0.0}, {"t0_tol": -1e-10}, {"max_iter": 0},
-                    {"n_grid": 2}, {"n_grid": 1, "starts": ()}):
-            with pytest.raises(ValueError):
-                OptConfig(**bad)
-        # the smallest accepted grid still brackets and refines
-        u = constant(P32, 1.0, 64) + 0.1 * unit_mode(P32, 2)
-        d, nearest = distance(u, default_rule(3, 64), OptConfig(n_grid=3, starts=()))
-        assert d == pytest.approx(0.1, rel=1e-6)
-        assert abs(nearest.t0) < 1e-6
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ScanConfig(seed=1, n_normal=-1)
@@ -333,21 +325,12 @@ class TestScans:
                                  **no_normal)
                 assert len(run_scan(P32, cfg).entries) == cfg.n_members
 
-    def test_thread_count_does_not_change_result(self, monkeypatch):
-        cfg = ScanConfig(seed=5, n_normal=3, n_random=3, bubble_t0=(0.5,))
-        serial = run_scan(P32, cfg)
-        monkeypatch.setenv("SOBOLEV_THREADS", "4")
-        threaded = run_scan(P32, cfg)
-        assert serial.alpha_hat == threaded.alpha_hat
-        for (_, _, _, a), (_, _, _, b) in zip(serial.entries, threaded.entries):
-            assert a.ratio == b.ratio
-
     def test_boundary_cap_reported(self, rule32):
         # a bubble pushed past the cap flags the boundary hit
-        va = manifold_zonal(P32, ManifoldPoint(1.0, 0.94), rule32, 64)
-        rep = stability_ratio(va + 1e-3 * basis_function(P32, 2, 64), rule32,
-                              OptConfig(t0_cap=0.9))
+        va = manifold_zonal(P32, ManifoldPoint(1.0, 0.97), rule32, 64)
+        rep = stability_ratio(va + 1e-3 * basis_function(P32, 2, 64), rule32)
         assert rep.boundary_hit
+        assert rep.nearest.t0 == pytest.approx(T0_CAP, abs=1e-6)
 
     def test_on_manifold_members_skipped_with_count(self):
         # an epsilon below the on-manifold threshold gets skipped, the rest
@@ -367,81 +350,90 @@ class TestScans:
 
 
 class TestSharedExtremizerTable:
-    # Members of a scan share g_{t0} and ||g_{t0}||_*^2 through
-    # _axial_family; sharing must not change a single bit of any report.
+    # The members of a scan share g_{t0} and ||g_{t0}||_*^2 through one
+    # _AxialTable that run_scan builds; sharing must not change a single
+    # bit of any report.
     CFG = ScanConfig(seed=7, n_normal=2, n_random=3, bubble_t0=(0.5, 0.8))
+    ON_MANIFOLD = ScanConfig(seed=1, eps_grid=(1e-12,), normal_modes=(2,),
+                             n_normal=0, n_random=0, bubble_t0=())
 
     def test_scan_reports_equal_unshared_evaluation(self):
         result = run_scan(P32, self.CFG)
         rule = gauss_jacobi_rule(3, self.CFG.rule_size)
         members = list(scan_members(P32, self.CFG))
         assert {family for family, _, _ in members} == {"local", "random", "bubble"}
-        for (_, _, _, report), (_, label, u) in reversed(list(zip(result.entries, members))):
-            _axial_family.cache_clear()
-            alone = stability_ratio(u, rule)
+        for (_, _, _, report), (_, label, u) in zip(result.entries, members):
+            alone = stability_ratio(u, rule)  # builds a table of its own
             assert report == alone, label  # ratio, distance, nearest.c and .t0 included
 
-    def test_table_lives_only_as_long_as_the_scan(self):
+    def test_scan_passes_one_table_to_distance(self, monkeypatch):
+        # Wrappers of the module binding `distance` (the benchmark's spans
+        # and planted errors) see (u, rule, table) as three positionals.
+        calls = []
+        original = deficit_module.distance
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(deficit_module, "distance", spy)
         run_scan(P32, self.CFG)
-        assert _axial_family.cache_info().currsize == 0
-        on_manifold = ScanConfig(seed=1, eps_grid=(1e-12,), normal_modes=(2,),
-                                 n_normal=0, n_random=0, bubble_t0=())
+        assert len(calls) == self.CFG.n_members
+        table = calls[0][0][2]
+        assert isinstance(table, _AxialTable)
+        for args, kwargs in calls:
+            assert len(args) == 3 and not kwargs
+            assert args[2] is table
+
+    def test_table_lives_only_as_long_as_the_scan(self, monkeypatch):
+        tables = []
+        original = deficit_module.distance
+
+        def spy(u, rule, table):
+            tables.append(weakref.ref(table))
+            return original(u, rule, table)
+
+        def exhausted(f, a, b, **kwargs):
+            raise OptimizerError("golden-section search exhausted max_iter", a, f(a))
+
+        monkeypatch.setattr(deficit_module, "distance", spy)
+        run_scan(P32, self.CFG)
+        assert len(tables) == self.CFG.n_members
+        assert tables[-1]() is None  # freed on return, no collection needed
         with pytest.raises(OnManifoldError):
-            run_scan(P32, on_manifold)
-        assert _axial_family.cache_info().currsize == 0
+            run_scan(P32, self.ON_MANIFOLD)
+        monkeypatch.setattr(deficit_module, "golden_section_min", exhausted)
         with pytest.raises(OptimizerError):  # raised while the table is in use
-            run_scan(P32, self.CFG, OptConfig(max_iter=1))
-        assert _axial_family.cache_info().currsize == 0
+            run_scan(P32, self.CFG)
+        assert len(tables) == self.CFG.n_members + 2
+        gc.collect()
+        assert all(ref() is None for ref in tables)
 
     def test_cached_arrays_are_read_only(self, rule32):
-        _, at, grid_block = _axial_family(rule32, 64, P32)
-        g, _ = at(0.3)
-        for array in (g, *grid_block(OptConfig())):
+        table = _AxialTable(rule32, 64, P32)
+        g, _ = table.at(0.3)
+        for array in (g, table.G, table.gg, _T0_GRID):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
-        _axial_family.cache_clear()
 
     def test_grid_block_rows_are_the_table_rows(self, rule32):
-        _, at, grid_block = _axial_family(rule32, 64, P32)
-        grid, G, gg = grid_block(OptConfig())
-        assert grid.size == 49 + 4  # the starts +-0.4 and +-0.8 are off the linspace
-        for t0, row, norm in zip(grid.tolist(), G, gg.tolist()):
-            g, g_norm = at(t0)
+        table = _AxialTable(rule32, 64, P32)
+        assert _T0_GRID.size == 49 + 4  # the starts +-0.4 and +-0.8 are off the linspace
+        for t0, row, norm in zip(_T0_GRID.tolist(), table.G, table.gg.tolist()):
+            g, g_norm = table.at(t0)
             assert np.array_equal(row, g) and norm == g_norm
-        _axial_family.cache_clear()
-
-    def test_grid_block_lives_only_as_long_as_the_scan(self):
-        # a block built before a scan on the same table is dropped with it
-        rule = gauss_jacobi_rule(3, self.CFG.rule_size)
-        u = constant(P32, 1.0, self.CFG.K) + 0.1 * unit_mode(P32, 2, self.CFG.K)
-        on_manifold = ScanConfig(seed=1, eps_grid=(1e-12,), normal_modes=(2,),
-                                 n_normal=0, n_random=0, bubble_t0=())
-        for scan, raises in ((self.CFG, None), (on_manifold, OnManifoldError)):
-            distance(u, rule)
-            block = weakref.ref(_axial_family(rule, self.CFG.K, P32)[2](OptConfig())[1])
-            if raises is None:
-                run_scan(P32, scan)
-            else:
-                with pytest.raises(raises):
-                    run_scan(P32, scan)
-            gc.collect()
-            assert block() is None
 
     def test_table_is_keyed_by_degree_and_parameters(self, rule32):
-        rng = np.random.default_rng(11)
-        p31 = SobolevParams(3, 1.0)
-        members = [smooth_random_zonal(P32, rng, K=64, offset=1.0),
-                   smooth_random_zonal(P32, rng, K=32, offset=1.0),
-                   smooth_random_zonal(p31, rng, K=32, offset=1.0)]
-        cold = []
-        for u in members:
-            _axial_family.cache_clear()
-            cold.append(distance(u, rule32))
-        _axial_family.cache_clear()
-        warm = [distance(u, rule32) for u in members]
-        _axial_family.cache_clear()
-        assert warm == cold
+        u = smooth_random_zonal(P32, np.random.default_rng(11), K=64, offset=1.0)
+        assert distance(u, rule32, _AxialTable(rule32, 64, SobolevParams(3, 2.0))) \
+            == distance(u, rule32)
+        for other in (_AxialTable(rule32, 32, P32),
+                      _AxialTable(rule32, 64, SobolevParams(3, 1.0)),
+                      _AxialTable(gauss_jacobi_rule(3, 100), 64, P32)):
+            for call in (distance, stability_ratio):
+                with pytest.raises(ValueError, match="built for another rule, K or"):
+                    call(u, rule32, other)
 
 
 BENCH_PAIRS = [(3, 2.0), (2, 1.0), (5, 0.5), (8, 3.3)]
@@ -455,7 +447,7 @@ def unit_normal_directions(p, cfg):
     directions = []
     for eps in cfg.eps_grid:
         tails = [np.eye(kmax - 1)[k - 2] for k in cfg.normal_modes]
-        tails += [rng.standard_normal(kmax - 1) * cfg.random_decay ** np.arange(kmax - 1)
+        tails += [rng.standard_normal(kmax - 1) * _RANDOM_DECAY ** np.arange(kmax - 1)
                   for _ in range(cfg.n_normal)]
         for tail in tails:
             a = np.zeros(cfg.K + 1)
@@ -496,20 +488,17 @@ class TestBitIdenticalArithmetic:
         p = SobolevParams(N, s)
         K = 64
         rule = gauss_jacobi_rule(N, 2 * K + 2)
-        lam, at, _ = _axial_family(rule, K, p)
+        table = _AxialTable(rule, K, p)
         weighted_basis = rule.basis(K) * rule.weights
         beta = 0.5 * (N - s)
-        try:
-            for t0 in np.random.default_rng(N).uniform(-0.95, 0.95, 200).tolist():
-                g, norm = at(t0)
-                ref = weighted_basis.dot((1.0 - t0 * rule.nodes) ** (-beta))
-                assert np.array_equal(g, ref), t0
-                assert norm == float(lam.dot(ref * ref))
-        finally:
-            _axial_family.cache_clear()
+        for t0 in np.random.default_rng(N).uniform(-0.95, 0.95, 200).tolist():
+            g, norm = table.at(t0)
+            ref = weighted_basis.dot((1.0 - t0 * rule.nodes) ** (-beta))
+            assert np.array_equal(g, ref), t0
+            assert norm == float(table.lam.dot(ref * ref))
 
 
-def per_point_distance(u, rule, cfg=OptConfig()):
+def per_point_distance(u, rule):
     # The distance search as it was before the grid product: every grid
     # point is scored by its own projection, g built from scratch.
     lam = lambdas(u.params, u.K)
@@ -523,9 +512,9 @@ def per_point_distance(u, rule, cfg=OptConfig()):
         gg = float(lam @ (g * g))
         return ug * ug / gg, ug / gg
 
-    cap = cfg.t0_cap
-    grid = np.unique(np.concatenate([np.linspace(-cap, cap, cfg.n_grid),
-                                     np.clip(np.asarray(cfg.starts), -cap, cap)]))
+    cap = T0_CAP
+    grid = np.unique(np.concatenate([np.linspace(-cap, cap, 49),
+                                     np.clip(np.asarray([-0.8, -0.4, 0.0, 0.4, 0.8]), -cap, cap)]))
     values = [proj(x)[0] for x in grid]
     best = (-math.inf, 0.0, 0.0)
     for i, val in enumerate(values):
@@ -535,7 +524,7 @@ def per_point_distance(u, rule, cfg=OptConfig()):
             continue
         t0, neg = golden_section_min(lambda x: -proj(x)[0], grid[max(i - 1, 0)],
                                      grid[min(i + 1, grid.size - 1)],
-                                     tol=cfg.t0_tol, max_iter=cfg.max_iter)
+                                     tol=_T0_TOL, max_iter=200)
         if -neg > best[0]:
             best = (-neg, float(t0), proj(t0)[1])
     d = math.sqrt(max(norm_star(u) ** 2 - best[0], 0.0))
@@ -556,7 +545,6 @@ class TestGridProduct:
                         for eps in (1e-1, 1e-3) for k in (2, 3)]
             for u in members:
                 assert distance(u, rule) == per_point_distance(u, rule)
-        _axial_family.cache_clear()
 
     @pytest.mark.parametrize("N, s", [(3, 2.0), (5, 0.5), (8, 3.3)])
     def test_even_two_bubble_members(self, N, s):
@@ -574,7 +562,6 @@ class TestGridProduct:
             assert (d, nearest) == per_point_distance(u, rule), label
             if label == "bubble:t0=0.8" and N > 3:
                 assert nearest.t0 < -0.5
-        _axial_family.cache_clear()
 
 
 class TestOptimizerBudget:
