@@ -3,13 +3,12 @@
 A CLI call is one short process whose largest BLAS product is a
 (K+1) x M matrix-vector product.  OpenBLAS starts a worker thread per
 CPU when it loads, and each worker spins for about 0.1 s of CPU after
-the load and after every threaded call; a call that builds a quadrature
-rule loads two copies of OpenBLAS (numpy's and scipy's).  On a 2-CPU
-Xeon the workers added 35-75 % to a call's CPU time and saved no
-measurable wall time, and with one CPU busy in another process they
-made every command 15-40 % slower.  So the command runs BLAS on one
-thread unless the environment sets a thread count.  Importing `sobstab`
-as a library changes nothing.
+the load and after every threaded call.  On a 2-CPU Xeon the workers
+added 35-75 % to a call's CPU time and saved no measurable wall time,
+and with one CPU busy in another process they made every command
+15-40 % slower.  So the command runs BLAS on one thread unless the
+environment sets a thread count.  Importing `sobstab` as a library
+changes nothing.
 """
 
 import os

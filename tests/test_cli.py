@@ -388,43 +388,63 @@ class TestEntryPoint:
 
 
 class TestSciPyImports:
+    # numpy is the only runtime dependency: no command may load scipy.
+    SCAN = ["--N", "3", "--s", "2", "--seed", "1", "--K", "16", "--n-normal", "1",
+            "--n-random", "1", "--bubbles", "0.5"]
+    COMMANDS = [
+        ["constants", "--N", "3", "--s", "2"],
+        ["eigenvalues", "--N", "3", "--s", "2"],
+        ["deficit-scan", *SCAN],
+        ["alpha-estimate", *SCAN],
+        ["verify-theorem2", "--N", "3", "--s", "2"],
+        ["export-function", "--N", "3", "--s", "2", "--K", "16", "--profile", "gaussian"],
+    ]
+
     @staticmethod
-    def scipy_modules(code: str) -> list[str]:
-        proc = subprocess.run(
-            [sys.executable, "-c", code + "\nimport sys\n"
-             "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-            capture_output=True, text=True, env=python_env())
+    def child(code: str) -> str:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=python_env())
         assert proc.returncode == 0, proc.stderr
-        return proc.stdout.split()
+        return proc.stdout
+
+    @classmethod
+    def scipy_modules(cls, code: str) -> list[str]:
+        return cls.child(code + "\nimport sys\n"
+                         "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+                         ).split()
+
+    @staticmethod
+    def run_all(commands) -> str:
+        # Code that runs each command in one child, silencing its output.
+        return ("import contextlib, io\nfrom sobstab.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()), "
+                "contextlib.redirect_stderr(io.StringIO()):\n"
+                f"    for argv in {commands!r}:\n"
+                "        assert main(argv) == 0, argv")
 
     def test_cli_import_loads_no_scipy(self):
         assert self.scipy_modules("import sobstab.cli") == []
 
     def test_closed_form_commands_load_no_scipy(self):
-        code = ("import contextlib, io\nfrom sobstab.cli import main\n"
-                "with contextlib.redirect_stdout(io.StringIO()):\n"
-                "    assert main(['constants', '--N', '3', '--s', '2']) == 0\n"
-                "    assert main(['eigenvalues', '--N', '3', '--s', '2']) == 0")
-        assert self.scipy_modules(code) == []
+        assert self.scipy_modules(self.run_all(self.COMMANDS[:2])) == []
 
     def test_no_command_loads_scipy_integrate(self):
-        commands = [
-            ["constants", "--N", "3", "--s", "2"],
-            ["eigenvalues", "--N", "3", "--s", "2"],
-            ["deficit-scan", "--N", "3", "--s", "2", "--seed", "1", "--K", "16",
-             "--n-normal", "1", "--n-random", "1", "--bubbles", "0.5"],
-            ["alpha-estimate", "--N", "3", "--s", "2", "--seed", "1", "--K", "16",
-             "--n-normal", "1", "--n-random", "1", "--bubbles", "0.5"],
-            ["verify-theorem2", "--N", "3", "--s", "2"],
-            ["export-function", "--N", "3", "--s", "2", "--K", "16",
-             "--profile", "gaussian"],
-        ]
-        code = ("import contextlib, io\nfrom sobstab.cli import main\n"
-                "with contextlib.redirect_stdout(io.StringIO()), "
-                "contextlib.redirect_stderr(io.StringIO()):\n"
-                f"    for argv in {commands!r}:\n"
-                "        assert main(argv) == 0, argv")
-        assert not [m for m in self.scipy_modules(code) if m.startswith("scipy.integrate")]
+        assert not [m for m in self.scipy_modules(self.run_all(self.COMMANDS))
+                    if m.startswith("scipy.integrate")]
+
+    def test_no_command_loads_scipy(self):
+        assert self.scipy_modules(self.run_all(self.COMMANDS)) == []
+
+    def test_same_bytes_without_scipy(self):
+        # A child in which scipy cannot be imported prints what a normal one does.
+        # deficit-scan, verify-theorem2 and export-function
+        commands = [self.COMMANDS[i] for i in (2, 4, 5)]
+        code = ("from sobstab.cli import main\n"
+                f"for argv in {commands!r}:\n"
+                "    assert main(argv) == 0, argv")
+        normal = self.child(code)
+        assert normal.count("\n") > 10
+        assert self.child('import sys\nsys.modules["scipy"] = None\n' + code) == normal
 
 
 class TestCommandImports:

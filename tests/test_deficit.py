@@ -271,6 +271,25 @@ class TestScans:
         b = estimate_alpha(P32, cfg)
         assert a == b  # bit-for-bit
 
+    def test_random_members_pinned(self):
+        # The coefficients of a seeded random member and a seeded random
+        # normal-space member, so that a change of the random families
+        # (their seed stream or degree decay) fails here, not only against
+        # the benchmark references.
+        cfg = ScanConfig(seed=1, K=8, n_normal=1, n_random=1, bubble_t0=())
+        members = {label: u.coeffs for _, label, u in scan_members(P32, cfg)}
+        pinned = {
+            "random:0": [
+                -0.275602905299, 0.970547860799, 0.56628242736, -1.14377167081,
+                -0.597695597357, -0.0414742366889, -0.0751408227635, 0.0285178976764,
+                0.0217567320166],
+            "local:rand0:eps=0.1": [
+                4.44288293816, 0.0, 0.0070338485444, 0.0125421048953, 0.00378312282619,
+                -0.0111897337443, 0.00583046936677, 0.00215598089609, -0.00194510561735],
+        }
+        for label, coeffs in pinned.items():
+            assert members[label] == pytest.approx(coeffs, rel=1e-11, abs=0.0), label
+
     def test_alpha_bounds(self):
         cfg = ScanConfig(seed=7, n_normal=8, n_random=8)
         alpha = estimate_alpha(P32, cfg)

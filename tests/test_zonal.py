@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
 
 from sobstab.conformal import manifold_samples
@@ -24,6 +25,7 @@ from sobstab.zonal import (
     norm_star,
     synthesize,
     to_json_dict,
+    _recurrence_sq,
 )
 
 from conftest import P32, smooth_random_zonal
@@ -77,6 +79,28 @@ class TestGaussJacobiRule:
             x, w = roots_jacobi(M, alpha, alpha)
             assert np.allclose(rule.nodes, x, rtol=0, atol=5e-13)
             assert np.allclose(rule.weights, _sphere_area(N - 1) * w, rtol=5e-12)
+
+    @staticmethod
+    def tridiagonal_rule(N, M):
+        # The construction the rule used before the dense solve, kept as
+        # the oracle for bit identity: scipy's tridiagonal eigensolver.
+        off = np.sqrt([_recurrence_sq(N, n) for n in range(1, M)])
+        nodes, vecs = eigh_tridiagonal(np.zeros(M), off)
+        weights = _sphere_area(N) * vecs[0, :] ** 2
+        return 0.5 * (nodes - nodes[::-1]), 0.5 * (weights + weights[::-1])
+
+    @pytest.mark.parametrize("N, Ms", [
+        *[(N, (66, 130, 258, 770, 1026)) for N in (2, 3, 5, 8)],
+        *[(N, range(2, 42)) for N in (1, 4, 7)],
+    ])
+    def test_bit_identical_to_tridiagonal_solver(self, N, Ms):
+        # Every (N, M) the benchmark and the CLI defaults build, and small
+        # and odd M: the dense solve gives the same bits.
+        for M in Ms:
+            rule = gauss_jacobi_rule(N, M)
+            nodes, weights = self.tridiagonal_rule(N, M)
+            assert np.array_equal(rule.nodes, nodes), (N, M)
+            assert np.array_equal(rule.weights, weights), (N, M)
 
     @pytest.mark.parametrize("N, M", [(3, 66), (2, 66), (8, 130)])
     def test_matches_30_digit_newton_rule(self, N, M):
