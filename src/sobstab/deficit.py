@@ -62,9 +62,12 @@ class OnManifoldError(RefusalError, ValueError):
 # Fixed settings: the t0 search of `distance` and the random scan members.
 T0_CAP = 0.95
 _T0_TOL = 1e-10
-_T0_GRID = np.unique(np.concatenate([np.linspace(-T0_CAP, T0_CAP, 49),
-                                     [-0.8, -0.4, 0.0, 0.4, 0.8]]))
+# sorted() of a set, not np.unique, which imports numpy.ma
+_T0_GRID = np.array(sorted({*np.linspace(-T0_CAP, T0_CAP, 49).tolist(),
+                            -0.8, -0.4, 0.0, 0.4, 0.8}))
 _T0_GRID.setflags(write=False)
+_T0_BOUNDS = tuple(_T0_GRID.tolist())  # the bracket bounds as floats
+_MEMO_BYTES = 2**20  # bound on the g rows an extremizer table memoizes
 _RANDOM_DECAY = 0.75  # random members' degree-k coefficients scale as _RANDOM_DECAY**k
 
 
@@ -151,9 +154,13 @@ class _AxialTable:
     hold the stacked g rows of the t0 grid and their norms, so that one
     product G @ (lam * coeffs) scores a member's whole grid.
     `at(t0) -> (g, gg)` serves the golden-section search: its brackets
-    start at grid points, so most t0 values recur; it keeps at most 256
-    of them.  Every row and norm comes from the same expression, and all
-    arrays are read-only.
+    start at grid points, so most t0 values recur; it keeps the most
+    recent rows up to _MEMO_BYTES of g (2,016 rows at K = 64, 340 at
+    K = 384).  Every row and norm comes from the same expression, built
+    in per-table scratch with the operations, in the order, of
+    `g = weighted_basis @ (1 - t0 t)**(-beta)` and `lam @ (g * g)`, so a
+    table must not be shared between threads.  Every g is a new array,
+    and all arrays are read-only.
     """
 
     def __init__(self, rule: QuadratureRule, K: int, p: SobolevParams) -> None:
@@ -163,17 +170,26 @@ class _AxialTable:
         t = rule.nodes
         beta = 0.5 * (p.N - p.s)
 
-        def extremizer(t0: float) -> tuple[np.ndarray, float]:
-            g = weighted_basis.dot((1.0 - t0 * t) ** (-beta))
-            g.setflags(write=False)
-            return g, float(lam.dot(g * g))
+        power = np.empty_like(t)
+        square = np.empty(K + 1)
+        basis_dot, lam_dot = weighted_basis.dot, lam.dot
 
-        rows = [extremizer(x) for x in _T0_GRID.tolist()]
+        def extremizer(t0: float) -> tuple[np.ndarray, float]:
+            nonlocal power  # `**=` rebinds it, to the same array
+            np.multiply(t, t0, out=power)
+            np.subtract(1.0, power, out=power)
+            power **= -beta  # not np.power: ** keeps the fast scalar powers
+            g = basis_dot(power)
+            g.setflags(write=False)
+            np.multiply(g, g, out=square)
+            return g, float(lam_dot(square))
+
+        rows = [extremizer(x) for x in _T0_BOUNDS]
         self.G = np.array([g for g, _ in rows])
         self.gg = np.array([norm for _, norm in rows])
         self.G.setflags(write=False)
         self.gg.setflags(write=False)
-        self.at = lru_cache(maxsize=256)(extremizer)
+        self.at = lru_cache(maxsize=_MEMO_BYTES // square.nbytes)(extremizer)
 
 
 def distance(u: ZonalFunction, rule: QuadratureRule,
@@ -206,30 +222,30 @@ def distance(u: ZonalFunction, rule: QuadratureRule,
         return 0.0, None
     at = table.at
     lam_coeffs = table.lam * u.coeffs
+    dot = lam_coeffs.dot
 
     def neg_projection(t0: float) -> float:
         # -<u,g>_*^2 / ||g||_*^2 at g = g_{t0}
         g, norm = at(t0)
-        ug = float(lam_coeffs.dot(g))
+        ug = float(dot(g))
         return -(ug * ug / norm)
 
     ug = table.G @ lam_coeffs
     values = ug * ug / table.gg
     padded = np.concatenate(([-math.inf], values, [-math.inf]))
     peaks = ~((values < padded[:-2]) | (values < padded[2:]))  # local maxima
-    bounds = _T0_GRID.tolist()
-    last = len(bounds) - 1
+    last = len(_T0_BOUNDS) - 1
     projection, t0_best = -math.inf, None
     for i in np.flatnonzero(peaks).tolist():
-        t0, neg = golden_section_min(neg_projection, bounds[max(i - 1, 0)],
-                                     bounds[min(i + 1, last)], tol=_T0_TOL)
+        t0, neg = golden_section_min(neg_projection, _T0_BOUNDS[max(i - 1, 0)],
+                                     _T0_BOUNDS[min(i + 1, last)], tol=_T0_TOL)
         if -neg > projection:
             projection, t0_best = -neg, t0
     d = math.sqrt(max(ns2 - projection, 0.0))
     if t0_best is None:
         return d, None
     g, norm = at(t0_best)
-    c_best = float(lam_coeffs.dot(g)) / norm
+    c_best = float(dot(g)) / norm
     nearest = None if c_best == 0.0 else ManifoldPoint(c_best, t0_best)
     return d, nearest
 

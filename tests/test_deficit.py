@@ -1,5 +1,9 @@
 import gc
+import json
 import math
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -38,7 +42,7 @@ from sobstab.zonal import (
     norm_star,
 )
 
-from conftest import PARAM_GRID, P32, smooth_random_zonal
+from conftest import PARAM_GRID, P32, python_env, smooth_random_zonal
 
 
 def unit_mode(p, k, K=64):
@@ -436,6 +440,33 @@ class TestSharedExtremizerTable:
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
+    def test_grid_equals_the_unique_construction(self):
+        grid = np.unique(np.concatenate([np.linspace(-T0_CAP, T0_CAP, 49),
+                                         [-0.8, -0.4, 0.0, 0.4, 0.8]]))
+        assert np.array_equal(_T0_GRID, grid)
+        assert np.array_equal(np.signbit(_T0_GRID), np.signbit(grid))
+
+    def test_import_leaves_numpy_ma_out(self):
+        # np.unique imports numpy.ma; a cold scan command needs neither
+        code = "import sys, sobstab.deficit\nprint('numpy.ma' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=python_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("K, rows", [(64, 2016), (384, 340)])
+    def test_memo_is_bounded_by_bytes(self, K, rows):
+        table = _AxialTable(gauss_jacobi_rule(3, 2 * K + 2), K, P32)
+        assert table.at.cache_info().maxsize == rows == deficit_module._MEMO_BYTES // (8 * (K + 1))
+
+    def test_memo_rows_are_fresh_arrays(self, rule32):
+        table = _AxialTable(rule32, 64, P32)
+        first, norm = table.at(0.3)
+        kept = first.copy()
+        others = [table.at(t0)[0] for t0 in (-0.7, 0.1, 0.55)]
+        assert np.array_equal(first, kept) and table.at(0.3) == (first, norm)
+        assert not any(np.shares_memory(first, g) for g in others + [table.G])
+
     def test_grid_block_rows_are_the_table_rows(self, rule32):
         table = _AxialTable(rule32, 64, P32)
         assert _T0_GRID.size == 49 + 4  # the starts +-0.4 and +-0.8 are off the linspace
@@ -515,6 +546,46 @@ class TestBitIdenticalArithmetic:
             ref = weighted_basis.dot((1.0 - t0 * rule.nodes) ** (-beta))
             assert np.array_equal(g, ref), t0
             assert norm == float(table.lam.dot(ref * ref))
+
+
+class TestUlpSensitiveDistances:
+    # At (8, 3.3) the eps = 1e-3 members have ||u||_*^2 ~ 1648 and d ~ 1e-3,
+    # so one ulp of the projection moves d by about 1.1e-7 relative: the
+    # search's arithmetic must not change by a single rounding.  At K = 64
+    # the products run on one BLAS thread whatever the setting, which the
+    # children at 1 and 2 threads check.
+    CODE = (
+        "import json\n"
+        "from sobstab.deficit import ScanConfig, run_scan\n"
+        "from sobstab.specfun import SobolevParams\n"
+        "cfg = ScanConfig(seed=1, K=64, n_normal=2, n_random=0, bubble_t0=())\n"
+        "result = run_scan(SobolevParams(8, 3.3), cfg)\n"
+        "print(json.dumps({label: [r.distance.hex(), r.nearest.c.hex(), r.nearest.t0.hex()]\n"
+        "                  for _, _, label, r in result.entries\n"
+        "                  if label.endswith(':eps=0.001')}))\n"
+    )
+    PINNED = {  # [distance, nearest.c, nearest.t0]
+        "local:e2:eps=0.001": ["0x1.0624d8478d442p-10", "0x1.0000000000001p+0",
+                               "-0x1.32ace68868d4fp-28"],
+        "local:e3:eps=0.001": ["0x1.0624d8478d442p-10", "0x1.0000000000001p+0",
+                               "-0x1.32ace688572f5p-28"],
+        "local:e4:eps=0.001": ["0x1.0624d8478d442p-10", "0x1.0000000000001p+0",
+                               "-0x1.32ace688572f5p-28"],
+        "local:rand0:eps=0.001": ["0x1.0624d26b8d175p-10", "0x1.0000000000001p+0",
+                                  "-0x1.32ace688572f5p-28"],
+        "local:rand1:eps=0.001": ["0x1.0624d8478d442p-10", "0x1.0000000000001p+0",
+                                  "-0x1.32ace68347681p-28"],
+    }
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_pinned_bits(self, threads):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", self.CODE], capture_output=True, text=True,
+                              env=python_env(env))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == self.PINNED
 
 
 def per_point_distance(u, rule):
