@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -86,6 +86,60 @@ class QuadratureRule:
         return E
 
 
+@cache
+def _dstedc():
+    """numpy's own LAPACK `dstedc` as (ctypes function, integer type), or None.
+
+    Spelled as numpy's `dsyevd` is in the same library: `scipy_dsyevd_64_`
+    in the scipy-openblas wheels, where `_64_` means 64-bit integers and
+    a plain `_` 32-bit ones.  None when no spelling resolves (numpy built
+    against another LAPACK); `gauss_jacobi_rule` then falls back to
+    `np.linalg.eigh`.
+    """
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_", ""):
+        for suffix, c_int in (("_64_", ctypes.c_int64), ("_", ctypes.c_int32)):
+            if hasattr(lib, f"{prefix}dsyevd{suffix}"):
+                fn = getattr(lib, f"{prefix}dstedc{suffix}", None)
+                if fn is None:
+                    return None
+                p_int, ptr = ctypes.POINTER(c_int), ctypes.c_void_p
+                # COMPZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO, len(COMPZ)
+                fn.argtypes = [ctypes.c_char_p, p_int, ptr, ptr, ptr, p_int,
+                               ptr, p_int, ptr, p_int, p_int, ctypes.c_size_t]
+                fn.restype = None
+                return fn, c_int
+    return None
+
+
+def _first_components(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Ascending eigenvalues of the symmetric tridiagonal matrix with zero
+    # diagonal and subdiagonal `off`, and the first component of each
+    # eigenvector; the eigenvector matrix is dropped on return.
+    M = off.size + 1
+    solver = _dstedc()
+    if solver is None:
+        nodes, vecs = np.linalg.eigh(np.diag(off, -1))  # reads the lower triangle
+        return nodes, vecs[0, :].copy()
+    fn, c_int = solver
+    nodes, e = np.zeros(M), off.copy()
+    # Z is column-major M x M: row j of this C-order array is eigenvector j.
+    z = np.empty((M, M))
+    work = np.empty(1 + 4 * M + M * M)
+    iwork = np.empty(3 + 5 * M, dtype=c_int)
+    n, lwork, liwork, info = c_int(M), c_int(work.size), c_int(iwork.size), c_int()
+    fn(b"I", n, nodes.ctypes.data, e.ctypes.data, z.ctypes.data, n,
+       work.ctypes.data, lwork, iwork.ctypes.data, liwork, info, 1)
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dstedc failed with info = {info.value}")
+    return nodes, z[:, 0].copy()
+
+
 @lru_cache(maxsize=None)
 def gauss_jacobi_rule(N: int, M: int) -> QuadratureRule:
     """M-point Gauss rule for the weight |S^(N-1)| (1-t^2)^((N-2)/2) on (-1, 1).
@@ -95,26 +149,31 @@ def gauss_jacobi_rule(N: int, M: int) -> QuadratureRule:
     the total measure |S^N|) the weights.  Exact for polynomial integrands
     of degree <= 2M - 1.
 
-    The matrix is solved dense with `np.linalg.eigh` so that numpy is the
-    only dependency.  LAPACK `dsyevd` reduces it to tridiagonal form and
-    calls `dstedc`, the divide-and-conquer solver that
-    `scipy.linalg.eigh_tridiagonal` reaches through `dstevd`; on a matrix
-    that is already tridiagonal every Householder `tau` is 0, so the
-    reduction and the back-transform are exact identities and the rule
-    is bit-identical to the tridiagonal solver's.  The dense solve needs
-    about 5 M^2 doubles at its peak (45 MB at M = 1026) and more time (on
-    one Xeon core 0.10 s against 0.03 s at M = 770, 0.21 s against 0.07 s
-    at M = 1026); the scipy import it saves takes about 0.15 s.
+    The tridiagonal matrix goes straight to LAPACK `dstedc`
+    (divide and conquer, COMPZ='I'), reached through ctypes in the LAPACK
+    that numpy itself links, so numpy stays the only dependency.  The
+    bits are those of `np.linalg.eigh` on the dense matrix: its `dsyevd`
+    is `dsytrd`, then `dstedc`, then `dormtr`, and on a matrix that is
+    already tridiagonal every Householder `tau` is 0, so the reduction
+    and the back-transform are exact identities.  They are also the
+    bits of `scipy.linalg.eigh_tridiagonal`, whose `dstevd` runs the same
+    `dstedc`.  When numpy's LAPACK exports no `dstedc` under the
+    spelling of its `dsyevd`, the dense `eigh` is used instead.
+
+    The direct call needs about 2 M^2 doubles at its peak (Z and the
+    workspace; the dense solve needs about 5 M^2) and skips the two
+    O(M^3) identity steps.  On one Xeon core it is about 4x faster at
+    M = 770-1026 (30 ms against 115 ms at M = 770) and 5x at M = 2050
+    (0.3 s and a 97 MB process peak against 1.7 s and 194 MB).
     """
     if N < 1:
         raise ValueError(f"dimension N must be >= 1, got {N}")
     if M < 2:
         raise ValueError(f"rule size M must be >= 2, got {M}")
-    # eigh reads the lower triangle only: the subdiagonal is the whole matrix
     off = np.sqrt([_recurrence_sq(N, n) for n in range(1, M)])
-    nodes, vecs = np.linalg.eigh(np.diag(off, -1))
-    weights = _sphere_area(N) * vecs[0, :] ** 2
-    # eigh returns sorted eigenvalues; enforce exact reflection symmetry
+    nodes, first = _first_components(off)
+    weights = _sphere_area(N) * first ** 2
+    # eigenvalues come sorted; enforce exact reflection symmetry
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])
     return QuadratureRule(N, nodes, weights)

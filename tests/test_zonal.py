@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -7,6 +9,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
 
+from sobstab import zonal
 from sobstab.conformal import manifold_samples
 from sobstab.specfun import SobolevParams, eigenvalue, sphere_area, _sphere_area
 from sobstab.zonal import (
@@ -28,7 +31,7 @@ from sobstab.zonal import (
     _recurrence_sq,
 )
 
-from conftest import P32, smooth_random_zonal
+from conftest import P32, python_env, smooth_random_zonal
 
 
 class TestGaussJacobiRule:
@@ -101,6 +104,58 @@ class TestGaussJacobiRule:
             nodes, weights = self.tridiagonal_rule(N, M)
             assert np.array_equal(rule.nodes, nodes), (N, M)
             assert np.array_equal(rule.weights, weights), (N, M)
+
+    @pytest.mark.parametrize("N, Ms", [
+        *[(N, (2, 3, 66, 130, 258, 770, 771, 1026, 1027)) for N in (2, 3, 5, 8)],
+        *[(N, range(2, 42)) for N in (1, 4, 7)],
+    ])
+    def test_lapack_and_dense_fallback_give_the_same_bits(self, N, Ms, monkeypatch):
+        # The direct dstedc call against the dense eigh used when numpy's
+        # LAPACK exports no dstedc, forced by hiding the symbol.
+        build = gauss_jacobi_rule.__wrapped__  # past the cache, which stays clean
+        direct = [build(N, M) for M in Ms]
+        monkeypatch.setattr(zonal, "_dstedc", lambda: None)
+        for M, rule in zip(Ms, direct):
+            dense = build(N, M)
+            assert np.array_equal(rule.nodes, dense.nodes), (N, M)
+            assert np.array_equal(rule.weights, dense.weights), (N, M)
+
+    def test_large_rule_bit_identical_to_tridiagonal_solver(self):
+        # M = 2050 (--K 1024), where the dense solve took 1.7 s and 194 MB
+        rule = gauss_jacobi_rule.__wrapped__(3, 2050)
+        nodes, weights = self.tridiagonal_rule(3, 2050)
+        assert np.array_equal(rule.nodes, nodes)
+        assert np.array_equal(rule.weights, weights)
+
+    def test_lapack_branch_taken_with_scipy_openblas(self, monkeypatch):
+        # numpy wheels link scipy-openblas, which exports dstedc: there the
+        # rule must not fall back to the O(M^3) dense solve.
+        lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]["name"]
+        if lapack != "scipy-openblas":
+            pytest.skip(f"numpy links {lapack}, not scipy-openblas")
+        assert zonal._dstedc() is not None
+
+        def dense(*args):
+            raise AssertionError("the rule fell back to np.linalg.eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", dense)
+        rule = gauss_jacobi_rule.__wrapped__(3, 66)
+        assert np.array_equal(rule.weights, self.tridiagonal_rule(3, 66)[1])
+
+    def test_commands_without_a_rule_resolve_no_lapack_symbol(self):
+        code = """\
+import contextlib, io
+import sobstab.zonal
+assert sobstab.zonal._dstedc.cache_info().misses == 0, "import resolved dstedc"
+import sobstab.cli
+for argv in (["eigenvalues", "--N", "3", "--s", "2"], ["constants", "--N", "3", "--s", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert sobstab.cli.main(argv) == 0, argv
+    assert sobstab.zonal._dstedc.cache_info().misses == 0, argv
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=python_env())
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("N, M", [(3, 66), (2, 66), (8, 130)])
     def test_matches_30_digit_newton_rule(self, N, M):

@@ -14,9 +14,13 @@ the tool only reads.  Every operation whose exit code, stdout or stderr
 differ between the trees is printed, and the exit status is 1 if any
 differ.
 
-The children inherit the environment, BLAS thread variables included;
-set `OPENBLAS_NUM_THREADS=1` to compare at the thread count the CLI
-uses.  They write no bytecode, so the trees are left as they were.
+Every operation is compared at two BLAS thread counts, since the last
+digits of large products (and LAPACK's divide-and-conquer merges) may
+depend on it: at one thread (`OPENBLAS_NUM_THREADS=1`, what the CLI
+sets) and at the library default (the BLAS thread variables unset,
+which OpenBLAS reads as one thread per CPU).  A count is printed for
+each.  The children otherwise inherit the environment and write no
+bytecode, so the trees are left as they were.
 """
 
 from __future__ import annotations
@@ -31,6 +35,10 @@ from pathlib import Path
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import WORKLOADS, all_ops  # noqa: E402
+
+# The variables OpenBLAS reads its thread count from; unset, it uses one thread per CPU.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+THREADS = {"1 BLAS thread": {"OPENBLAS_NUM_THREADS": "1"}, "default BLAS threads": {}}
 
 # Reads a JSON list of argv from stdin; writes [exit code, stdout, stderr] per argv.
 CHILD = """\
@@ -54,12 +62,12 @@ json.dump(results, sys.stdout)
 """
 
 
-def start(tree: Path, argvs: list[list[str]]) -> subprocess.Popen:
+def start(tree: Path, argvs: list[list[str]], threads: dict) -> subprocess.Popen:
     src = tree / "src"
     if not (src / "sobstab").is_dir():
         raise SystemExit(f"{tree} has no src/sobstab")
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    env.pop("PYTHONPATH", None)
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", *BLAS_THREAD_VARS)}
+    env.update(threads, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.Popen([sys.executable, "-c", CHILD, str(src)], stdin=subprocess.PIPE,
                             stdout=subprocess.PIPE, text=True, env=env)
     proc.stdin.write(json.dumps(argvs))
@@ -82,18 +90,21 @@ def main(argv: list[str] | None = None) -> int:
 
     ops = [(workload, op) for workload in WORKLOADS for op in all_ops(workload)]
     argvs = [list(op.argv) for _, op in ops]
-    children = [(start(tree, argvs), tree) for tree in (args.src_a, args.src_b)]
-    a, b = (finish(proc, tree) for proc, tree in children)
-    differ = 0
-    for (workload, op), left, right in zip(ops, a, b):
-        parts = [name for name, x, y in zip(("exit code", "stdout", "stderr"), left, right)
-                 if x != y]
-        if parts:
-            differ += 1
-            print(f"{workload} {op.kind} {op.key}: {', '.join(parts)} differ"
-                  f" ({' '.join(op.argv)})")
-    print(f"{len(ops)} operations, {differ} differ")
-    return 1 if differ else 0
+    counts = []
+    for label, threads in THREADS.items():
+        children = [(start(tree, argvs, threads), tree) for tree in (args.src_a, args.src_b)]
+        a, b = (finish(proc, tree) for proc, tree in children)
+        differ = 0
+        for (workload, op), left, right in zip(ops, a, b):
+            parts = [name for name, x, y in zip(("exit code", "stdout", "stderr"), left, right)
+                     if x != y]
+            if parts:
+                differ += 1
+                print(f"{label}: {workload} {op.kind} {op.key}: {', '.join(parts)} differ"
+                      f" ({' '.join(op.argv)})")
+        counts.append(differ)
+        print(f"{label}: {len(ops)} operations, {differ} differ", flush=True)
+    return 1 if any(counts) else 0
 
 
 if __name__ == "__main__":
