@@ -65,10 +65,7 @@ def _jsonl_line(obj) -> str:
 def _params(args) -> SobolevParams:
     if args.N is None or args.s is None:
         raise _UsageError("--N and --s are required (flags or config file)")
-    try:
-        return SobolevParams(args.N, args.s)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return SobolevParams(args.N, args.s)
 
 
 class _UsageError(ValueError):
@@ -166,24 +163,19 @@ def cmd_eigenvalues(args) -> int:
 
 
 def _scan_config(args) -> ScanConfig:
+    """The scan of the given flags; a flag not given keeps its ScanConfig default."""
     from .deficit import ScanConfig
 
     if args.seed is None:
         raise _UsageError("a --seed is required for scan commands")
-    cfg = ScanConfig(
-        seed=args.seed,
-        K=args.K,
-        M=args.M,
-        n_normal=args.n_normal,
-        n_random=args.n_random,
-        eps_grid=_csv(args.eps),
-        normal_modes=_csv(args.modes, int),
-        bubble_t0=_csv(args.bubbles),
-        random_max_degree=args.max_degree,
-    )
-    if cfg.n_members == 0:
-        raise _UsageError("scan configuration selects zero members")
-    return cfg
+    given = {"K": args.K, "M": args.M, "n_normal": args.n_normal, "n_random": args.n_random,
+             "eps_grid": args.eps, "normal_modes": args.modes, "bubble_t0": args.bubbles,
+             "random_max_degree": args.max_degree}
+    given = {key: value for key, value in given.items() if value is not None}
+    for key, kind in (("eps_grid", float), ("normal_modes", int), ("bubble_t0", float)):
+        if key in given:
+            given[key] = _csv(given[key], kind)
+    return ScanConfig(seed=args.seed, **given)
 
 
 def _outside_sandwich(report: DeficitReport) -> bool:
@@ -221,9 +213,7 @@ def cmd_deficit_scan(args) -> int:
         lines.append(_jsonl_line(record))
     summary = result.summary_dict()
     summary.update({
-        "families": {"local": len(cfg.eps_grid) * (len(cfg.normal_modes) + cfg.n_normal),
-                     "random": cfg.n_random,
-                     "bubble": len(cfg.bubble_t0)},
+        "families": cfg.families,
         "K": cfg.K,
         "M": cfg.rule_size,
         "t0_cap": T0_CAP,
@@ -301,19 +291,17 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_scan_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--K", type=int, default=64, help="truncation degree")
-    sub.add_argument("--M", type=int, default=None, help="quadrature nodes (default 2K+2)")
-    sub.add_argument("--n-normal", dest="n_normal", type=int, default=60,
+    # no defaults: a flag not given keeps the ScanConfig field default
+    sub.add_argument("--K", type=int, help="truncation degree")
+    sub.add_argument("--M", type=int, help="quadrature nodes (default 2K+2)")
+    sub.add_argument("--n-normal", dest="n_normal", type=int,
                      help="random normal-space members per epsilon")
-    sub.add_argument("--n-random", dest="n_random", type=int, default=60,
+    sub.add_argument("--n-random", dest="n_random", type=int,
                      help="random coefficient-vector members")
-    sub.add_argument("--eps", type=str, default="0.1,0.01,0.001",
-                     help="epsilon grid for near-manifold members")
-    sub.add_argument("--modes", type=str, default="2,3,4",
-                     help="deterministic pure normal modes")
-    sub.add_argument("--bubbles", type=str, default="0.2,0.35,0.5,0.65,0.8",
-                     help="two-bubble separation parameters t0")
-    sub.add_argument("--max-degree", dest="max_degree", type=int, default=16,
+    sub.add_argument("--eps", type=str, help="epsilon grid for near-manifold members")
+    sub.add_argument("--modes", type=str, help="deterministic pure normal modes")
+    sub.add_argument("--bubbles", type=str, help="two-bubble separation parameters t0")
+    sub.add_argument("--max-degree", dest="max_degree", type=int,
                      help="highest random coefficient degree")
 
 

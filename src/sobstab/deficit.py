@@ -288,7 +288,8 @@ class ScanConfig:
     the normal space (pure low modes plus random combinations, one member
     per epsilon), fully random coefficient vectors, and symmetric
     two-bubble superpositions.  Everything is drawn up front from one
-    seeded generator, so results are reproducible bit for bit.
+    seeded generator, so results are reproducible bit for bit.  Every
+    check of a scan runs here, so an invalid config cannot be built.
     """
 
     seed: int
@@ -304,6 +305,8 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.K < 2:
             raise ValueError("truncation degree K must be >= 2")
+        if self.M is not None and self.M <= self.K:
+            raise ValueError(f"M={self.M} nodes cannot resolve degree K={self.K} (need M >= K+1)")
         if self.n_normal < 0 or self.n_random < 0:
             raise ValueError("family sizes must be nonnegative")
         if any(eps <= 0 for eps in self.eps_grid):
@@ -317,29 +320,35 @@ class ScanConfig:
         if self.random_max_degree < 2 and self.n_normal > 0 and self.eps_grid:
             raise ValueError("random normal-space members need random_max_degree >= 2, "
                              f"got {self.random_max_degree}")
+        if self.n_members == 0:
+            raise ValueError("scan configuration selects zero members")
+        if self.normal_modes and max(self.normal_modes) > min(self.random_max_degree, self.K):
+            raise ValueError("normal_modes exceed the random_max_degree/K window")
 
     @property
     def rule_size(self) -> int:
         return self.M if self.M is not None else 2 * self.K + 2
 
     @property
+    def families(self) -> dict[str, int]:
+        """Member count of each family, in scan order."""
+        return {"local": len(self.eps_grid) * (len(self.normal_modes) + self.n_normal),
+                "random": self.n_random,
+                "bubble": len(self.bubble_t0)}
+
+    @property
     def n_members(self) -> int:
-        return (len(self.eps_grid) * (len(self.normal_modes) + self.n_normal)
-                + self.n_random + len(self.bubble_t0))
+        return sum(self.families.values())
 
 
 def scan_members(p: SobolevParams, cfg: ScanConfig) -> Iterator[tuple[str, str, ZonalFunction]]:
     """Yield (family, label, member) in the deterministic scan order."""
-    if cfg.n_members == 0:
-        raise ValueError("scan configuration is empty")
     rng = np.random.default_rng(cfg.seed)
     rule = gauss_jacobi_rule(p.N, cfg.rule_size)
     K = cfg.K
     lam = lambdas(p, K)
     one = constant(p, 1.0, K).coeffs
     kmax = min(cfg.random_max_degree, K)
-    if cfg.normal_modes and max(cfg.normal_modes) > kmax:
-        raise ValueError("normal_modes exceed the random_max_degree/K window")
 
     def near_one(tail: np.ndarray, eps: float) -> ZonalFunction:
         # 1 + eps v with v = the tail at degrees >= 2 at unit ||.||_*: the

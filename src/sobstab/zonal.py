@@ -353,11 +353,6 @@ def inner_star(u: ZonalFunction, v: ZonalFunction) -> float:
     return float(lam @ (u.coeffs[:n] * v.coeffs[:n]))
 
 
-def norm_l2(u: ZonalFunction) -> float:
-    """L^2(S^N) norm via Parseval."""
-    return float(np.linalg.norm(u.coeffs))
-
-
 def norm_lp(u: ZonalFunction, p: float, rule: QuadratureRule) -> float:
     """L^p(S^N) norm by quadrature of |u|^p at the rule nodes; p >= 1."""
     if p < 1.0:

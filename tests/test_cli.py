@@ -143,6 +143,44 @@ class TestScanCommands:
                               "--n-random", "1"], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("flags, message", [
+        # a rule of fewer than K + 1 nodes aliases degree K: at M = 10 a scan
+        # would read a distance of 3.85 for the member at distance 0.1
+        (["--M", "10", "--bubbles", "", "--n-normal", "1", "--n-random", "1", "--eps", "0.1"],
+         "M=10 nodes cannot resolve degree K=64 (need M >= K+1)"),
+        (["--K", "8", "--modes", "12"], "normal_modes exceed the random_max_degree/K window"),
+    ])
+    def test_unresolvable_scan_is_usage_error(self, capsys, flags, message):
+        code, out, err = run(["deficit-scan", "--N", "3", "--s", "2", "--seed", "1", *flags],
+                             capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["deficit-scan", "alpha-estimate"])
+    def test_scan_flags_add_no_defaults(self, capsys, monkeypatch, tmp_path, command):
+        # the CLI passes on only the flags given: ScanConfig alone holds the defaults
+        from sobstab import deficit
+        from sobstab._util import RefusalError
+        from sobstab.deficit import ScanConfig
+
+        given = vars(cli.build_parser().parse_args([command]))
+        assert {key for key, value in given.items() if value is not None} == {"command"}
+        seen = []
+
+        def capture(p, cfg):
+            seen.append(cfg)
+            raise RefusalError("captured")
+
+        monkeypatch.setattr(deficit, "run_scan", capture)
+        config = tmp_path / "scan.cfg"
+        config.write_text("eps=0.5\nK=32\n")
+        base = [command, "--N", "3", "--s", "2", "--seed", "5"]
+        for flags in ([], ["--K", "16"], ["--config", str(config)],
+                      ["--config", str(config), "--K", "16"]):
+            assert run([*base, *flags], capsys) == (3, "", "refused: captured\n")
+        assert seen == [ScanConfig(seed=5), ScanConfig(seed=5, K=16),
+                        ScanConfig(seed=5, K=32, eps_grid=(0.5,)),
+                        ScanConfig(seed=5, K=16, eps_grid=(0.5,))]
+
     def test_seed_required(self, capsys):
         code, _, err = run(["deficit-scan", "--N", "3", "--s", "2"], capsys)
         assert code == 2

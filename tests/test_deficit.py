@@ -311,10 +311,36 @@ class TestScans:
                 assert rep.deficit > 0.0
 
     def test_empty_scan_rejected(self):
-        cfg = ScanConfig(seed=1, n_normal=0, n_random=0, eps_grid=(),
-                         normal_modes=(), bubble_t0=())
         with pytest.raises(ValueError):
-            run_scan(P32, cfg)
+            ScanConfig(seed=1, n_normal=0, n_random=0, eps_grid=(),
+                       normal_modes=(), bubble_t0=())
+
+    @pytest.mark.parametrize("M", [10, 63, 64])
+    def test_rule_too_small_for_K_rejected(self, M):
+        # fewer than K + 1 nodes alias degree K: a scan on such a rule would
+        # read wrong distances (3.85 for a member at distance 0.1 at M = 10)
+        with pytest.raises(ValueError, match=rf"^M={M} nodes cannot resolve degree K=64 "
+                                             r"\(need M >= K\+1\)$"):
+            ScanConfig(seed=1, M=M)
+        assert ScanConfig(seed=1, M=65).rule_size == 65
+
+    @pytest.mark.parametrize("window, outside, inside", [
+        ({"K": 8}, (12,), (8,)),
+        ({"random_max_degree": 4}, (2, 5), (2, 4)),
+    ])
+    def test_normal_modes_outside_window_rejected(self, window, outside, inside):
+        with pytest.raises(ValueError, match="normal_modes exceed the random_max_degree/K window"):
+            ScanConfig(seed=1, normal_modes=outside, **window)
+        assert ScanConfig(seed=1, normal_modes=inside, **window).normal_modes == inside
+
+    def test_families_count_the_members(self):
+        cfg = ScanConfig(seed=1, K=8, n_normal=2, n_random=3, eps_grid=(0.1, 0.01),
+                         normal_modes=(2,), bubble_t0=(0.5,))
+        assert cfg.families == {"local": 6, "random": 3, "bubble": 1}
+        counted = {}
+        for family, _, _ in scan_members(P32, cfg):
+            counted[family] = counted.get(family, 0) + 1
+        assert counted == cfg.families
 
     def test_member_count(self):
         cfg = ScanConfig(seed=1, n_normal=3, n_random=2, eps_grid=(0.1, 0.01),

@@ -12,7 +12,8 @@ in-process through `sobstab.cli.main`, and records its exit code, stdout
 and stderr.  The operations come from this checkout's `bench/`, which
 the tool only reads.  Every operation whose exit code, stdout or stderr
 differ between the trees is printed, and the exit status is 1 if any
-differ.
+differ.  The `--help` text of the top level and of each subcommand the
+operations run is compared the same way, and counted apart.
 
 Every operation is compared at two BLAS thread counts, since the last
 digits of large products (and LAPACK's divide-and-conquer merges) may
@@ -90,20 +91,24 @@ def main(argv: list[str] | None = None) -> int:
 
     ops = [(workload, op) for workload in WORKLOADS for op in all_ops(workload)]
     argvs = [list(op.argv) for _, op in ops]
+    helps = [["--help"], *([command, "--help"] for command in dict.fromkeys(a[0] for a in argvs))]
+    runs = argvs + helps
+    names = [f"{workload} {op.kind} {op.key}" for workload, op in ops] + ["help"] * len(helps)
     counts = []
     for label, threads in THREADS.items():
-        children = [(start(tree, argvs, threads), tree) for tree in (args.src_a, args.src_b)]
+        children = [(start(tree, runs, threads), tree) for tree in (args.src_a, args.src_b)]
         a, b = (finish(proc, tree) for proc, tree in children)
-        differ = 0
-        for (workload, op), left, right in zip(ops, a, b):
-            parts = [name for name, x, y in zip(("exit code", "stdout", "stderr"), left, right)
+        differ = []
+        for name, argv, left, right in zip(names, runs, a, b):
+            parts = [part for part, x, y in zip(("exit code", "stdout", "stderr"), left, right)
                      if x != y]
             if parts:
-                differ += 1
-                print(f"{label}: {workload} {op.kind} {op.key}: {', '.join(parts)} differ"
-                      f" ({' '.join(op.argv)})")
-        counts.append(differ)
-        print(f"{label}: {len(ops)} operations, {differ} differ", flush=True)
+                differ.append(name)
+                print(f"{label}: {name}: {', '.join(parts)} differ ({' '.join(argv)})")
+        n_help = differ.count("help")
+        counts.append(len(differ))
+        print(f"{label}: {len(ops)} operations, {len(differ) - n_help} differ;"
+              f" {len(helps)} help texts, {n_help} differ", flush=True)
     return 1 if any(counts) else 0
 
 
