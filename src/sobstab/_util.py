@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-__all__ = ["golden_section_min", "OptimizerError", "RefusalError", "PROFILE_GRAMMAR", "fmt12",
-           "round_floats"]
+__all__ = ["golden_section_min", "RefusalError", "PROFILE_GRAMMAR", "fmt12", "round_floats"]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -22,36 +21,26 @@ class RefusalError(Exception):
     """A result the discretization cannot resolve; the CLI refuses it (exit 3)."""
 
 
-class OptimizerError(RuntimeError):
-    """1-D search did not reach the requested tolerance; carries best-so-far."""
-
-    def __init__(self, message: str, best_x: float, best_f: float):
-        super().__init__(message)
-        self.best_x = best_x
-        self.best_f = best_f
-
-
 def golden_section_min(f: Callable[[float], float], a: float, b: float,
-                       tol: float = 1e-10, max_iter: int = 200) -> tuple[float, float]:
+                       tol: float) -> tuple[float, float]:
     """Minimize f on [a, b] by golden-section search.
 
-    Returns (x, f(x)) with the bracket shrunk below tol.  Deterministic:
-    the evaluation sequence depends only on (a, b, tol).  Raises
-    OptimizerError carrying the best point seen if max_iter is exhausted
-    before the bracket closes.
+    Returns (x, f(x)) with the bracket shrunk to at most tol.  Deterministic:
+    the evaluation sequence depends only on (a, b, tol) and the values of f.
+    tol must exceed 16 ulps of the bracket's ends: then rounding moves a
+    point by too little to matter, every step shrinks the bracket to at
+    most 3/4 of its width whatever f returns (NaN included), and the
+    search ends within ceil(log((b - a) / tol) / log(4/3)) steps.
     """
     if not b > a:
         raise ValueError(f"empty bracket [{a}, {b}]")
+    if not tol > 16 * math.ulp(max(abs(a), abs(b))):
+        raise ValueError(f"tol={tol} is within 16 ulps of the bracket [{a}, {b}]")
     h = b - a
     c = a + _INVPHI2 * h
     d = a + _INVPHI * h
     fc, fd = f(c), f(d)
-    n = 0
     while h > tol:
-        if n >= max_iter:
-            if fc < fd:
-                raise OptimizerError("golden-section search exhausted max_iter", c, fc)
-            raise OptimizerError("golden-section search exhausted max_iter", d, fd)
         if fc < fd:
             b, d, fd = d, c, fc
             h = b - a
@@ -62,7 +51,6 @@ def golden_section_min(f: Callable[[float], float], a: float, b: float,
             h = b - a
             d = a + _INVPHI * h
             fd = f(d)
-        n += 1
     if fc < fd:
         return c, fc
     return d, fd

@@ -179,9 +179,9 @@ def _scan_config(args) -> ScanConfig:
 
 
 def _outside_sandwich(report: DeficitReport) -> bool:
-    # 0 <= Psi <= d^2 must hold up to roundoff for every member
+    # 0 <= Psi <= d^2 must hold up to roundoff for every member; NaN fails it
     slack = _SANDWICH_SLACK * report.norm_star_sq
-    return report.deficit < -slack or report.deficit > report.distance**2 + slack
+    return not -slack <= report.deficit <= report.distance**2 + slack
 
 
 def _checked_scan(p: SobolevParams, cfg: ScanConfig) -> tuple[ScanResult, bool]:

@@ -11,7 +11,6 @@ over seeded scan families.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,7 +18,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._util import OptimizerError, RefusalError, golden_section_min
+from ._util import RefusalError, golden_section_min
 from .conformal import ManifoldPoint, manifold_samples
 from .specfun import SobolevParams, local_constant, sharp_constant
 from .zonal import (
@@ -37,7 +36,6 @@ from .zonal import (
 
 __all__ = [
     "OnManifoldError",
-    "OptimizerError",
     "T0_CAP",
     "DeficitReport",
     "ScanConfig",
@@ -49,10 +47,7 @@ __all__ = [
     "stability_ratio",
     "scan_members",
     "run_scan",
-    "estimate_alpha",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 class OnManifoldError(RefusalError, ValueError):
@@ -98,9 +93,14 @@ class DeficitReport:
 
 def deficit(u: ZonalFunction, rule: QuadratureRule) -> float:
     """Psi(u) = ||u||_*^2 - S |u|_q^2; nonnegative, zero on the manifold."""
-    ns = norm_star(u)
+    return _deficit_parts(u, rule)[2]
+
+
+def _deficit_parts(u, rule):
+    # (||u||_*^2, |u|_q, Psi(u)): the one expression of Psi, for deficit and the report
+    ns2 = norm_star(u) ** 2
     lq = norm_lp(u, u.params.q, rule)
-    return ns * ns - sharp_constant(u.params) * lq * lq
+    return ns2, lq, ns2 - sharp_constant(u.params) * lq * lq
 
 
 def _nonlinear_integrals(u, rule, *extra):
@@ -256,11 +256,15 @@ def stability_ratio(u: ZonalFunction, rule: QuadratureRule,
 
     The ratio never exceeds 1 (up to quadrature slack): the first half of
     the two-sided stability bound, which only strengthens when d is the
-    axial upper bound.  `table` is passed on to `distance`.
+    axial upper bound.  `table` is passed on to `distance`.  Raises
+    RefusalError, before the search, when ||u||_*^2, |u|_q or Psi
+    overflows; a finite ||u||_*^2 makes every coefficient, and d, finite.
     """
-    ns2 = norm_star(u) ** 2
-    lq = norm_lp(u, u.params.q, rule)
-    psi = ns2 - sharp_constant(u.params) * lq * lq
+    ns2, lq, psi = _deficit_parts(u, rule)
+    for name, value in (("norm_star_sq", ns2), ("lq_norm", lq), ("deficit", psi)):
+        if not math.isfinite(value):
+            raise RefusalError(f"{name} is {value}: the member's norms overflow double "
+                               "precision, so no stability ratio is defined")
     d, nearest = distance(u, rule, table)
     if d <= 1e-9 * math.sqrt(ns2):
         raise OnManifoldError(
@@ -408,38 +412,34 @@ def run_scan(p: SobolevParams, cfg: ScanConfig) -> ScanResult:
     Members are generated in a fixed RNG order, evaluated one after the
     other and reduced in member order.  They share one extremizer table,
     which lives as long as the scan.  Raises OnManifoldError when every
-    member lies on the manifold.
+    member lies on the manifold, and RefusalError, naming the member,
+    when a member's numbers overflow.
     """
     rule = gauss_jacobi_rule(p.N, cfg.rule_size)
     members = list(scan_members(p, cfg))
     table = _AxialTable(rule, cfg.K, p)
     entries = []
-    for idx, (family, label, u) in enumerate(members):
-        try:
-            report = stability_ratio(u, rule, table)
-        except OnManifoldError:
-            report = None
-        entries.append((idx, family, label, report))
+    # an overflowing member is refused by stability_ratio, not warned about by numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, (family, label, u) in enumerate(members):
+            try:
+                report = stability_ratio(u, rule, table)
+            except OnManifoldError:
+                report = None
+            except RefusalError as exc:
+                raise RefusalError(f"member {label}: {exc}") from None
+            entries.append((idx, family, label, report))
 
     ratios = [report.ratio for *_, report in entries if report is not None]
-    alpha = min([math.inf] + ratios)  # from inf, so a NaN ratio is never the minimum
-    skipped = len(entries) - len(ratios)
-    if skipped:
-        logger.info("stability scan skipped %d on-manifold member(s)", skipped)
-    if not math.isfinite(alpha):
+    if not ratios:
         raise OnManifoldError(
             f"scan produced no usable members: all {len(members)} lie on the "
             "extremizer manifold, so no stability ratio is defined")
     return ScanResult(
         entries=entries,
-        alpha_hat=alpha,
+        alpha_hat=min(ratios),
         local_constant=local_constant(p),
         n_members=len(members),
-        n_skipped=skipped,
+        n_skipped=len(entries) - len(ratios),
         seed=cfg.seed,
     )
-
-
-def estimate_alpha(p: SobolevParams, cfg: ScanConfig) -> float:
-    """Minimum observed ratio Psi/d^2 over the scan; an empirical estimate only."""
-    return run_scan(p, cfg).alpha_hat

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,15 @@ def run(args, capsys):
     return code, out.out, out.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def strict_json(text):
+    """Parse CLI output as JSON proper: json.dumps writes NaN and Infinity, JSON has neither."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 class TestConstantsCommand:
     def test_text_table(self, capsys):
         code, out, _ = run(["constants", "--N", "3", "--s", "2"], capsys)
@@ -45,7 +55,7 @@ class TestConstantsCommand:
         code, _, _ = run(["constants", "--N", "3", "--s", "2", "--format", "json",
                           "--out", str(path)], capsys)
         assert code == 0
-        doc = json.loads(path.read_text())
+        doc = strict_json(path.read_text())
         assert doc["N"] == 3
         assert doc["sharp_constant"] == pytest.approx(5.47790408953, rel=1e-11)
         assert doc["eigenvalues"][1]["lambda"] == pytest.approx(3.75, rel=1e-12)
@@ -114,7 +124,7 @@ class TestScanCommands:
     def test_jsonl_schema_and_summary(self, tmp_path, capsys):
         path = tmp_path / "scan.jsonl"
         run(["deficit-scan", *self.SCAN_ARGS, "--out", str(path)], capsys)
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
+        lines = [strict_json(l) for l in path.read_text().splitlines()]
         summary = lines[-1]
         members = lines[:-1]
         assert len(members) == summary["n_members"]
@@ -206,10 +216,43 @@ class TestScanCommands:
         assert out == ""
         assert err.startswith("refused: scan produced no usable members")
 
+    @pytest.mark.parametrize("flags, reason", [
+        # one overflowing member among finite ones used to print NaN and exit 0
+        (["--eps", "1e300,0.1", "--n-normal", "0", "--n-random", "0", "--bubbles", "",
+          "--modes", "2"], "member local:e2:eps=1e+300: norm_star_sq is inf: "),
+        (["--eps", "1e300", "--n-normal", "1", "--n-random", "0", "--bubbles", "",
+          "--modes", ""], "member local:rand0:eps=1e+300: norm_star_sq is inf: "),
+        # |u|_q overflows at q = 6e6
+        (["--s", "2.999999", "--K", "8", "--n-normal", "1", "--n-random", "1"],
+         "member local:e2:eps=0.1: lq_norm is inf: "),
+    ], ids=["one-of-two", "every-member", "lq-norm"])
+    def test_overflowing_member_is_refused(self, capsys, flags, reason):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["deficit-scan", "--N", "3", "--s", "2", "--seed", "1", *flags],
+                                 capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"refused: {reason}")
+        assert "Warning" not in err
+        assert [str(w.message) for w in caught] == []
+
+    def test_nan_deficit_is_a_sandwich_violation(self, capsys, monkeypatch):
+        from sobstab import deficit
+        from sobstab.deficit import DeficitReport, ScanResult
+
+        report = DeficitReport(norm_star_sq=1.0, lq_norm=1.0, deficit=math.nan, distance=0.5,
+                               nearest=None, ratio=0.5)
+        result = ScanResult(entries=[(0, "local", "local:e2:eps=0.1", report)], alpha_hat=0.5,
+                            local_constant=4 / 7, n_members=1, n_skipped=0, seed=1)
+        monkeypatch.setattr(deficit, "run_scan", lambda p, cfg: result)
+        code, out, _ = run(["alpha-estimate", "--N", "3", "--s", "2", "--seed", "1"], capsys)
+        assert code == 4
+        assert strict_json(out)["alpha_hat"] == 0.5
+
     def test_alpha_estimate_summary_only(self, capsys):
         code, out, _ = run(["alpha-estimate", *self.SCAN_ARGS], capsys)
         assert code == 0
-        doc = json.loads(out)
+        doc = strict_json(out)
         assert set(doc) >= {"alpha_hat", "local_constant", "n_members", "seed"}
 
 
@@ -219,7 +262,7 @@ class TestVerifyCommand:
         code, _, _ = run(["verify-theorem2", "--N", "3", "--s", "2",
                           "--out", str(path)], capsys)
         assert code == 0
-        doc = json.loads(path.read_text())
+        doc = strict_json(path.read_text())
         assert set(doc) >= {"N", "s", "rho", "C1", "C2", "C0", "C", "cases"}
         assert len(doc["cases"]) == 3
         for case in doc["cases"]:
@@ -249,7 +292,7 @@ class TestVerifyCommand:
         code, out, _ = run(["verify-theorem2", "--N", "3", "--s", "2",
                             "--profiles", "bump:0.62035,2;bump:0.62035,4"], capsys)
         assert code == 0
-        assert len(json.loads(out)["cases"]) == 2
+        assert len(strict_json(out)["cases"]) == 2
 
     def test_margin_violation_exit_code(self, capsys, monkeypatch):
         # a (synthetic) negative margin must surface as an invariant violation
@@ -273,7 +316,7 @@ class TestExportCommand:
                           "--profile", "extremizer:1", "--K", "16",
                           "--out", str(path)], capsys)
         assert code == 0
-        doc = json.loads(path.read_text())
+        doc = strict_json(path.read_text())
         assert list(doc.keys()) == ["N", "s", "K", "coeffs"]
         u = from_json_dict(doc)
         assert u.K == 16
@@ -322,10 +365,10 @@ class TestConfigFile:
                        "n-random=1\nbubbles=0.5\n")
         code, out, _ = run(["alpha-estimate", "--config", str(cfg)], capsys)
         assert code == 0
-        assert json.loads(out)["seed"] == 9
+        assert strict_json(out)["seed"] == 9
         code, out, _ = run(["alpha-estimate", "--config", str(cfg), "--seed", "11"],
                            capsys)
-        assert json.loads(out)["seed"] == 11
+        assert strict_json(out)["seed"] == 11
 
     def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -623,8 +666,7 @@ class TestPackageNamespace:
                  for name in importlib.import_module(f"sobstab.{module}").__all__}
         assert sorted(union - set(self.SUBMODULES)) == sobstab.__all__
 
-    @pytest.mark.parametrize("name, module", [("PROFILE_GRAMMAR", "conformal"),
-                                              ("OptimizerError", "deficit")])
+    @pytest.mark.parametrize("name, module", [("PROFILE_GRAMMAR", "conformal")])
     def test_name_exported_twice_is_one_object(self, name, module):
         import sobstab
         from sobstab import _util

@@ -15,15 +15,14 @@ from sobstab.conformal import ManifoldPoint, conformal_shift, manifold_zonal
 from sobstab.deficit import (
     T0_CAP,
     OnManifoldError,
-    OptimizerError,
     ScanConfig,
     _RANDOM_DECAY,
+    _T0_BOUNDS,
     _T0_GRID,
     _T0_TOL,
     _AxialTable,
     deficit,
     distance,
-    estimate_alpha,
     gradient_form,
     hessian_form,
     run_scan,
@@ -219,6 +218,17 @@ class TestStabilityRatio:
                 rep.norm_star_sq - rep.lq_norm**2 * 5.477904089531334, rel=1e-9)
             assert rep.distance <= math.sqrt(rep.norm_star_sq) + 1e-9
 
+    def test_report_deficit_is_deficit(self):
+        # one expression of Psi: `ns * ns` and `norm_star(u) ** 2` differ in
+        # the last bit for member random:10 of this scan
+        p = SobolevParams(5, 0.5)
+        cfg = ScanConfig(seed=1, K=64, n_normal=20, n_random=20)
+        rule = gauss_jacobi_rule(p.N, cfg.rule_size)
+        result = run_scan(p, cfg)
+        assert result.n_skipped == 0
+        for (_, label, u), (*_, report) in zip(scan_members(p, cfg), result.entries):
+            assert deficit(u, rule) == report.deficit, label
+
     def test_on_manifold_rejected(self, rule32):
         v = manifold_zonal(P32, ManifoldPoint(1.0, 0.4), rule32, 64)
         with pytest.raises(OnManifoldError):
@@ -271,8 +281,8 @@ class TestConformalInvariance:
 class TestScans:
     def test_deterministic(self):
         cfg = ScanConfig(seed=123, n_normal=4, n_random=4, bubble_t0=(0.4,))
-        a = estimate_alpha(P32, cfg)
-        b = estimate_alpha(P32, cfg)
+        a = run_scan(P32, cfg).alpha_hat
+        b = run_scan(P32, cfg).alpha_hat
         assert a == b  # bit-for-bit
 
     def test_random_members_pinned(self):
@@ -296,7 +306,7 @@ class TestScans:
 
     def test_alpha_bounds(self):
         cfg = ScanConfig(seed=7, n_normal=8, n_random=8)
-        alpha = estimate_alpha(P32, cfg)
+        alpha = run_scan(P32, cfg).alpha_hat
         assert 0.0 < alpha <= local_constant(P32) + 0.05
 
     def test_sandwich_across_scan(self):
@@ -394,7 +404,7 @@ class TestScans:
     def test_pure_e2_scan_recovers_local_constant(self):
         cfg = ScanConfig(seed=1, eps_grid=(1e-3,), normal_modes=(2,),
                          n_normal=0, n_random=0, bubble_t0=())
-        alpha = estimate_alpha(P32, cfg)
+        alpha = run_scan(P32, cfg).alpha_hat
         assert alpha == pytest.approx(local_constant(P32), rel=2e-3)
 
 
@@ -442,8 +452,8 @@ class TestSharedExtremizerTable:
             tables.append(weakref.ref(table))
             return original(u, rule, table)
 
-        def exhausted(f, a, b, **kwargs):
-            raise OptimizerError("golden-section search exhausted max_iter", a, f(a))
+        def failing(f, a, b, **kwargs):
+            raise RuntimeError("search failed")
 
         monkeypatch.setattr(deficit_module, "distance", spy)
         run_scan(P32, self.CFG)
@@ -451,8 +461,8 @@ class TestSharedExtremizerTable:
         assert tables[-1]() is None  # freed on return, no collection needed
         with pytest.raises(OnManifoldError):
             run_scan(P32, self.ON_MANIFOLD)
-        monkeypatch.setattr(deficit_module, "golden_section_min", exhausted)
-        with pytest.raises(OptimizerError):  # raised while the table is in use
+        monkeypatch.setattr(deficit_module, "golden_section_min", failing)
+        with pytest.raises(RuntimeError):  # raised while the table is in use
             run_scan(P32, self.CFG)
         assert len(tables) == self.CFG.n_members + 2
         gc.collect()
@@ -639,8 +649,7 @@ def per_point_distance(u, rule):
         if val < left or val < right:
             continue
         t0, neg = golden_section_min(lambda x: -proj(x)[0], grid[max(i - 1, 0)],
-                                     grid[min(i + 1, grid.size - 1)],
-                                     tol=_T0_TOL, max_iter=200)
+                                     grid[min(i + 1, grid.size - 1)], tol=_T0_TOL)
         if -neg > best[0]:
             best = (-neg, float(t0), proj(t0)[1])
     d = math.sqrt(max(norm_star(u) ** 2 - best[0], 0.0))
@@ -680,12 +689,49 @@ class TestGridProduct:
                 assert nearest.t0 < -0.5
 
 
-class TestOptimizerBudget:
-    def test_exhausted_search_carries_best_point(self):
-        from sobstab._util import golden_section_min
+class TestSearchBound:
+    # golden_section_min has no step budget: its precondition (tol above 16
+    # ulps of the bracket) makes every step shrink the bracket to at most
+    # 3/4, so it ends within ceil(log((b - a) / tol) / log(4/3)) steps.
 
-        with pytest.raises(OptimizerError) as excinfo:
-            golden_section_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0,
-                               tol=1e-12, max_iter=3)
-        assert abs(excinfo.value.best_x - 0.3) < 0.5
-        assert excinfo.value.best_f >= 0.0
+    @staticmethod
+    def evaluations(f, a, b, tol):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        golden_section_min(counted, a, b, tol=tol)
+        return len(calls)
+
+    @staticmethod
+    def step_bound(a, b, tol):
+        return math.ceil(math.log((b - a) / tol) / math.log(4 / 3))
+
+    def test_distance_brackets_take_at_most_45_evaluations(self):
+        last = len(_T0_BOUNDS) - 1
+        for i in range(last + 1):
+            a, b = _T0_BOUNDS[max(i - 1, 0)], _T0_BOUNDS[min(i + 1, last)]
+            for f in (lambda x: math.nan, lambda x: x, lambda x: -x,
+                      lambda x: (x - 0.3 * a - 0.7 * b) ** 2):
+                assert self.evaluations(f, a, b, _T0_TOL) <= 45, (a, b)
+
+    @pytest.mark.parametrize("a, b, tol", [(0.0, 1.0, 1e-20), (0.0, 1.0, 16 * math.ulp(1.0)),
+                                           (1e8, 1e8 + 1.0, 1e-8), (0.5, 0.5, 1e-3),
+                                           (1.0, 0.0, 1e-3), (0.0, math.nan, 1e-3)])
+    def test_unresolvable_search_is_refused(self, a, b, tol):
+        with pytest.raises(ValueError):
+            golden_section_min(lambda x: (x - 0.3) ** 2, a, b, tol=tol)
+
+    def test_large_brackets_end_within_the_bound(self):
+        rng = np.random.default_rng(3)
+        for a in (-3e7, 1e5, 123.456, 1e8):
+            ulp = math.ulp(abs(a) + 10.0)
+            for ulps in (16.5, 40.0, 100.0):
+                tol = ulps * ulp
+                b = a + 10.0
+                for f in (lambda x: math.nan, lambda x: rng.random(),
+                          lambda x: (x - a - 3.0) ** 2, lambda x: -x):
+                    steps = self.evaluations(f, a, b, tol) - 2
+                    assert steps <= self.step_bound(a, b, tol), (a, ulps)
