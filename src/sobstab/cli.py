@@ -31,22 +31,21 @@ from ._util import PROFILE_GRAMMAR, RefusalError, fmt12, round_floats
 from .specfun import SobolevParams, eigenvalue, local_constant, multiplicity, sharp_constant
 
 if TYPE_CHECKING:
-    from .deficit import DeficitReport, ScanConfig, ScanResult
-    from .zonal import QuadratureRule
+    from .deficit import ScanConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_REFUSAL = 3
 EXIT_INVARIANT = 4
 
-_SANDWICH_SLACK = 1e-9
-_DEFAULT_VERIFY_K = 384
-
 
 def _write_output(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"{out}: cannot write output ({exc.strerror})") from None
     else:
         sys.stdout.write(text)
 
@@ -70,15 +69,6 @@ def _params(args) -> SobolevParams:
 
 class _UsageError(ValueError):
     pass
-
-
-def _rule(p: SobolevParams, K: int, M: Optional[int] = None) -> QuadratureRule:
-    """The quadrature rule of a degree-K expansion: M nodes, by default 2K + 2."""
-    from .zonal import default_rule, gauss_jacobi_rule
-
-    if K < 0:
-        raise _UsageError(f"truncation degree K must be >= 0, got {K}")
-    return default_rule(p.N, K) if M is None else gauss_jacobi_rule(p.N, M)
 
 
 def _seed_note(args) -> None:
@@ -178,32 +168,12 @@ def _scan_config(args) -> ScanConfig:
     return ScanConfig(seed=args.seed, **given)
 
 
-def _outside_sandwich(report: DeficitReport) -> bool:
-    # 0 <= Psi <= d^2 must hold up to roundoff for every member; NaN fails it
-    slack = _SANDWICH_SLACK * report.norm_star_sq
-    return not -slack <= report.deficit <= report.distance**2 + slack
-
-
-def _checked_scan(p: SobolevParams, cfg: ScanConfig) -> tuple[ScanResult, bool]:
-    """Run the scan; report a sandwich violation, refuse an alpha_hat <= 0."""
-    from .deficit import run_scan
-
-    result = run_scan(p, cfg)
-    violation = any(report is not None and _outside_sandwich(report)
-                    for _, _, _, report in result.entries)
-    if not violation and result.alpha_hat <= 0.0:
-        raise RefusalError(
-            f"minimum stability ratio is {fmt12(result.alpha_hat)}: a member's deficit "
-            "rounds to zero, so alpha > 0 cannot be resolved; raise the smallest --eps")
-    return result, violation
-
-
 def cmd_deficit_scan(args) -> int:
-    from .deficit import T0_CAP
+    from .deficit import T0_CAP, run_scan
 
     p = _params(args)
     cfg = _scan_config(args)
-    result, violation = _checked_scan(p, cfg)
+    result = run_scan(p, cfg)
     lines = []
     for index, family, label, report in result.entries:
         record = {"index": index, "family": family, "label": label,
@@ -220,14 +190,15 @@ def cmd_deficit_scan(args) -> int:
     })
     lines.append(_jsonl_line(summary))
     _write_output("".join(lines), args.out)
-    return EXIT_INVARIANT if violation else EXIT_OK
+    return EXIT_INVARIANT if result.violation else EXIT_OK
 
 
 def cmd_alpha_estimate(args) -> int:
-    p = _params(args)
-    result, violation = _checked_scan(p, _scan_config(args))
+    from .deficit import run_scan
+
+    result = run_scan(_params(args), _scan_config(args))
     _write_output(_json_text(result.summary_dict()), args.out)
-    return EXIT_INVARIANT if violation else EXIT_OK
+    return EXIT_INVARIANT if result.violation else EXIT_OK
 
 
 def cmd_verify_theorem2(args) -> int:
@@ -244,10 +215,10 @@ def cmd_verify_theorem2(args) -> int:
         profile_specs = [f"bump:{r0!r},{sharp}" for sharp in (1.0, 2.0, 4.0)]
     if not profile_specs:
         raise _UsageError("no profiles selected")
-    rule = _rule(p, args.K)
-    cases = [verify_theorem2(parse_profile(spec_text, p), rule, args.K, constants=wc,
-                             n_cells=args.cells) for spec_text in profile_specs]
-    violation = any(case.margin < -1e-6 * case.lhs for case in cases)
+    given = {key: value for key, value in (("K", args.K), ("n_cells", args.cells))
+             if value is not None}
+    cases = [verify_theorem2(parse_profile(spec_text, p), **given)
+             for spec_text in profile_specs]
     doc = {
         "N": p.N,
         "s": p.s,
@@ -259,19 +230,19 @@ def cmd_verify_theorem2(args) -> int:
         "cases": [c.to_json_dict() for c in cases],
     }
     _write_output(_json_text(doc), args.out)
-    return EXIT_INVARIANT if violation else EXIT_OK
+    return EXIT_INVARIANT if any(case.violated for case in cases) else EXIT_OK
 
 
 def cmd_export_function(args) -> int:
     from .conformal import parse_profile, pullback_to_sphere
-    from .zonal import to_json_dict
+    from .zonal import default_rule, gauss_jacobi_rule, to_json_dict
 
     _seed_note(args)
     p = _params(args)
     if args.profile is None:
         raise _UsageError("--profile is required (flag or config file)")
     profile = parse_profile(args.profile, p)
-    rule = _rule(p, args.K, args.M)
+    rule = default_rule(p.N, args.K) if args.M is None else gauss_jacobi_rule(p.N, args.M)
     u = pullback_to_sphere(profile, rule, args.K)
     _write_output(_json_text(to_json_dict(u)), args.out)
     return EXIT_OK
@@ -334,11 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scan_options(sub)
 
     sub = add("verify-theorem2", "weak-norm remainder bound harness")
-    sub.add_argument("--K", type=int, default=_DEFAULT_VERIFY_K, help="truncation degree")
+    # no defaults: a flag not given keeps the verify_theorem2 default
+    sub.add_argument("--K", type=int, help="truncation degree")
     sub.add_argument("--profiles", type=str, default=None,
                      help=f"semicolon-separated profiles ({PROFILE_GRAMMAR}); "
                           "default: bump family on the unit-measure ball")
-    sub.add_argument("--cells", type=int, default=2048, help="radial cells for the weak norm")
+    sub.add_argument("--cells", type=int, help="radial cells for the weak norm")
 
     sub = add("export-function", "zonal expansion of a radial profile as JSON")
     sub.add_argument("--profile", type=str, default=None, help=PROFILE_GRAMMAR)

@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._util import RefusalError, golden_section_min
+from ._util import RefusalError, fmt12, golden_section_min
 from .conformal import ManifoldPoint, manifold_samples
 from .specfun import SobolevParams, local_constant, sharp_constant
 from .zonal import (
@@ -64,6 +64,7 @@ _T0_GRID.setflags(write=False)
 _T0_BOUNDS = tuple(_T0_GRID.tolist())  # the bracket bounds as floats
 _MEMO_BYTES = 2**20  # bound on the g rows an extremizer table memoizes
 _RANDOM_DECAY = 0.75  # random members' degree-k coefficients scale as _RANDOM_DECAY**k
+_SANDWICH_SLACK = 1e-9  # roundoff allowed in 0 <= Psi <= d^2, relative to ||u||_*^2
 
 
 @dataclass(frozen=True)
@@ -313,8 +314,8 @@ class ScanConfig:
             raise ValueError(f"M={self.M} nodes cannot resolve degree K={self.K} (need M >= K+1)")
         if self.n_normal < 0 or self.n_random < 0:
             raise ValueError("family sizes must be nonnegative")
-        if any(eps <= 0 for eps in self.eps_grid):
-            raise ValueError("epsilon grid entries must be positive")
+        if any(not 0 < eps < math.inf for eps in self.eps_grid):
+            raise ValueError("epsilon grid entries must be positive and finite")
         if any(k < 2 for k in self.normal_modes):
             raise ValueError("normal modes start at degree 2")
         if any(not 0 < t0 < 1 for t0 in self.bubble_t0):
@@ -328,6 +329,8 @@ class ScanConfig:
             raise ValueError("scan configuration selects zero members")
         if self.normal_modes and max(self.normal_modes) > min(self.random_max_degree, self.K):
             raise ValueError("normal_modes exceed the random_max_degree/K window")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def rule_size(self) -> int:
@@ -405,6 +408,13 @@ class ScanResult:
             "n_skipped": self.n_skipped,
         }
 
+    @property
+    def violation(self) -> bool:
+        """True when a member breaks 0 <= Psi <= d^2 beyond roundoff; NaN breaks it."""
+        return any(not -_SANDWICH_SLACK * r.norm_star_sq <= r.deficit
+                   <= r.distance**2 + _SANDWICH_SLACK * r.norm_star_sq
+                   for *_, r in self.entries if r is not None)
+
 
 def run_scan(p: SobolevParams, cfg: ScanConfig) -> ScanResult:
     """Evaluate every scan member and reduce to the minimum stability ratio.
@@ -412,8 +422,8 @@ def run_scan(p: SobolevParams, cfg: ScanConfig) -> ScanResult:
     Members are generated in a fixed RNG order, evaluated one after the
     other and reduced in member order.  They share one extremizer table,
     which lives as long as the scan.  Raises OnManifoldError when every
-    member lies on the manifold, and RefusalError, naming the member,
-    when a member's numbers overflow.
+    member lies on the manifold, and RefusalError when a member's numbers
+    overflow (naming it) or, unless `violation` is set, alpha_hat <= 0.
     """
     rule = gauss_jacobi_rule(p.N, cfg.rule_size)
     members = list(scan_members(p, cfg))
@@ -435,7 +445,7 @@ def run_scan(p: SobolevParams, cfg: ScanConfig) -> ScanResult:
         raise OnManifoldError(
             f"scan produced no usable members: all {len(members)} lie on the "
             "extremizer manifold, so no stability ratio is defined")
-    return ScanResult(
+    result = ScanResult(
         entries=entries,
         alpha_hat=min(ratios),
         local_constant=local_constant(p),
@@ -443,3 +453,8 @@ def run_scan(p: SobolevParams, cfg: ScanConfig) -> ScanResult:
         n_skipped=len(entries) - len(ratios),
         seed=cfg.seed,
     )
+    if result.alpha_hat <= 0.0 and not result.violation:
+        raise RefusalError(
+            f"minimum stability ratio is {fmt12(result.alpha_hat)}: a member's deficit "
+            "rounds to zero, so alpha > 0 cannot be resolved; raise the smallest --eps")
+    return result

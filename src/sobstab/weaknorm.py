@@ -24,7 +24,7 @@ import numpy as np
 from ._util import RefusalError
 from .conformal import RadialFunction, pullback_to_sphere
 from .specfun import SobolevParams, _sphere_area, log_gamma, sharp_constant
-from .zonal import QuadratureRule, lambdas, norm_lp, norm_star
+from .zonal import default_rule, lambdas, norm_lp, norm_star
 
 __all__ = [
     "WeakNormConstants",
@@ -208,6 +208,11 @@ class Theorem2Case:
     norm_star_sq: float
     lq_norm: float
 
+    @property
+    def violated(self) -> bool:
+        """True when the bound fails beyond roundoff: margin < -1e-6 lhs."""
+        return self.margin < -1e-6 * self.lhs
+
     def to_json_dict(self) -> dict:
         return {
             "profile": self.profile,
@@ -228,18 +233,17 @@ def _truncation_fraction(v, tail_len: int = 8) -> float:
     return math.sqrt(tail / total)
 
 
-def verify_theorem2(u: RadialFunction, rule: QuadratureRule, K: int,
-                    constants: Optional[WeakNormConstants] = None,
-                    n_cells: int = 2048) -> Theorem2Case:
+def verify_theorem2(u: RadialFunction, K: int = 384, n_cells: int = 2048) -> Theorem2Case:
     """Evaluate both sides of the weak-norm remainder bound for one profile.
 
-    The left side is the deficit of the sphere pullback (the transport is
-    an isometry for both norms involved); the right side is
-    C |Omega|^(-2/q) |u|_w^2 with Omega the support ball.  Spectral
-    truncation is diagnosed via the top coefficient band and refused when
-    it exceeds 1e-6 of the norm.
+    The left side is the deficit of the degree-K sphere pullback on
+    `default_rule(N, K)` (the transport is an isometry for both norms
+    involved); the right side is C |Omega|^(-2/q) |u|_w^2 with Omega the
+    support ball and |u|_w on `n_cells` radial cells.  Spectral truncation
+    is refused when the top coefficient band exceeds 1e-6 of the norm.
     """
     p = u.params
+    rule = default_rule(p.N, K)
     if not math.isfinite(u.support_radius):
         raise ValueError("verification requires a compactly supported profile")
     v = pullback_to_sphere(u, rule, K)
@@ -247,15 +251,13 @@ def verify_theorem2(u: RadialFunction, rule: QuadratureRule, K: int,
     if frac > 1e-6:
         raise TruncationError(
             f"coefficient tail is {frac:.2e} of the norm; increase K (K={K})")
-    if constants is None:
-        constants = compute_constants(p)
     ns2 = norm_star(v) ** 2
     lq = norm_lp(v, p.q, rule)
     lhs = ns2 - sharp_constant(p) * lq * lq
     values, measures = radial_cells(u, n_cells=n_cells)
     wk = weak_norm(values, measures, p)
     omega = ball_volume(p.N) * u.support_radius ** p.N
-    rhs = constants.C * omega ** (-2.0 / p.q) * wk * wk
+    rhs = compute_constants(p).C * omega ** (-2.0 / p.q) * wk * wk
     return Theorem2Case(
         profile=u.name or "radial",
         lhs=lhs,

@@ -179,8 +179,14 @@ def gauss_jacobi_rule(N: int, M: int) -> QuadratureRule:
     return QuadratureRule(N, nodes, weights)
 
 
+def _check_degree(K: int) -> None:
+    if K < 0:
+        raise ValueError(f"truncation degree K must be >= 0, got {K}")
+
+
 def default_rule(N: int, K: int) -> QuadratureRule:
-    """Rule with the default node count M = 2K + 2 for truncation degree K."""
+    """Rule with the default node count M = 2K + 2 for truncation degree K >= 0."""
+    _check_degree(K)
     return gauss_jacobi_rule(N, 2 * K + 2)
 
 
@@ -296,7 +302,7 @@ def analyze(params: SobolevParams, samples, rule: QuadratureRule, K: int) -> Zon
     """Project node samples onto e_0..e_K: a_k = sum_i w_i f(t_i) e_k(t_i).
 
     Exact for zonal polynomials of degree <= K whenever M >= K + 1; fewer
-    nodes than that cannot resolve degree K and is refused (aliasing).
+    nodes than that (aliasing) and a K below 0 are refused.
 
     The even coefficients come from the full, unfolded product.  The odd
     ones are folded over the exact reflection symmetry of the rule: since
@@ -305,6 +311,7 @@ def analyze(params: SobolevParams, samples, rule: QuadratureRule, K: int) -> Zon
     So the odd coefficients of exactly even samples are exactly zero,
     whatever the BLAS summation order.
     """
+    _check_degree(K)
     if rule.N != params.N:
         raise ValueError(f"rule dimension {rule.N} != params dimension {params.N}")
     if rule.M <= K:

@@ -196,10 +196,9 @@ def test_criterion_09_weak_norm_remainder_harness():
             p = SobolevParams(N, s)
             wc = compute_constants(p)
             K = 384
-            rule = default_rule(N, K)
             r0 = unit_ball_radius(N)
             for sharp in (1.0, 2.0, 4.0):
-                case = verify_theorem2(bump_profile(p, r0, sharp), rule, K, constants=wc)
+                case = verify_theorem2(bump_profile(p, r0, sharp), K)
                 assert case.margin >= -1e-6 * case.lhs, (N, s, sharp)
                 assert case.rhs == pytest.approx(
                     wc.C * case.omega_measure ** (-2 / p.q) * case.weak**2, rel=1e-12)

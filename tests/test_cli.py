@@ -80,6 +80,12 @@ class TestConstantsCommand:
         value = line.split()[-1]
         assert value == f"{3 * (math.pi / 2) ** (4 / 3):.12g}"
 
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(["constants", "--N", "3", "--s", "2", "--out", str(target)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {target}: cannot write output (No such file or directory)\n"
+
     def test_seed_note(self, capsys):
         _, _, err = run(["constants", "--N", "3", "--s", "2", "--seed", "5"], capsys)
         assert "ignored" in err
@@ -159,6 +165,10 @@ class TestScanCommands:
         (["--M", "10", "--bubbles", "", "--n-normal", "1", "--n-random", "1", "--eps", "0.1"],
          "M=10 nodes cannot resolve degree K=64 (need M >= K+1)"),
         (["--K", "8", "--modes", "12"], "normal_modes exceed the random_max_degree/K window"),
+        # a non-finite epsilon or a negative seed is refused before numpy sees it
+        (["--eps", "nan"], "epsilon grid entries must be positive and finite"),
+        (["--eps", "inf"], "epsilon grid entries must be positive and finite"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_unresolvable_scan_is_usage_error(self, capsys, flags, message):
         code, out, err = run(["deficit-scan", "--N", "3", "--s", "2", "--seed", "1", *flags],
@@ -294,12 +304,31 @@ class TestVerifyCommand:
         assert code == 0
         assert len(strict_json(out)["cases"]) == 2
 
+    def test_flags_add_no_defaults(self, capsys, monkeypatch):
+        # the CLI passes on only the flags given: verify_theorem2 alone holds the defaults
+        from sobstab import weaknorm
+        from sobstab._util import RefusalError
+
+        given = vars(cli.build_parser().parse_args(["verify-theorem2"]))
+        assert {key for key, value in given.items() if value is not None} == {"command"}
+        seen = []
+
+        def capture(profile, **kwargs):
+            seen.append(kwargs)
+            raise RefusalError("captured")
+
+        monkeypatch.setattr(weaknorm, "verify_theorem2", capture)
+        base = ["verify-theorem2", "--N", "3", "--s", "2"]
+        for flags in ([], ["--K", "16"], ["--cells", "8"], ["--cells", "8", "--K", "16"]):
+            assert run([*base, *flags], capsys) == (3, "", "refused: captured\n")
+        assert seen == [{}, {"K": 16}, {"n_cells": 8}, {"K": 16, "n_cells": 8}]
+
     def test_margin_violation_exit_code(self, capsys, monkeypatch):
         # a (synthetic) negative margin must surface as an invariant violation
         from sobstab import weaknorm
         from sobstab.weaknorm import Theorem2Case
 
-        def fake_verify(profile, rule, K, constants=None, n_cells=0):
+        def fake_verify(profile, K=0, n_cells=0):
             return Theorem2Case(profile="fake", lhs=1.0, rhs=2.0, margin=-1.0,
                                 weak=1.0, omega_measure=1.0,
                                 norm_star_sq=1.0, lq_norm=1.0)

@@ -10,12 +10,14 @@ import numpy as np
 import pytest
 
 import sobstab.deficit as deficit_module
-from sobstab._util import golden_section_min
+from sobstab._util import RefusalError, golden_section_min
 from sobstab.conformal import ManifoldPoint, conformal_shift, manifold_zonal
 from sobstab.deficit import (
     T0_CAP,
+    DeficitReport,
     OnManifoldError,
     ScanConfig,
+    ScanResult,
     _RANDOM_DECAY,
     _T0_BOUNDS,
     _T0_GRID,
@@ -368,6 +370,49 @@ class TestScans:
             ScanConfig(seed=1, normal_modes=(1,))
         with pytest.raises(ValueError):
             ScanConfig(seed=1, bubble_t0=(1.0,))
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_rejected(self, eps):
+        with pytest.raises(ValueError, match="^epsilon grid entries must be positive and finite$"):
+            ScanConfig(seed=1, eps_grid=(0.1, eps))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            ScanConfig(seed=-1)
+        assert ScanConfig(seed=0).seed == 0
+
+    def test_zero_ratio_is_refused(self):
+        # at eps = 1e-7 the deficit (~4/7 eps^2) is below the roundoff of
+        # ||u||_*^2 ~ 15: run_scan itself refuses, not only the CLI
+        cfg = ScanConfig(seed=1, eps_grid=(1e-7,), n_normal=5, n_random=0, bubble_t0=(0.5,))
+        with pytest.raises(RefusalError, match=r"^minimum stability ratio is -?[0-9.e-]+: "
+                                               "a member's deficit rounds to zero"):
+            run_scan(P32, cfg)
+
+    def test_sandwich_break_is_returned_not_refused(self, monkeypatch):
+        # a ratio <= 0 from a member outside 0 <= Psi <= d^2 is a violation
+        # for the caller to report, not a refusal
+        broken = DeficitReport(norm_star_sq=1.0, lq_norm=1.0, deficit=-0.5, distance=0.5,
+                               nearest=None, ratio=-2.0)
+        monkeypatch.setattr(deficit_module, "stability_ratio", lambda u, rule, table: broken)
+        cfg = ScanConfig(seed=1, K=8, n_normal=0, n_random=1, eps_grid=(), normal_modes=(),
+                         bubble_t0=())
+        result = run_scan(P32, cfg)
+        assert result.violation
+        assert result.alpha_hat == -2.0
+
+    @pytest.mark.parametrize("psi, violation", [
+        (0.0, False), (0.25, False), (-1e-10, False), (0.25 + 1e-10, False),
+        (-2e-9, True), (0.25 + 2e-9, True), (math.nan, True), (math.inf, True),
+    ])
+    def test_violation_is_the_sandwich_check(self, psi, violation):
+        # 0 <= Psi <= d^2 up to 1e-9 ||u||_*^2; a NaN deficit breaks it
+        report = DeficitReport(norm_star_sq=1.0, lq_norm=1.0, deficit=psi, distance=0.5,
+                               nearest=None, ratio=psi / 0.25)
+        entries = [(0, "random", "random:0", None), (1, "random", "random:1", report)]
+        result = ScanResult(entries=entries, alpha_hat=0.5, local_constant=4 / 7,
+                            n_members=2, n_skipped=1, seed=1)
+        assert result.violation is violation
 
     @pytest.mark.parametrize("degree, message", [
         (1, "random normal-space members need random_max_degree >= 2, got 1"),

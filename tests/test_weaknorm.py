@@ -15,6 +15,7 @@ from sobstab.conformal import (
 from sobstab.deficit import deficit
 from sobstab.specfun import SobolevParams, sharp_constant, sphere_area
 from sobstab.weaknorm import (
+    Theorem2Case,
     TruncationError,
     ball_volume,
     compute_constants,
@@ -255,12 +256,10 @@ class TestVerifyTheorem2:
     @pytest.mark.parametrize("N,s", [(3, 2.0), (2, 1.0)])
     def test_bump_family_margins_positive(self, N, s):
         p = SobolevParams(N, s)
-        wc = compute_constants(p)
         K = 384
-        rule = default_rule(N, K)
         r0 = unit_ball_radius(N)
         for sharp in (1.0, 2.0, 4.0):
-            case = verify_theorem2(bump_profile(p, r0, sharp), rule, K, constants=wc)
+            case = verify_theorem2(bump_profile(p, r0, sharp), K)
             assert case.margin >= -1e-6 * case.lhs
             assert case.margin > 0
             assert case.omega_measure == pytest.approx(1.0, rel=1e-12)
@@ -268,10 +267,9 @@ class TestVerifyTheorem2:
     def test_mollified_extremizer_margin_positive(self):
         p = P32
         K = 448
-        rule = default_rule(3, K)
         fractions = []
         for radius in (1.5, 3.0):
-            case = verify_theorem2(mollified_extremizer_profile(p, 1.0, radius), rule, K)
+            case = verify_theorem2(mollified_extremizer_profile(p, 1.0, radius), K)
             assert case.margin > 0
             fractions.append(case.lhs / case.norm_star_sq)
         # wider cutoff = nearer the extremizer = relatively smaller deficit
@@ -279,13 +277,11 @@ class TestVerifyTheorem2:
 
     def test_margin_invariant_under_rescaling(self):
         p = P32
-        wc = compute_constants(p)
         K = 384
-        rule = default_rule(3, K)
         u = bump_profile(p, unit_ball_radius(3), 2.0)
         lam = 2.0 ** ((p.N - p.s) / 2.0)  # support shrinks by a factor 2
-        base = verify_theorem2(u, rule, K, constants=wc)
-        scaled = verify_theorem2(dilate(u, lam), rule, K, constants=wc)
+        base = verify_theorem2(u, K)
+        scaled = verify_theorem2(dilate(u, lam), K)
         assert scaled.margin == pytest.approx(base.margin, rel=1e-6)
         assert scaled.omega_measure == pytest.approx(
             base.omega_measure * lam ** (-p.q), rel=1e-10)
@@ -307,11 +303,19 @@ class TestVerifyTheorem2:
 
     def test_refuses_under_resolved_truncation(self):
         p = P32
-        rule = default_rule(3, 64)
         with pytest.raises(TruncationError, match="increase K"):
-            verify_theorem2(bump_profile(p, unit_ball_radius(3), 1.0), rule, 64)
+            verify_theorem2(bump_profile(p, unit_ball_radius(3), 1.0), 64)
+
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ValueError, match="^truncation degree K must be >= 0, got -1$"):
+            verify_theorem2(bump_profile(P32, unit_ball_radius(3), 1.0), -1)
+
+    @pytest.mark.parametrize("margin, violated", [(0.5, False), (-5e-7, False), (-2e-6, True)])
+    def test_violated_below_the_roundoff_margin(self, margin, violated):
+        case = Theorem2Case(profile="p", lhs=1.0, rhs=1.0 - margin, margin=margin, weak=1.0,
+                            omega_measure=1.0, norm_star_sq=1.0, lq_norm=1.0)
+        assert case.violated is violated
 
     def test_rejects_unbounded_support(self):
-        rule = default_rule(3, 64)
         with pytest.raises(ValueError):
-            verify_theorem2(gaussian_profile(P32), rule, 64)
+            verify_theorem2(gaussian_profile(P32), 64)

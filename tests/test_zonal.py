@@ -19,6 +19,7 @@ from sobstab.zonal import (
     basis_eval,
     basis_function,
     constant,
+    default_rule,
     from_json_dict,
     gauss_jacobi_rule,
     inner_star,
@@ -267,6 +268,14 @@ class TestAnalyzeSynthesize:
         rule = gauss_jacobi_rule(3, 8)
         with pytest.raises(ValueError):
             analyze(P32, np.ones(8), rule, 8)
+
+    def test_rejects_negative_degree(self, rule32):
+        message = "^truncation degree K must be >= 0, got -1$"
+        with pytest.raises(ValueError, match=message):
+            analyze(P32, np.ones(rule32.M), rule32, -1)
+        with pytest.raises(ValueError, match=message):
+            default_rule(3, -1)
+        assert default_rule(3, 0).M == 2
 
     def test_rejects_non_finite(self, rule32):
         samples = np.ones(rule32.M)

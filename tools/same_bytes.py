@@ -13,7 +13,9 @@ and stderr.  The operations come from this checkout's `bench/`, which
 the tool only reads.  Every operation whose exit code, stdout or stderr
 differ between the trees is printed, and the exit status is 1 if any
 differ.  The `--help` text of the top level and of each subcommand the
-operations run is compared the same way, and counted apart.
+operations run is compared the same way, and counted apart; so is a
+fixed list of refusal and usage-error calls (`ERROR_ARGVS`), paths that
+no benchmark operation takes.
 
 Every operation is compared at two BLAS thread counts, since the last
 digits of large products (and LAPACK's divide-and-conquer merges) may
@@ -40,6 +42,19 @@ from workloads import WORKLOADS, all_ops  # noqa: E402
 # The variables OpenBLAS reads its thread count from; unset, it uses one thread per CPU.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 THREADS = {"1 BLAS thread": {"OPENBLAS_NUM_THREADS": "1"}, "default BLAS threads": {}}
+
+_NS = ["--N", "3", "--s", "2"]
+_SMALL_SCAN = ["alpha-estimate", *_NS, "--seed", "1", "--n-random", "0"]
+ERROR_ARGVS = [
+    ["verify-theorem2", *_NS, "--K", "-1"],
+    ["verify-theorem2", *_NS, "--cells", "0"],
+    ["export-function", *_NS, "--profile", "gaussian", "--K", "-1"],
+    ["export-function", *_NS, "--profile", "gaussian", "--K", "-1", "--M", "8"],
+    # every member's deficit rounds to zero: alpha_hat <= 0 is refused
+    [*_SMALL_SCAN, "--eps", "1e-7", "--n-normal", "5", "--bubbles", "0.5"],
+    # every member lies on the manifold
+    [*_SMALL_SCAN, "--eps", "1e-12", "--n-normal", "1", "--bubbles", ""],
+]
 
 # Reads a JSON list of argv from stdin; writes [exit code, stdout, stderr] per argv.
 CHILD = """\
@@ -92,8 +107,9 @@ def main(argv: list[str] | None = None) -> int:
     ops = [(workload, op) for workload in WORKLOADS for op in all_ops(workload)]
     argvs = [list(op.argv) for _, op in ops]
     helps = [["--help"], *([command, "--help"] for command in dict.fromkeys(a[0] for a in argvs))]
-    runs = argvs + helps
-    names = [f"{workload} {op.kind} {op.key}" for workload, op in ops] + ["help"] * len(helps)
+    runs = argvs + helps + ERROR_ARGVS
+    names = ([f"{workload} {op.kind} {op.key}" for workload, op in ops]
+             + ["help"] * len(helps) + ["error path"] * len(ERROR_ARGVS))
     counts = []
     for label, threads in THREADS.items():
         children = [(start(tree, runs, threads), tree) for tree in (args.src_a, args.src_b)]
@@ -105,10 +121,11 @@ def main(argv: list[str] | None = None) -> int:
             if parts:
                 differ.append(name)
                 print(f"{label}: {name}: {', '.join(parts)} differ ({' '.join(argv)})")
-        n_help = differ.count("help")
+        n_help, n_error = differ.count("help"), differ.count("error path")
         counts.append(len(differ))
-        print(f"{label}: {len(ops)} operations, {len(differ) - n_help} differ;"
-              f" {len(helps)} help texts, {n_help} differ", flush=True)
+        print(f"{label}: {len(ops)} operations, {len(differ) - n_help - n_error} differ;"
+              f" {len(helps)} help texts, {n_help} differ;"
+              f" {len(ERROR_ARGVS)} error paths, {n_error} differ", flush=True)
     return 1 if any(counts) else 0
 
 
