@@ -71,11 +71,6 @@ class _UsageError(ValueError):
     pass
 
 
-def _seed_note(args) -> None:
-    if getattr(args, "seed", None) is not None:
-        print("note: --seed ignored (command has no randomness)", file=sys.stderr)
-
-
 def _csv(text: str, kind: type = float) -> tuple:
     try:
         return tuple(kind(x) for x in text.split(",") if x.strip())
@@ -119,7 +114,6 @@ def _constants_line(name: str, value) -> str:
 def cmd_constants(args) -> int:
     from .weaknorm import compute_constants
 
-    _seed_note(args)
     p = _params(args)
     eigen = _eigen_rows(p, args.kmax)
     weak = compute_constants(p).to_json_dict()
@@ -143,7 +137,6 @@ def cmd_constants(args) -> int:
 
 
 def cmd_eigenvalues(args) -> int:
-    _seed_note(args)
     p = _params(args)
     eigen = _eigen_rows(p, args.kmax)
     rows = [(row["k"], fmt12(row["lambda"]), row["multiplicity"]) for row in eigen]
@@ -152,19 +145,34 @@ def cmd_eigenvalues(args) -> int:
     return EXIT_OK
 
 
+# The seeded commands, with their help; every other command ignores --seed with a note.
+_SCAN_COMMANDS = {"deficit-scan": "seeded stability scan (JSON lines)",
+                  "alpha-estimate": "summary record of a stability scan"}
+
+# Their flags: (flag, ScanConfig field, type, item type of a comma-separated list, help).
+_SCAN_FLAGS = (
+    ("--K", "K", int, None, "truncation degree"),
+    ("--M", "M", int, None, "quadrature nodes (default 2K+2)"),
+    ("--n-normal", "n_normal", int, None, "random normal-space members per epsilon"),
+    ("--n-random", "n_random", int, None, "random coefficient-vector members"),
+    ("--eps", "eps_grid", str, float, "epsilon grid for near-manifold members"),
+    ("--modes", "normal_modes", str, int, "deterministic pure normal modes"),
+    ("--bubbles", "bubble_t0", str, float, "two-bubble separation parameters t0"),
+    ("--max-degree", "random_max_degree", int, None, "highest random coefficient degree"),
+)
+
+
 def _scan_config(args) -> ScanConfig:
     """The scan of the given flags; a flag not given keeps its ScanConfig default."""
     from .deficit import ScanConfig
 
     if args.seed is None:
         raise _UsageError("a --seed is required for scan commands")
-    given = {"K": args.K, "M": args.M, "n_normal": args.n_normal, "n_random": args.n_random,
-             "eps_grid": args.eps, "normal_modes": args.modes, "bubble_t0": args.bubbles,
-             "random_max_degree": args.max_degree}
-    given = {key: value for key, value in given.items() if value is not None}
-    for key, kind in (("eps_grid", float), ("normal_modes", int), ("bubble_t0", float)):
-        if key in given:
-            given[key] = _csv(given[key], kind)
+    given = {}
+    for flag, field, _, item, _ in _SCAN_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))  # argparse's dest
+        if value is not None:
+            given[field] = value if item is None else _csv(value, item)
     return ScanConfig(seed=args.seed, **given)
 
 
@@ -205,7 +213,6 @@ def cmd_verify_theorem2(args) -> int:
     from .conformal import parse_profile
     from .weaknorm import compute_constants, unit_ball_radius, verify_theorem2
 
-    _seed_note(args)
     p = _params(args)
     wc = compute_constants(p)
     if args.profiles:
@@ -237,7 +244,6 @@ def cmd_export_function(args) -> int:
     from .conformal import parse_profile, pullback_to_sphere
     from .zonal import default_rule, gauss_jacobi_rule, to_json_dict
 
-    _seed_note(args)
     p = _params(args)
     if args.profile is None:
         raise _UsageError("--profile is required (flag or config file)")
@@ -261,21 +267,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None, help="RNG seed")
 
 
-def _add_scan_options(sub: argparse.ArgumentParser) -> None:
-    # no defaults: a flag not given keeps the ScanConfig field default
-    sub.add_argument("--K", type=int, help="truncation degree")
-    sub.add_argument("--M", type=int, help="quadrature nodes (default 2K+2)")
-    sub.add_argument("--n-normal", dest="n_normal", type=int,
-                     help="random normal-space members per epsilon")
-    sub.add_argument("--n-random", dest="n_random", type=int,
-                     help="random coefficient-vector members")
-    sub.add_argument("--eps", type=str, help="epsilon grid for near-manifold members")
-    sub.add_argument("--modes", type=str, help="deterministic pure normal modes")
-    sub.add_argument("--bubbles", type=str, help="two-bubble separation parameters t0")
-    sub.add_argument("--max-degree", dest="max_degree", type=int,
-                     help="highest random coefficient degree")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The top-level parser with one subparser per command."""
     parser = argparse.ArgumentParser(
@@ -290,19 +281,18 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(sub)
         return sub
 
-    sub = add("constants", "table of all closed-form constants")
-    sub.add_argument("--kmax", type=int, default=10, help="highest eigenvalue index")
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    for name, help_text, kmax_help in (
+            ("constants", "table of all closed-form constants", "highest eigenvalue index"),
+            ("eigenvalues", "operator eigenvalues and multiplicities", None)):
+        sub = add(name, help_text)
+        sub.add_argument("--kmax", type=int, default=10, help=kmax_help)
+        sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
 
-    sub = add("eigenvalues", "operator eigenvalues and multiplicities")
-    sub.add_argument("--kmax", type=int, default=10)
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
-
-    sub = add("deficit-scan", "seeded stability scan (JSON lines)")
-    _add_scan_options(sub)
-
-    sub = add("alpha-estimate", "summary record of a stability scan")
-    _add_scan_options(sub)
+    for name, help_text in _SCAN_COMMANDS.items():
+        sub = add(name, help_text)
+        # no defaults: a flag not given keeps the ScanConfig field default
+        for flag, _, kind, _, flag_help in _SCAN_FLAGS:
+            sub.add_argument(flag, type=kind, help=flag_help)
 
     sub = add("verify-theorem2", "weak-norm remainder bound harness")
     # no defaults: a flag not given keeps the verify_theorem2 default
@@ -364,6 +354,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 if exc.code:
                     print(f"note: {args.config} supplies {' '.join(flags)}", file=sys.stderr)
                 raise
+        if args.command not in _SCAN_COMMANDS and args.seed is not None:
+            print("note: --seed ignored (command has no randomness)", file=sys.stderr)
         # looked up per call, so that a replaced cmd_* function is the one that runs
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except SystemExit as exc:  # from argparse: 2 on a bad flag or value, 0 after --help
@@ -371,6 +363,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except RefusalError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
+    except MemoryError as exc:  # a --K or --M too large to allocate for
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ValueError as exc:  # _UsageError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

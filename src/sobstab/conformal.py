@@ -98,11 +98,6 @@ def latitude_of_radius(r: float) -> float:
     return (1.0 - r * r) / (1.0 + r * r)
 
 
-def _node_radii(rule: QuadratureRule) -> np.ndarray:
-    t = rule.nodes
-    return np.sqrt((1.0 - t) / (1.0 + t))
-
-
 def radial_node_weights(rule: QuadratureRule) -> np.ndarray:
     """Weights W_i with sum_i W_i f(r_i) = integral of f(|x|) over R^N.
 
@@ -115,13 +110,13 @@ def radial_node_weights(rule: QuadratureRule) -> np.ndarray:
 def pullback_to_sphere(u: RadialFunction, rule: QuadratureRule, K: int) -> ZonalFunction:
     """Zonal v with J^(1/q) v(pi(x)) = u(x); preserves ||.||_* and the L^q norm.
 
-    Sampled at the rule nodes and projected to degree K.  The conformal
-    factor ((1+r^2)/2)^((N-s)/2) equals (1+t)^(-(N-s)/2).
+    Sampled at the nodes' radii (stereo_radius) and projected to degree K.
+    The conformal factor ((1+r^2)/2)^((N-s)/2) equals (1+t)^(-(N-s)/2).
     """
     p = u.params
     beta = 0.5 * (p.N - p.s)
     t = rule.nodes
-    vals = (1.0 + t) ** (-beta) * u(_node_radii(rule))
+    vals = (1.0 + t) ** (-beta) * u(np.sqrt((1.0 - t) / (1.0 + t)))
     if not np.all(np.isfinite(vals)):
         raise ValueError("profile produced non-finite samples at quadrature nodes")
     return analyze(p, vals, rule, K)

@@ -4,13 +4,17 @@ Everything in this module is an exact formula: Gamma-function helpers,
 sphere areas, the sharp constant S(N, s), the eigenvalues and
 multiplicities of the conformally covariant operator on the sphere, and
 the local stability constant 2s/(N+s+2).  All Gamma ratios are evaluated
-as differences of log-Gamma to stay finite for large arguments.
+as differences of log-Gamma to stay finite for large arguments; a value
+that still leaves the range of normal doubles is refused (RefusalError).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+from ._util import RefusalError
 
 __all__ = [
     "SobolevParams",
@@ -22,6 +26,8 @@ __all__ = [
     "local_constant",
     "lambda1_identity_residual",
 ]
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def log_gamma(x: float) -> float:
@@ -35,10 +41,23 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
+def _in_range(value: float, what: str, *args) -> float:
+    """`value` if a normal, finite double, else RefusalError naming `what.format(*args)`."""
+    if not sys.float_info.min <= abs(value) <= sys.float_info.max:
+        raise RefusalError(
+            f"{what.format(*args)} is {value!r}, outside the range of normal doubles")
+    return value
+
+
+def _exp_in_range(log_value: float, what: str, *args) -> float:
+    # exp(log_value) through _in_range; math.exp would raise OverflowError past the range
+    return _in_range(math.exp(log_value) if log_value < _LOG_MAX else math.inf, what, *args)
+
+
 def _sphere_area(n: int) -> float:
     # Valid down to n = 0 (|S^0| = 2); the public wrapper starts at n = 1.
-    return math.exp(math.log(2.0) + 0.5 * (n + 1) * math.log(math.pi)
-                    - log_gamma(0.5 * (n + 1)))
+    return _exp_in_range(math.log(2.0) + 0.5 * (n + 1) * math.log(math.pi)
+                         - log_gamma(0.5 * (n + 1)), "|S^{}|", n)
 
 
 def sphere_area(n: int) -> float:
@@ -83,15 +102,15 @@ def sharp_constant(p: SobolevParams) -> float:
     log_s = (s * math.log(2.0) + 0.5 * s * math.log(math.pi)
              + log_gamma(0.5 * (N + s)) - log_gamma(0.5 * (N - s))
              + (s / N) * (log_gamma(0.5 * N) - log_gamma(float(N))))
-    return math.exp(log_s)
+    return _exp_in_range(log_s, "S at (N, s) = ({}, {})", N, s)
 
 
 def eigenvalue(p: SobolevParams, k: int) -> float:
     """k-th eigenvalue Gamma((N+s)/2 + k) / Gamma((N-s)/2 + k); increasing in k."""
     if k < 0:
         raise ValueError(f"eigenvalue index must be >= 0, got {k}")
-    return math.exp(log_gamma(0.5 * (p.N + p.s) + k)
-                    - log_gamma(0.5 * (p.N - p.s) + k))
+    return _exp_in_range(log_gamma(0.5 * (p.N + p.s) + k) - log_gamma(0.5 * (p.N - p.s) + k),
+                         "lambda_{} at (N, s) = ({}, {})", k, p.N, p.s)
 
 
 def multiplicity(N: int, k: int) -> int:

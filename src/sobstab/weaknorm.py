@@ -23,7 +23,7 @@ import numpy as np
 
 from ._util import RefusalError
 from .conformal import RadialFunction, pullback_to_sphere
-from .specfun import SobolevParams, _sphere_area, log_gamma, sharp_constant
+from .specfun import SobolevParams, _in_range, _sphere_area, log_gamma, sharp_constant
 from .zonal import default_rule, lambdas, norm_lp, norm_star
 
 __all__ = [
@@ -101,10 +101,7 @@ def weak_norm(values, measures, p: SobolevParams) -> float:
     return float(np.max(cum_mass * cum_measure ** (-p.s / p.N)))
 
 
-@lru_cache(maxsize=None)
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+_gl_nodes = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)  # n -> (nodes, weights)
 
 
 def extremizer_weak_norm(p: SobolevParams) -> float:
@@ -146,20 +143,26 @@ def compute_constants(p: SobolevParams) -> WeakNormConstants:
 
     rho is solved in closed form (its defining equation is Moebius in
     rho), so the residual of the defining equation is pure roundoff.  The
-    constants depend only on (N, s), never on a particular domain.
+    constants depend only on (N, s), never on a particular domain.  With
+    x = tail^(1/q) sqrt(S), 1 - rho = 1/(1+x) keeps its digits as rho -> 1, and
+    the bracket |S^(N-1)| / (N (2 r0)^N) is (2 r0^2)^(-N) as |B_1| r0^N = 1.
     """
-    N, q = p.N, p.q
+    N, s, q = p.N, p.s, p.q
+
+    def checked(name: str, value: float) -> float:  # refuses a value outside the normal doubles
+        return _in_range(value, "{} at (N, s) = ({}, {})", name, N, s)
+
     sq_s = math.sqrt(sharp_constant(p))
-    r0 = unit_ball_radius(N)
-    tail = extremizer_tail_lq(p, 1.0, 1.0)
-    big_r = tail ** (1.0 / q)
-    rho = big_r * sq_s / (1.0 + big_r * sq_s)
-    c1 = sq_s * (1.0 - rho) * (_sphere_area(N - 1) / (N * (2.0 * r0) ** N)) ** (1.0 / q)
-    u_weak = extremizer_weak_norm(p)
-    c2 = (1.0 + rho) / c1 * u_weak + 1.0 / sq_s
-    c0 = max(c2, 1.0 / (rho * sq_s))
-    return WeakNormConstants(rho=rho, r0=r0, extremizer_weak=u_weak,
-                             C1=c1, C2=c2, C0=c0, C=c0 ** (-2.0))
+    # the tail's |S^(N-1)| is refused before r0 divides by an underflowed |B_1|
+    x = checked("the L^q tail", extremizer_tail_lq(p, 1.0, 1.0)) ** (1.0 / q) * sq_s
+    r0 = checked("r0", unit_ball_radius(N))
+    rho = checked("rho", x / (1.0 + x))
+    c1 = checked("C1", sq_s / (1.0 + x) * (2.0 * r0 * r0) ** (-0.5 * (N - s)))
+    u_weak = checked("the extremizer's weak norm", extremizer_weak_norm(p))
+    c2 = checked("C2", (1.0 + rho) / c1 * u_weak + 1.0 / sq_s)
+    c0 = checked("C0", max(c2, 1.0 / (rho * sq_s)))
+    return WeakNormConstants(rho=rho, r0=r0, extremizer_weak=u_weak, C1=c1, C2=c2, C0=c0,
+                             C=checked("C", c0 ** (-2.0)))
 
 
 def eq_rho_residual(p: SobolevParams, constants: WeakNormConstants) -> float:
@@ -224,15 +227,6 @@ class Theorem2Case:
         }
 
 
-def _truncation_fraction(v, tail_len: int = 8) -> float:
-    lam = lambdas(v.params, v.K)
-    total = float(lam @ (v.coeffs * v.coeffs))
-    if total == 0.0:
-        return 0.0
-    tail = float(lam[-tail_len:] @ (v.coeffs[-tail_len:] ** 2))
-    return math.sqrt(tail / total)
-
-
 def verify_theorem2(u: RadialFunction, K: int = 384, n_cells: int = 2048) -> Theorem2Case:
     """Evaluate both sides of the weak-norm remainder bound for one profile.
 
@@ -247,11 +241,12 @@ def verify_theorem2(u: RadialFunction, K: int = 384, n_cells: int = 2048) -> The
     if not math.isfinite(u.support_radius):
         raise ValueError("verification requires a compactly supported profile")
     v = pullback_to_sphere(u, rule, K)
-    frac = _truncation_fraction(v)
+    ns2 = norm_star(v) ** 2
+    # the share of ||v||_* in the top 8 coefficients
+    frac = math.sqrt(float(lambdas(p, K)[-8:] @ (v.coeffs[-8:] ** 2)) / ns2) if ns2 else 0.0
     if frac > 1e-6:
         raise TruncationError(
             f"coefficient tail is {frac:.2e} of the norm; increase K (K={K})")
-    ns2 = norm_star(v) ** 2
     lq = norm_lp(v, p.q, rule)
     lhs = ns2 - sharp_constant(p) * lq * lq
     values, measures = radial_cells(u, n_cells=n_cells)

@@ -222,16 +222,11 @@ def basis_eval(N: int, k: int, t):
 
 
 @lru_cache(maxsize=None)
-def _lambda_vector(N: int, s: float, K: int) -> np.ndarray:
-    p = SobolevParams(N, s)
-    lam = np.array([eigenvalue(p, k) for k in range(K + 1)])
+def lambdas(params: SobolevParams, K: int) -> np.ndarray:
+    """Eigenvalues lambda_0 .. lambda_K as a read-only vector, cached."""
+    lam = np.array([eigenvalue(params, k) for k in range(K + 1)])
     lam.setflags(write=False)
     return lam
-
-
-def lambdas(params: SobolevParams, K: int) -> np.ndarray:
-    """Eigenvalues lambda_0 .. lambda_K as a read-only vector."""
-    return _lambda_vector(params.N, params.s, K)
 
 
 @dataclass(frozen=True, eq=False)

@@ -90,10 +90,75 @@ class TestConstantsCommand:
         _, _, err = run(["constants", "--N", "3", "--s", "2", "--seed", "5"], capsys)
         assert "ignored" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["constants"], ["eigenvalues"], ["verify-theorem2", "--profiles", "gaussian"],
+        ["export-function", "--profile", "gaussian", "--K", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_note_on_every_unseeded_command(self, capsys, monkeypatch, argv):
+        # printed before the command runs, so also before its usage error
+        note = "note: --seed ignored (command has no randomness)\n"
+        assert run([argv[0], "--seed", "5"], capsys) == (
+            2, "", note + "error: --N and --s are required (flags or config file)\n")
+        monkeypatch.setattr(cli, f"cmd_{argv[0].replace('-', '_')}", lambda args: 0)
+        assert run([*argv, "--N", "3", "--s", "2", "--seed", "5"], capsys) == (0, "", note)
+
     def test_negative_kmax_is_usage_error(self, capsys):
         code, out, err = run(["constants", "--N", "3", "--s", "2", "--kmax", "-1",
                               "--format", "json"], capsys)
         assert (code, out, err) == (2, "", "error: --kmax must be >= 0, got -1\n")
+
+
+    @pytest.mark.parametrize("N, s", [("37", "33.3"), ("38", "34.2")])
+    def test_weak_norm_constants_as_s_nears_n(self, capsys, N, s):
+        # 1 - rho cancelled: C read 1.43630261237 at (37, 33.3) and (38, 34.2) raised
+        code, out, err = run(["constants", "--N", N, "--s", s, "--kmax", "0", "--format", "json"],
+                             capsys)
+        assert (code, err) == (0, "")
+        weak = strict_json(out)["weak_norm_constants"]
+        expected = {"37": 0.875940025224, "38": 0.957786851534}[N]
+        assert weak["C"] == pytest.approx(expected, rel=1e-11)
+
+
+class TestOutsideTheDoubleRange:
+    # each of these died with an OverflowError or ZeroDivisionError traceback,
+    # or (N = 440) was refused for an lq_norm overflow it does not have
+    @pytest.mark.parametrize("argv, what", [
+        (["eigenvalues", "--N", "180", "--s", "179", "--kmax", "2"],
+         "lambda_0 at (N, s) = (180, 179.0) is inf"),
+        (["constants", "--N", "180", "--s", "179"], "lambda_0 at (N, s) = (180, 179.0) is inf"),
+        (["alpha-estimate", "--N", "180", "--s", "179", "--seed", "1"],
+         "lambda_0 at (N, s) = (180, 179.0) is inf"),
+        (["constants", "--N", "331", "--s", "1", "--kmax", "0"],
+         "the L^q tail at (N, s) = (331, 1.0) is 1.41787444315e-313"),
+        (["verify-theorem2", "--N", "331", "--s", "1"],
+         "the L^q tail at (N, s) = (331, 1.0) is 1.41787444315e-313"),
+        (["export-function", "--N", "460", "--s", "1", "--profile", "gaussian", "--K", "8"],
+         "|S^460| is 0.0"),
+        (["deficit-scan", "--N", "440", "--s", "1", "--seed", "1", "--K", "8"],
+         "|S^440| is 5.4370769684784e-311"),
+    ], ids=["eigenvalues", "constants", "alpha-estimate", "constants-tail", "verify-theorem2",
+            "export-function", "deficit-scan"])
+    def test_refused(self, capsys, argv, what):
+        assert run(argv, capsys) == (
+            3, "", f"refused: {what}, outside the range of normal doubles\n")
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize("argv", [
+        ["export-function", "--N", "3", "--s", "2", "--profile", "gaussian", "--K", "100000"],
+        ["deficit-scan", "--N", "3", "--s", "2", "--seed", "1", "--K", "100000"],
+    ], ids=["export-function", "deficit-scan"])
+    def test_failed_allocation_is_usage_error(self, capsys, monkeypatch, argv):
+        # a 200,002-node rule asks for 298 GiB; nothing is really allocated
+        # here, since with memory overcommit the process could be killed instead
+        from sobstab import zonal
+
+        def no_memory(off):
+            raise MemoryError(f"Unable to allocate an array of {off.size + 1}^2 doubles")
+
+        monkeypatch.setattr(zonal, "_first_components", no_memory)
+        assert run(argv, capsys) == (
+            2, "", "error: out of memory: Unable to allocate an array of 200002^2 doubles\n")
 
 
 class TestEigenvaluesCommand:
@@ -200,6 +265,14 @@ class TestScanCommands:
         assert seen == [ScanConfig(seed=5), ScanConfig(seed=5, K=16),
                         ScanConfig(seed=5, K=32, eps_grid=(0.5,)),
                         ScanConfig(seed=5, K=16, eps_grid=(0.5,))]
+
+    def test_scan_flags_name_every_config_field_once(self):
+        from dataclasses import fields
+
+        from sobstab.deficit import ScanConfig
+
+        named = sorted(field for _, field, *_ in cli._SCAN_FLAGS)
+        assert named == sorted(f.name for f in fields(ScanConfig) if f.name != "seed")
 
     def test_seed_required(self, capsys):
         code, _, err = run(["deficit-scan", "--N", "3", "--s", "2"], capsys)

@@ -3,6 +3,7 @@ import math
 import mpmath
 import pytest
 
+from sobstab._util import RefusalError
 from sobstab.specfun import (
     SobolevParams,
     eigenvalue,
@@ -147,6 +148,28 @@ class TestEigenvalue:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             eigenvalue(P32, -1)
+
+
+class TestDoubleRange:
+    # the closed forms used to raise OverflowError or return subnormals
+    @pytest.mark.parametrize("call, message", [
+        (lambda: eigenvalue(SobolevParams(180, 179.0), 0),
+         "lambda_0 at (N, s) = (180, 179.0) is inf, outside the range of normal doubles"),
+        (lambda: sharp_constant(SobolevParams(242, 217.8)),
+         "S at (N, s) = (242, 217.8) is inf, outside the range of normal doubles"),
+        (lambda: sphere_area(438),
+         "|S^438| is 3.79883239546487e-309, outside the range of normal doubles"),
+        (lambda: sphere_area(455), "|S^455| is 0.0, outside the range of normal doubles"),
+    ], ids=["eigenvalue", "sharp_constant", "subnormal-area", "zero-area"])
+    def test_refused(self, call, message):
+        with pytest.raises(RefusalError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_last_normal_values_pass(self):
+        oracle = 2 * mpmath.pi ** 219 / mpmath.gamma(219)
+        assert sphere_area(437) == pytest.approx(float(oracle), rel=1e-12)
+        assert math.isfinite(sharp_constant(SobolevParams(180, 179.0)))
 
 
 class TestMultiplicity:

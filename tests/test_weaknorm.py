@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -250,6 +251,61 @@ class TestConstants:
             for lam in np.logspace(-1, 2, 25):
                 if extremizer_tail_lq(p, lam, r0) <= reference:
                     assert lam ** (2.0 / (p.N - p.s)) * r0 >= 1.0 - 1e-12
+
+
+def _constants_oracle(N, s):
+    """compute_constants' chain in 150-digit mpmath, the tail in closed form.
+
+    The tail |S^(N-1)| int_1^inf r^(N-1) (1+r^2)^(-N) dr is half the whole
+    integral, |S^(N-1)| B(N/2, N/2) / 4, since r -> 1/r maps the integrand's
+    halves onto each other.  1 - rho is formed by subtraction, as the
+    chain is written; at (100, 90) it is about 1e-54, so 150 digits leave
+    it about 90.
+    """
+    import mpmath
+
+    with mpmath.workdps(150):
+        s = mpmath.mpf(s)
+        half_n = mpmath.mpf(N) / 2
+        q = 2 * N / (N - s)
+        sharp = (2 ** s * mpmath.pi ** (s / 2) * mpmath.gamma((N + s) / 2)
+                 / mpmath.gamma((N - s) / 2)
+                 * (mpmath.gamma(half_n) / mpmath.gamma(N)) ** (s / N))
+        area = 2 * mpmath.pi ** half_n / mpmath.gamma(half_n)
+        vol = area / N
+        r0 = vol ** (-mpmath.mpf(1) / N)
+        x = (area * mpmath.beta(half_n, half_n) / 4) ** (1 / q) * mpmath.sqrt(sharp)
+        rho = x / (1 + x)
+        c1 = mpmath.sqrt(sharp) * (1 - rho) * (area / (N * (2 * r0) ** N)) ** (1 / q)
+        u_weak = area * vol ** (-s / N) / s
+        c2 = (1 + rho) / c1 * u_weak + 1 / mpmath.sqrt(sharp)
+        c0 = max(c2, 1 / (rho * mpmath.sqrt(sharp)))
+        return {"rho": rho, "r0": r0, "extremizer_weak": u_weak, "C1": c1, "C2": c2,
+                "C0": c0, "C": c0 ** -2}
+
+
+class TestConstantsAgainstOracle:
+    # s near N cancelled 1 - rho (C 64 % off at (37, 33.3), ZeroDivisionError
+    # from (38, 34.2)); the bracket |S^(N-1)| / (N (2 r0)^N) went subnormal
+    # from N = 217 and raised from N = 226
+    @pytest.mark.parametrize("N,s", [(3, 2.0), (2, 1.0), (5, 0.5), (8, 3.3), (20, 19.9),
+                                     (30, 27.0), (37, 33.3), (38, 34.2), (100, 90.0),
+                                     (216, 1.0), (225, 1.0), (300, 1.0)])
+    def test_every_constant_matches_mpmath(self, N, s):
+        got = compute_constants(SobolevParams(N, s)).to_json_dict()
+        for name, value in _constants_oracle(N, s).items():
+            assert got[name] == pytest.approx(float(value), rel=1e-12), name
+
+    @pytest.mark.parametrize("N,s,what", [
+        (331, 1.0, "the L^q tail at (N, s) = (331, 1.0) is "),
+        (242, 217.8, "S at (N, s) = (242, 217.8) is inf"),
+        (460, 1.0, "|S^459| is 0.0"),
+    ])
+    def test_constants_outside_the_double_range_are_refused(self, N, s, what):
+        from sobstab._util import RefusalError
+
+        with pytest.raises(RefusalError, match=re.escape(what)):
+            compute_constants(SobolevParams(N, s))
 
 
 class TestVerifyTheorem2:

@@ -54,6 +54,12 @@ ERROR_ARGVS = [
     [*_SMALL_SCAN, "--eps", "1e-7", "--n-normal", "5", "--bubbles", "0.5"],
     # every member lies on the manifold
     [*_SMALL_SCAN, "--eps", "1e-12", "--n-normal", "1", "--bubbles", ""],
+    # the --seed note, the scan flags' parsing and the missing-seed error
+    ["constants", *_NS, "--seed", "5"],
+    ["deficit-scan", *_NS, "--seed", "1", "--eps", "abc"],
+    ["deficit-scan", *_NS, "--seed", "1", "--modes", "2.5"],
+    ["alpha-estimate", *_NS, "--seed", "1", "--K", "x"],
+    ["alpha-estimate", *_NS],
 ]
 
 # Reads a JSON list of argv from stdin; writes [exit code, stdout, stderr] per argv.
