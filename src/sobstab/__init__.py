@@ -1,10 +1,11 @@
 """Numerics for the sharp fractional Sobolev inequality and its stability.
 
-Subpackages by concern: closed-form constants (specfun), zonal spectral
-calculus on the sphere (zonal), stereographic transport and the
-extremizer family (conformal), deficit/distance/stability scans
-(deficit), weak-norm remainder constants (weaknorm), and the command
-line front end (cli).
+Subpackages by concern: closed-form constants, the weak-norm remainder
+constants among them (specfun), zonal spectral calculus on the sphere
+(zonal), stereographic transport and the extremizer family (conformal),
+deficit/distance/stability scans (deficit), weak norms and the
+remainder-bound harness (weaknorm), and the command line front end
+(cli).
 
 A package name is the first of that name in the `__all__` of specfun,
 zonal, conformal, deficit and weaknorm; a submodule name is the module

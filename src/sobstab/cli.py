@@ -28,7 +28,8 @@ if __name__ == "__main__":  # `python -m sobstab.cli`: before numpy loads
 # Each command imports the numerical modules it runs, so that a call
 # loads no module (numpy among them) that its command does not use.
 from ._util import PROFILE_GRAMMAR, RefusalError, fmt12, round_floats
-from .specfun import SobolevParams, eigenvalue, local_constant, multiplicity, sharp_constant
+from .specfun import (SobolevParams, compute_constants, eigenvalue, local_constant, multiplicity,
+                      sharp_constant, unit_ball_radius)
 
 if TYPE_CHECKING:
     from .deficit import ScanConfig
@@ -112,8 +113,6 @@ def _constants_line(name: str, value) -> str:
 
 
 def cmd_constants(args) -> int:
-    from .weaknorm import compute_constants
-
     p = _params(args)
     eigen = _eigen_rows(p, args.kmax)
     weak = compute_constants(p).to_json_dict()
@@ -211,7 +210,7 @@ def cmd_alpha_estimate(args) -> int:
 
 def cmd_verify_theorem2(args) -> int:
     from .conformal import parse_profile
-    from .weaknorm import compute_constants, unit_ball_radius, verify_theorem2
+    from .weaknorm import verify_theorem2
 
     p = _params(args)
     wc = compute_constants(p)

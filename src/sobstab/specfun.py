@@ -1,18 +1,20 @@
 """Closed-form constants of the sharp fractional Sobolev inequality.
 
 Everything in this module is an exact formula: Gamma-function helpers,
-sphere areas, the sharp constant S(N, s), the eigenvalues and
-multiplicities of the conformally covariant operator on the sphere, and
-the local stability constant 2s/(N+s+2).  All Gamma ratios are evaluated
-as differences of log-Gamma to stay finite for large arguments; a value
-that still leaves the range of normal doubles is refused (RefusalError).
+sphere areas and ball volumes, the sharp constant S(N, s), the
+eigenvalues and multiplicities of the conformally covariant operator on
+the sphere, the local stability constant 2s/(N+s+2), and the explicit
+constants rho, C1, C2, C0, C of the weak-norm remainder bound.  All
+Gamma ratios are evaluated as differences of log-Gamma to stay finite
+for large arguments; a value that still leaves the range of normal
+doubles is refused (RefusalError).  The module loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ._util import RefusalError
 
@@ -25,6 +27,11 @@ __all__ = [
     "multiplicity",
     "local_constant",
     "lambda1_identity_residual",
+    "WeakNormConstants",
+    "ball_volume",
+    "unit_ball_radius",
+    "extremizer_weak_norm",
+    "compute_constants",
 ]
 
 _LOG_MAX = math.log(sys.float_info.max)
@@ -145,3 +152,76 @@ def lambda1_identity_residual(p: SobolevParams) -> float:
     lam1 = eigenvalue(p, 1)
     lhs = (p.q - 1.0) * sharp_constant(p) * sphere_area(p.N) ** ((2.0 - p.q) / p.q)
     return lhs - lam1
+
+
+def ball_volume(N: int) -> float:
+    """Volume pi^(N/2) / Gamma(N/2 + 1) of the unit ball in R^N."""
+    return _exp_in_range(0.5 * N * math.log(math.pi) - log_gamma(0.5 * N + 1.0),
+                         "|B_1| in R^{}", N)
+
+
+def unit_ball_radius(N: int) -> float:
+    """Radius r0 of the ball of measure 1 in R^N."""
+    return ball_volume(N) ** (-1.0 / N)
+
+
+@dataclass(frozen=True)
+class WeakNormConstants:
+    """The explicit constants of the weak-norm remainder bound.
+
+    rho solves rho/(sqrt(S)(1-rho)) = (tail L^q mass of the extremizer
+    outside the unit ball)^(1/q); C = C0^(-2) is the final constant.
+    """
+
+    rho: float
+    r0: float
+    extremizer_weak: float
+    C1: float
+    C2: float
+    C0: float
+    C: float
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+
+def extremizer_weak_norm(p: SobolevParams) -> float:
+    """Weak L^(q/2) norm of the standard extremizer (1 + r^2)^(-(N-s)/2) on R^N.
+
+    Its superlevel sets are centered balls, and the ball ratio
+    |B_R|^(-s/N) int_{B_R} |u| rises with R, so the norm is its limit
+    |S^(N-1)| |B_1|^(-s/N) / s as R -> infinity.  Proof: with
+    beta = (N-s)/2 and I(R) = int_0^R (1 + r^2)^(-beta) r^(N-1) dr, the
+    ratio's R-derivative has the sign of h(R) = R^N (1 + R^2)^(-beta) - s I(R),
+    and h(0) = 0, h'(R) = (N-s) R^(N-1) (1 + R^2)^(-beta-1) > 0.
+    """
+    return _sphere_area(p.N - 1) * ball_volume(p.N) ** (-p.s / p.N) / p.s
+
+
+def compute_constants(p: SobolevParams) -> WeakNormConstants:
+    """All explicit constants of the weak-norm remainder bound for (N, s).
+
+    The extremizer's L^q mass outside the unit ball, |S^(N-1)| times
+    int_1^inf r^(N-1) (1+r^2)^(-N) dr, is |S^(N-1)| B(N/2, N/2) / 4, as
+    r -> 1/r maps it onto the mass inside.  rho is solved in closed form
+    (its defining equation is Moebius in rho).  With x = tail^(1/q) sqrt(S),
+    1 - rho = 1/(1+x) keeps its digits as rho -> 1, and the bracket
+    |S^(N-1)| / (N (2 r0)^N) is (2 r0^2)^(-N) as |B_1| r0^N = 1.
+    """
+    N, s, q = p.N, p.s, p.q
+
+    def checked(name: str, value: float) -> float:  # refuses a value outside the normal doubles
+        return _in_range(value, "{} at (N, s) = ({}, {})", name, N, s)
+
+    sq_s = math.sqrt(sharp_constant(p))
+    # the tail is checked before r0, so a too-large N names |S^(N-1)|, not |B_1|
+    tail = _sphere_area(N - 1) * math.exp(2.0 * log_gamma(0.5 * N) - log_gamma(N)) / 4.0
+    x = checked("the L^q tail", tail) ** (1.0 / q) * sq_s
+    r0 = checked("r0", unit_ball_radius(N))
+    rho = checked("rho", x / (1.0 + x))
+    c1 = checked("C1", sq_s / (1.0 + x) * (2.0 * r0 * r0) ** (-0.5 * (N - s)))
+    u_weak = checked("the extremizer's weak norm", extremizer_weak_norm(p))
+    c2 = checked("C2", (1.0 + rho) / c1 * u_weak + 1.0 / sq_s)
+    c0 = checked("C0", max(c2, 1.0 / (rho * sq_s)))
+    return WeakNormConstants(rho=rho, r0=r0, extremizer_weak=u_weak, C1=c1, C2=c2, C0=c0,
+                             C=checked("C", c0 ** (-2.0)))

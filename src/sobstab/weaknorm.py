@@ -3,40 +3,37 @@
 For 0 < s < N and q = 2N/(N-s), the weak norm of u on a finite-measure
 set is sup_A |A|^(-s/N) int_A |u|.  For radial monotone |u| the sup runs
 over centered balls (bathtub principle), which reduces everything to 1-D
-radial integrals.  The module computes the chain of explicit constants
-rho, C1, C2, C0, C = C0^(-2) entering the weak-norm remainder bound
+radial integrals.  The explicit constants rho, C1, C2, C0, C = C0^(-2) of
+the weak-norm remainder bound
 
     ||u||^2 - S |u|_q^2  >=  C |Omega|^(-2/q) |u|_w^2
 
-for compactly supported u, and provides a verification harness evaluating
-both sides for smooth radial test functions.
+for compactly supported u are closed forms in `specfun`, bound here too.
+This module checks rho by quadrature and provides a verification harness
+evaluating both sides for smooth radial test functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from functools import lru_cache
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ._util import RefusalError
 from .conformal import RadialFunction, pullback_to_sphere
-from .specfun import SobolevParams, _in_range, _sphere_area, log_gamma, sharp_constant
-from .zonal import default_rule, lambdas, norm_lp, norm_star
+# the closed forms are bound here too (not in __all__), for callers that look them up here
+from .specfun import (SobolevParams, WeakNormConstants, _sphere_area, ball_volume,
+                      compute_constants, extremizer_weak_norm, sharp_constant, unit_ball_radius)
+from .zonal import default_rule, gauss_jacobi_rule, lambdas, norm_lp, norm_star
 
 __all__ = [
-    "WeakNormConstants",
     "TruncationError",
     "Theorem2Case",
-    "ball_volume",
-    "unit_ball_radius",
     "weak_norm",
     "radial_cells",
-    "extremizer_weak_norm",
     "extremizer_tail_lq",
-    "compute_constants",
     "eq_rho_residual",
     "verify_theorem2",
 ]
@@ -44,36 +41,6 @@ __all__ = [
 
 class TruncationError(RefusalError, RuntimeError):
     """Spectral truncation too coarse for the requested computation."""
-
-
-def ball_volume(N: int) -> float:
-    """Volume of the unit ball in R^N."""
-    return math.exp(0.5 * N * math.log(math.pi) - log_gamma(0.5 * N + 1.0))
-
-
-def unit_ball_radius(N: int) -> float:
-    """Radius r0 of the ball of measure 1 in R^N."""
-    return ball_volume(N) ** (-1.0 / N)
-
-
-@dataclass(frozen=True)
-class WeakNormConstants:
-    """The explicit constants of the weak-norm remainder bound.
-
-    rho solves rho/(sqrt(S)(1-rho)) = (tail L^q mass of the extremizer
-    outside the unit ball)^(1/q); C = C0^(-2) is the final constant.
-    """
-
-    rho: float
-    r0: float
-    extremizer_weak: float
-    C1: float
-    C2: float
-    C0: float
-    C: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def weak_norm(values, measures, p: SobolevParams) -> float:
@@ -101,31 +68,23 @@ def weak_norm(values, measures, p: SobolevParams) -> float:
     return float(np.max(cum_mass * cum_measure ** (-p.s / p.N)))
 
 
-_gl_nodes = lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)  # n -> (nodes, weights)
-
-
-def extremizer_weak_norm(p: SobolevParams) -> float:
-    """Weak L^(q/2) norm of the standard extremizer (1 + r^2)^(-(N-s)/2) on R^N.
-
-    Its superlevel sets are centered balls, and the ball ratio
-    |B_R|^(-s/N) int_{B_R} |u| rises with R, so the norm is its limit
-    |S^(N-1)| |B_1|^(-s/N) / s as R -> infinity.  Proof: with
-    beta = (N-s)/2 and I(R) = int_0^R (1 + r^2)^(-beta) r^(N-1) dr, the
-    ratio's R-derivative has the sign of h(R) = R^N (1 + R^2)^(-beta) - s I(R),
-    and h(0) = 0, h'(R) = (N-s) R^(N-1) (1 + R^2)^(-beta-1) > 0.
-    """
-    return _sphere_area(p.N - 1) * ball_volume(p.N) ** (-p.s / p.N) / p.s
+def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights: the rule for N = 2, whose weight is |S^1|."""
+    rule = gauss_jacobi_rule(2, n)
+    return rule.nodes, rule.weights / _sphere_area(1)
 
 
 def extremizer_tail_lq(p: SobolevParams, lam: float, r0: float) -> float:
-    """L^q mass of the rescaled extremizer outside the ball of radius r0.
+    """L^q mass of the rescaled extremizer outside the ball of radius r0, by quadrature.
 
     Equals |S^(N-1)| int_{a}^inf r^(N-1) (1+r^2)^(-N) dr with
     a = lam^(2/(N-s)) r0.  The substitution r = cot(psi) turns the
     integrand into the bounded smooth function 2^(1-N) sin(2 psi)^(N-1)
     on [0, atan(1/a)], an interval free of the cancellation in
     pi/2 - atan(a) when a is large.  Fixed 64-point Gauss-Legendre
-    resolves it to ~2e-14 relative for N <= 24 and a <= 1e3.
+    resolves it to ~1e-14 relative for N <= 24 and a <= 1e3.  It is the
+    independent check behind `eq_rho_residual`: `compute_constants`
+    takes the unit-ball tail in closed form.
     """
     if not (lam > 0 and r0 > 0):
         raise ValueError("lam and r0 must be positive")
@@ -138,38 +97,13 @@ def extremizer_tail_lq(p: SobolevParams, lam: float, r0: float) -> float:
     return _sphere_area(N - 1) * 2.0 ** (1 - N) * val
 
 
-def compute_constants(p: SobolevParams) -> WeakNormConstants:
-    """All explicit constants of the weak-norm remainder bound for (N, s).
-
-    rho is solved in closed form (its defining equation is Moebius in
-    rho), so the residual of the defining equation is pure roundoff.  The
-    constants depend only on (N, s), never on a particular domain.  With
-    x = tail^(1/q) sqrt(S), 1 - rho = 1/(1+x) keeps its digits as rho -> 1, and
-    the bracket |S^(N-1)| / (N (2 r0)^N) is (2 r0^2)^(-N) as |B_1| r0^N = 1.
-    """
-    N, s, q = p.N, p.s, p.q
-
-    def checked(name: str, value: float) -> float:  # refuses a value outside the normal doubles
-        return _in_range(value, "{} at (N, s) = ({}, {})", name, N, s)
-
-    sq_s = math.sqrt(sharp_constant(p))
-    # the tail's |S^(N-1)| is refused before r0 divides by an underflowed |B_1|
-    x = checked("the L^q tail", extremizer_tail_lq(p, 1.0, 1.0)) ** (1.0 / q) * sq_s
-    r0 = checked("r0", unit_ball_radius(N))
-    rho = checked("rho", x / (1.0 + x))
-    c1 = checked("C1", sq_s / (1.0 + x) * (2.0 * r0 * r0) ** (-0.5 * (N - s)))
-    u_weak = checked("the extremizer's weak norm", extremizer_weak_norm(p))
-    c2 = checked("C2", (1.0 + rho) / c1 * u_weak + 1.0 / sq_s)
-    c0 = checked("C0", max(c2, 1.0 / (rho * sq_s)))
-    return WeakNormConstants(rho=rho, r0=r0, extremizer_weak=u_weak, C1=c1, C2=c2, C0=c0,
-                             C=checked("C", c0 ** (-2.0)))
-
-
 def eq_rho_residual(p: SobolevParams, constants: WeakNormConstants) -> float:
-    """Residual rho/(sqrt(S)(1-rho)) - tail^(1/q) of the defining equation."""
-    tail = extremizer_tail_lq(p, 1.0, 1.0)
-    return (constants.rho / (math.sqrt(sharp_constant(p)) * (1.0 - constants.rho))
-            - tail ** (1.0 / p.q))
+    """Residual rho - x/(1+x), x = tail^(1/q) sqrt(S), of rho's equation solved for rho.
+
+    The tail is by quadrature; no 1 - rho cancels as s -> N.
+    """
+    x = extremizer_tail_lq(p, 1.0, 1.0) ** (1.0 / p.q) * math.sqrt(sharp_constant(p))
+    return constants.rho - x / (1.0 + x)
 
 
 def radial_cells(u: RadialFunction, n_cells: int = 2048,

@@ -618,6 +618,12 @@ class TestSciPyImports:
     def test_no_command_loads_scipy(self):
         assert self.scipy_modules(self.run_all(self.COMMANDS)) == []
 
+    def test_no_command_loads_numpy_polynomial(self):
+        # Gauss-Legendre nodes come from the package's own Gauss-Jacobi rule
+        code = self.run_all(self.COMMANDS) + ("\nimport sys\nprint(' '.join(m for m in sys.modules"
+                                              " if m.startswith('numpy.polynomial')))")
+        assert self.child(code).split() == []
+
     def test_same_bytes_without_scipy(self):
         # A child in which scipy cannot be imported prints what a normal one does.
         # deficit-scan, verify-theorem2 and export-function
@@ -641,14 +647,17 @@ class TestCommandImports:
         (None, set()),
         (["--help"], set()),
         (["eigenvalues", "--N", "3", "--s", "2"], set()),
-        (["constants", "--N", "3", "--s", "2"], NUMERIC | {"sobstab.weaknorm"}),
+        # the weak-norm constants are closed forms in specfun
+        (["constants", "--N", "3", "--s", "2"], set()),
+        (["constants", "--N", "3", "--s", "2", "--format", "json"], set()),
+        (["constants", "--N", "3", "--s", "2", "--format", "csv"], set()),
         (["verify-theorem2", "--N", "3", "--s", "2"], NUMERIC | {"sobstab.weaknorm"}),
         (["export-function", "--N", "3", "--s", "2", "--K", "16", "--profile", "gaussian"],
          NUMERIC),
         (["deficit-scan", *SCAN], NUMERIC | {"sobstab.deficit"}),
         (["alpha-estimate", *SCAN], NUMERIC | {"sobstab.deficit"}),
-    ], ids=["import", "help", "eigenvalues", "constants", "verify-theorem2", "export-function",
-            "deficit-scan", "alpha-estimate"])
+    ], ids=["import", "help", "eigenvalues", "constants", "constants-json", "constants-csv",
+            "verify-theorem2", "export-function", "deficit-scan", "alpha-estimate"])
     def test_loaded_modules(self, argv, extra):
         code = "import contextlib, io, sys\nfrom sobstab.cli import main\n"
         if argv is not None:
@@ -673,7 +682,8 @@ class TestBlasThreads:
         "        if name == 'numpy' and not seen:\n"
         "            seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
         "sys.meta_path.insert(0, Watch())\n"
-        "sys.argv = ['sobstab', 'constants', '--N', '2', '--s', '1', '--kmax', '1']\n"
+        "sys.argv = ['sobstab', 'export-function', '--N', '2', '--s', '1', '--K', '2',\n"
+        "            '--profile', 'gaussian']\n"
         "try:\n"
         "    runpy.run_module({module!r}, run_name='__main__', alter_sys=True)\n"
         "except SystemExit as exc:\n"

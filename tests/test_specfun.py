@@ -6,6 +6,7 @@ import pytest
 from sobstab._util import RefusalError
 from sobstab.specfun import (
     SobolevParams,
+    ball_volume,
     eigenvalue,
     lambda1_identity_residual,
     local_constant,
@@ -13,6 +14,7 @@ from sobstab.specfun import (
     multiplicity,
     sharp_constant,
     sphere_area,
+    unit_ball_radius,
 )
 
 from conftest import PARAM_GRID, P32
@@ -160,7 +162,12 @@ class TestDoubleRange:
         (lambda: sphere_area(438),
          "|S^438| is 3.79883239546487e-309, outside the range of normal doubles"),
         (lambda: sphere_area(455), "|S^455| is 0.0, outside the range of normal doubles"),
-    ], ids=["eigenvalue", "sharp_constant", "subnormal-area", "zero-area"])
+        # ball_volume returned 0.0 and unit_ball_radius raised ZeroDivisionError
+        (lambda: ball_volume(700), "|B_1| in R^700 is 0.0, outside the range of normal doubles"),
+        (lambda: unit_ball_radius(700),
+         "|B_1| in R^700 is 0.0, outside the range of normal doubles"),
+    ], ids=["eigenvalue", "sharp_constant", "subnormal-area", "zero-area", "ball-volume",
+            "ball-radius"])
     def test_refused(self, call, message):
         with pytest.raises(RefusalError) as info:
             call()
@@ -170,6 +177,11 @@ class TestDoubleRange:
         oracle = 2 * mpmath.pi ** 219 / mpmath.gamma(219)
         assert sphere_area(437) == pytest.approx(float(oracle), rel=1e-12)
         assert math.isfinite(sharp_constant(SobolevParams(180, 179.0)))
+
+    def test_unit_ball_radius_bits(self):
+        # verify-theorem2 prints its default bump radii with repr
+        assert unit_ball_radius(2) == float.fromhex("0x1.20dd750429b6dp-1")
+        assert unit_ball_radius(3) == float.fromhex("0x1.3d9e945cf0e15p-1")
 
 
 class TestMultiplicity:

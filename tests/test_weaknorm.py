@@ -227,6 +227,12 @@ class TestConstants:
             assert wc.C0 == max(wc.C2, 1.0 / (wc.rho * math.sqrt(sharp_constant(p))))
             assert wc.C == pytest.approx(wc.C0 ** (-2.0), rel=1e-15)
 
+    @pytest.mark.parametrize("N,s", [(20, 19.9), (30, 27.0), (37, 33.3), (38, 34.2)])
+    def test_residual_as_s_nears_n(self, N, s):
+        # 1 - rho by subtraction gave -1.28e-5 at (30, 27) and ZeroDivisionError at (38, 34.2)
+        p = SobolevParams(N, s)
+        assert abs(eq_rho_residual(p, compute_constants(p))) <= 1e-12
+
     def test_rho_32_against_quadrature_oracle(self):
         # tail = |S^2| (pi/16 - int_0^1), adaptive quadrature as the oracle
         inner, _ = quad(lambda r: r * r * (1 + r * r) ** (-3.0), 0.0, 1.0)

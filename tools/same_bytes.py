@@ -14,8 +14,10 @@ the tool only reads.  Every operation whose exit code, stdout or stderr
 differ between the trees is printed, and the exit status is 1 if any
 differ.  The `--help` text of the top level and of each subcommand the
 operations run is compared the same way, and counted apart; so is a
-fixed list of refusal and usage-error calls (`ERROR_ARGVS`), paths that
-no benchmark operation takes.
+fixed list of refusal and usage-error calls (`ERROR_ARGVS`), and so are
+the `constants` text and CSV formats at the benchmark's (N, s) pairs
+(`FORMAT_ARGVS`; the operations print JSON): paths that no benchmark
+operation takes.
 
 Every operation is compared at two BLAS thread counts, since the last
 digits of large products (and LAPACK's divide-and-conquer merges) may
@@ -37,7 +39,7 @@ from pathlib import Path
 
 sys.dont_write_bytecode = True
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-from workloads import WORKLOADS, all_ops  # noqa: E402
+from workloads import PAIRS, WORKLOADS, all_ops  # noqa: E402
 
 # The variables OpenBLAS reads its thread count from; unset, it uses one thread per CPU.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -61,6 +63,8 @@ ERROR_ARGVS = [
     ["alpha-estimate", *_NS, "--seed", "1", "--K", "x"],
     ["alpha-estimate", *_NS],
 ]
+FORMAT_ARGVS = [["constants", "--N", str(N), "--s", s, "--format", fmt]
+                for N, s in PAIRS for fmt in ("text", "csv")]
 
 # Reads a JSON list of argv from stdin; writes [exit code, stdout, stderr] per argv.
 CHILD = """\
@@ -113,9 +117,10 @@ def main(argv: list[str] | None = None) -> int:
     ops = [(workload, op) for workload in WORKLOADS for op in all_ops(workload)]
     argvs = [list(op.argv) for _, op in ops]
     helps = [["--help"], *([command, "--help"] for command in dict.fromkeys(a[0] for a in argvs))]
-    runs = argvs + helps + ERROR_ARGVS
+    groups = {"help texts": helps, "error paths": ERROR_ARGVS, "constants formats": FORMAT_ARGVS}
+    runs = argvs + [argv for group in groups.values() for argv in group]
     names = ([f"{workload} {op.kind} {op.key}" for workload, op in ops]
-             + ["help"] * len(helps) + ["error path"] * len(ERROR_ARGVS))
+             + [group for group, group_argvs in groups.items() for _ in group_argvs])
     counts = []
     for label, threads in THREADS.items():
         children = [(start(tree, runs, threads), tree) for tree in (args.src_a, args.src_b)]
@@ -127,11 +132,11 @@ def main(argv: list[str] | None = None) -> int:
             if parts:
                 differ.append(name)
                 print(f"{label}: {name}: {', '.join(parts)} differ ({' '.join(argv)})")
-        n_help, n_error = differ.count("help"), differ.count("error path")
         counts.append(len(differ))
-        print(f"{label}: {len(ops)} operations, {len(differ) - n_help - n_error} differ;"
-              f" {len(helps)} help texts, {n_help} differ;"
-              f" {len(ERROR_ARGVS)} error paths, {n_error} differ", flush=True)
+        n_ops = len(differ) - sum(differ.count(group) for group in groups)
+        print(f"{label}: {len(ops)} operations, {n_ops} differ"
+              + "".join(f"; {len(group_argvs)} {group}, {differ.count(group)} differ"
+                        for group, group_argvs in groups.items()), flush=True)
     return 1 if any(counts) else 0
 
 
