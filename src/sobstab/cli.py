@@ -20,11 +20,6 @@ import json
 import sys
 from typing import TYPE_CHECKING, Optional
 
-if __name__ == "__main__":  # `python -m sobstab.cli`: before numpy loads
-    from .__main__ import use_one_blas_thread
-
-    use_one_blas_thread()
-
 # Each command imports the numerical modules it runs, so that a call
 # loads no module (numpy among them) that its command does not use.
 from ._util import PROFILE_GRAMMAR, RefusalError, fmt12, round_floats
@@ -55,11 +50,8 @@ def _json_text(obj) -> str:
     return json.dumps(round_floats(obj), indent=2) + "\n"
 
 
-_encode_jsonl = json.JSONEncoder(separators=(", ", ": ")).encode
-
-
 def _jsonl_line(obj) -> str:
-    return _encode_jsonl(round_floats(obj)) + "\n"
+    return json.dumps(round_floats(obj)) + "\n"
 
 
 def _params(args) -> SobolevParams:
@@ -340,7 +332,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.config is not None:
             values = _load_config(args.config)
             for key in values:
-                if key not in vars(args) or key == "command":
+                if key not in vars(args) or key in ("command", "config"):
                     raise _UsageError(f"{args.config}: unknown config key {key!r}")
             # Config values become flags placed right after the command, so
             # they pass the same type and choices checks as typed flags, and
@@ -370,5 +362,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
 
 
-if __name__ == "__main__":
+if __name__ == "__main__":  # `python -m sobstab.cli`; the commands load numpy in main
+    from .__main__ import use_one_blas_thread
+
+    use_one_blas_thread()
     sys.exit(main())

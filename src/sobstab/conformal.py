@@ -114,9 +114,8 @@ def pullback_to_sphere(u: RadialFunction, rule: QuadratureRule, K: int) -> Zonal
     The conformal factor ((1+r^2)/2)^((N-s)/2) equals (1+t)^(-(N-s)/2).
     """
     p = u.params
-    beta = 0.5 * (p.N - p.s)
     t = rule.nodes
-    vals = (1.0 + t) ** (-beta) * u(np.sqrt((1.0 - t) / (1.0 + t)))
+    vals = (1.0 + t) ** -p.beta * u(np.sqrt((1.0 - t) / (1.0 + t)))
     if not np.all(np.isfinite(vals)):
         raise ValueError("profile produced non-finite samples at quadrature nodes")
     return analyze(p, vals, rule, K)
@@ -126,7 +125,7 @@ def manifold_samples(params: SobolevParams, c: float, t0: float, t) -> np.ndarra
     """Pointwise values c (1 - t0 t)^(-(N-s)/2) of the axial extremizer."""
     if not abs(t0) < 1.0:
         raise ValueError(f"axial parameter must satisfy |t0| < 1, got {t0}")
-    return c * (1.0 - t0 * np.asarray(t, dtype=float)) ** (-0.5 * (params.N - params.s))
+    return c * (1.0 - t0 * np.asarray(t, dtype=float)) ** -params.beta
 
 
 def manifold_zonal(params: SobolevParams, point: ManifoldPoint,
@@ -153,10 +152,9 @@ def conformal_shift(u: ZonalFunction, t0: float, rule: QuadratureRule, K: int) -
     if not abs(t0) < 1.0:
         raise ValueError(f"axial parameter must satisfy |t0| < 1, got {t0}")
     p = u.params
-    beta = 0.5 * (p.N - p.s)
     t = rule.nodes
     tau = (t - t0) / (1.0 - t0 * t)
-    jac_q = (1.0 - t0 * t0) ** (0.5 * beta) * (1.0 - t0 * t) ** (-beta)
+    jac_q = (1.0 - t0 * t0) ** (0.5 * p.beta) * (1.0 - t0 * t) ** -p.beta
     return analyze(p, jac_q * synthesize(u, tau), rule, K)
 
 
@@ -165,7 +163,7 @@ def dilate(u: RadialFunction, lam: float) -> RadialFunction:
     if not lam > 0:
         raise ValueError(f"dilation parameter must be positive, got {lam}")
     p = u.params
-    mu = lam ** (2.0 / (p.N - p.s))
+    mu = lam ** (1.0 / p.beta)
     return RadialFunction(
         params=p,
         profile=lambda r: lam * u.profile(mu * r),
@@ -203,9 +201,9 @@ def extremizer_profile(params: SobolevParams, scale: float = 1.0) -> RadialFunct
     """Rescaled extremizer scale * (1 + (scale^(2/(N-s)) r)^2)^(-(N-s)/2)."""
     if not scale > 0:
         raise ValueError("extremizer scale must be positive")
-    beta = 0.5 * (params.N - params.s)
-    mu = scale ** (2.0 / (params.N - params.s))
-    return RadialFunction(params, lambda r: scale * (1.0 + (mu * r) ** 2) ** (-beta),
+    beta = params.beta
+    mu = scale ** (1.0 / beta)
+    return RadialFunction(params, lambda r: scale * (1.0 + (mu * r) ** 2) ** -beta,
                           name=f"extremizer:{scale:g}")
 
 

@@ -157,11 +157,9 @@ class _AxialTable:
     `at(t0) -> (g, gg)` serves the golden-section search: its brackets
     start at grid points, so most t0 values recur; it keeps the most
     recent rows up to _MEMO_BYTES of g (2,016 rows at K = 64, 340 at
-    K = 384).  Every row and norm comes from the same expression, built
-    in per-table scratch with the operations, in the order, of
-    `g = weighted_basis @ (1 - t0 t)**(-beta)` and `lam @ (g * g)`, so a
-    table must not be shared between threads.  Every g is a new array,
-    and all arrays are read-only.
+    K = 384).  Every row is the plain expression
+    `weighted_basis @ (1 - t t0)**(-beta)` and its norm `lam @ (g * g)`.
+    Every g is a new array, and all arrays are read-only.
     """
 
     def __init__(self, rule: QuadratureRule, K: int, p: SobolevParams) -> None:
@@ -169,28 +167,19 @@ class _AxialTable:
         lam = self.lam = lambdas(p, K)
         weighted_basis = rule.basis(K) * rule.weights
         t = rule.nodes
-        beta = 0.5 * (p.N - p.s)
-
-        power = np.empty_like(t)
-        square = np.empty(K + 1)
-        basis_dot, lam_dot = weighted_basis.dot, lam.dot
+        beta = p.beta
 
         def extremizer(t0: float) -> tuple[np.ndarray, float]:
-            nonlocal power  # `**=` rebinds it, to the same array
-            np.multiply(t, t0, out=power)
-            np.subtract(1.0, power, out=power)
-            power **= -beta  # not np.power: ** keeps the fast scalar powers
-            g = basis_dot(power)
+            g = weighted_basis.dot((1.0 - t * t0) ** -beta)
             g.setflags(write=False)
-            np.multiply(g, g, out=square)
-            return g, float(lam_dot(square))
+            return g, float(lam.dot(g * g))
 
         rows = [extremizer(x) for x in _T0_BOUNDS]
         self.G = np.array([g for g, _ in rows])
         self.gg = np.array([norm for _, norm in rows])
         self.G.setflags(write=False)
         self.gg.setflags(write=False)
-        self.at = lru_cache(maxsize=_MEMO_BYTES // square.nbytes)(extremizer)
+        self.at = lru_cache(maxsize=_MEMO_BYTES // (8 * (K + 1)))(extremizer)
 
 
 def distance(u: ZonalFunction, rule: QuadratureRule,

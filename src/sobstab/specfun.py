@@ -78,8 +78,10 @@ def sphere_area(n: int) -> float:
 class SobolevParams:
     """Dimension N and order s, with 0 < s < N.
 
-    The critical exponent q = 2N/(N-s) is always recomputed from (N, s),
-    never stored, so it can not drift out of sync.
+    The critical exponent q = 2N/(N-s) and the extremizer exponent
+    beta = (N-s)/2 (the optimizers are c (1 - t0 t)^(-beta) on S^N) are
+    always recomputed from (N, s), never stored, so they can not drift
+    out of sync.
     """
 
     N: int
@@ -96,6 +98,11 @@ class SobolevParams:
     def q(self) -> float:
         """Critical exponent 2N/(N-s); strictly greater than 2."""
         return 2.0 * self.N / (self.N - self.s)
+
+    @property
+    def beta(self) -> float:
+        """Extremizer exponent (N-s)/2, rounded once: halving a double is exact."""
+        return 0.5 * (self.N - self.s)
 
 
 def sharp_constant(p: SobolevParams) -> float:
@@ -219,7 +226,7 @@ def compute_constants(p: SobolevParams) -> WeakNormConstants:
     x = checked("the L^q tail", tail) ** (1.0 / q) * sq_s
     r0 = checked("r0", unit_ball_radius(N))
     rho = checked("rho", x / (1.0 + x))
-    c1 = checked("C1", sq_s / (1.0 + x) * (2.0 * r0 * r0) ** (-0.5 * (N - s)))
+    c1 = checked("C1", sq_s / (1.0 + x) * (2.0 * r0 * r0) ** -p.beta)
     u_weak = checked("the extremizer's weak norm", extremizer_weak_norm(p))
     c2 = checked("C2", (1.0 + rho) / c1 * u_weak + 1.0 / sq_s)
     c0 = checked("C0", max(c2, 1.0 / (rho * sq_s)))

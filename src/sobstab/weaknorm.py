@@ -89,7 +89,7 @@ def extremizer_tail_lq(p: SobolevParams, lam: float, r0: float) -> float:
     if not (lam > 0 and r0 > 0):
         raise ValueError("lam and r0 must be positive")
     N = p.N
-    a = lam ** (2.0 / (N - p.s)) * r0
+    a = lam ** (1.0 / p.beta) * r0
     half = 0.5 * math.atan(1.0 / a)
     gl_x, gl_w = _gl_nodes(64)
     psi = half * (1.0 + gl_x)
@@ -98,12 +98,13 @@ def extremizer_tail_lq(p: SobolevParams, lam: float, r0: float) -> float:
 
 
 def eq_rho_residual(p: SobolevParams, constants: WeakNormConstants) -> float:
-    """Residual rho - x/(1+x), x = tail^(1/q) sqrt(S), of rho's equation solved for rho.
+    """Residual (rho - x/(1+x)) / rho, x = tail^(1/q) sqrt(S), of rho's equation solved for rho.
 
-    The tail is by quadrature; no 1 - rho cancels as s -> N.
+    Relative to rho, so it checks rho's digits where rho is tiny (4.8e-34
+    at (100, 1)).  The tail is by quadrature; no 1 - rho cancels as s -> N.
     """
     x = extremizer_tail_lq(p, 1.0, 1.0) ** (1.0 / p.q) * math.sqrt(sharp_constant(p))
-    return constants.rho - x / (1.0 + x)
+    return (constants.rho - x / (1.0 + x)) / constants.rho
 
 
 def radial_cells(u: RadialFunction, n_cells: int = 2048,

@@ -489,6 +489,15 @@ class TestConfigFile:
         assert out == ""
         assert err == f"error: {cfg}: unknown config key 'kmaxx'\n"
 
+    def test_config_key_config_is_refused(self, tmp_path, capsys):
+        # a file cannot name another file, so the key names no option
+        cfg = tmp_path / "nested.cfg"
+        cfg.write_text(f"config={tmp_path / 'other.cfg'}\nkmax=2\n")
+        code, out, err = run(["constants", "--N", "3", "--s", "2", "--config", str(cfg)],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}: unknown config key 'config'\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
         code, out, err = run(["eigenvalues", "--N", "3", "--s", "2", "--config",

@@ -4,7 +4,9 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -555,6 +557,36 @@ class TestSharedExtremizerTable:
             g, g_norm = table.at(t0)
             assert np.array_equal(row, g) and norm == g_norm
 
+    def test_threads_may_share_a_table(self):
+        # At M = 770 numpy's ufuncs release the GIL, so the threads' row
+        # builds interleave; a table holds no state they could share.
+        p = SobolevParams(5, 0.5)
+        cfg = ScanConfig(seed=3, K=384, eps_grid=(1e-2,), n_normal=0, n_random=2,
+                         bubble_t0=(0.5,))
+        rule = gauss_jacobi_rule(p.N, cfg.rule_size)
+        members = [u for _, _, u in scan_members(p, cfg)]
+        alone = [stability_ratio(u, rule) for u in members]
+        table = _AxialTable(rule, cfg.K, p)
+        n = len(members)
+        orders = [[(i + shift) % n for i in range(n)] * 2 for shift in (0, 2, 4)]
+        start = threading.Barrier(len(orders), timeout=60)
+
+        def reports(order):
+            start.wait()
+            return [(i, stability_ratio(members[i], rule, table)) for i in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+                runs = [pool.submit(reports, order) for order in orders]
+                shared = [pair for run in runs for pair in run.result(timeout=60)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(shared) == 2 * n * len(orders)
+        for i, report in shared:
+            assert report == alone[i], i
+
     def test_table_is_keyed_by_degree_and_parameters(self, rule32):
         u = smooth_random_zonal(P32, np.random.default_rng(11), K=64, offset=1.0)
         assert distance(u, rule32, _AxialTable(rule32, 64, SobolevParams(3, 2.0))) \
@@ -589,9 +621,9 @@ def unit_normal_directions(p, cfg):
 
 
 class TestBitIdenticalArithmetic:
-    # The scan builds each near-manifold member in one array and each
-    # extremizer row with in-place ufuncs; both must equal the plain
-    # expressions bit for bit, the sign of every zero included.
+    # The scan builds each near-manifold member in one array, and each
+    # extremizer row with the exponent SobolevParams.beta; both must equal
+    # the plain expressions bit for bit, the sign of every zero included.
 
     @pytest.mark.parametrize("K", [64, 384])
     @pytest.mark.parametrize("N, s", BENCH_PAIRS)

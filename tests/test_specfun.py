@@ -79,6 +79,13 @@ class TestSobolevParams:
         for p in PARAM_GRID:
             assert p.q > 2.0
 
+    def test_beta_gives_the_bits_of_the_spelled_out_exponents(self):
+        # halving is exact, so each exponent rounds where its spelled-out form does
+        for p in PARAM_GRID + [SobolevParams(38, 34.2), SobolevParams(300, 1.0)]:
+            assert p.beta == 0.5 * (p.N - p.s)
+            assert -p.beta == -0.5 * (p.N - p.s)
+            assert 1.0 / p.beta == 2.0 / (p.N - p.s)
+
 
 class TestSharpConstant:
     def test_hand_reduced_closed_forms(self):

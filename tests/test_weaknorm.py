@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -232,6 +233,16 @@ class TestConstants:
         # 1 - rho by subtraction gave -1.28e-5 at (30, 27) and ZeroDivisionError at (38, 34.2)
         p = SobolevParams(N, s)
         assert abs(eq_rho_residual(p, compute_constants(p))) <= 1e-12
+
+    @pytest.mark.parametrize("N", [24, 100])
+    def test_residual_is_relative_to_rho(self, N):
+        # rho is 1.3e-4 at (24, 1) and 4.8e-34 at (100, 1): an absolute
+        # residual of a 1e-9 relative error reads 1.3e-13 and 4.8e-43
+        p = SobolevParams(N, 1.0)
+        wc = compute_constants(p)
+        planted = dataclasses.replace(wc, rho=wc.rho * (1.0 + 1e-9))
+        assert abs(eq_rho_residual(p, wc)) <= 1e-12
+        assert abs(eq_rho_residual(p, planted)) > 1e-12
 
     def test_rho_32_against_quadrature_oracle(self):
         # tail = |S^2| (pi/16 - int_0^1), adaptive quadrature as the oracle

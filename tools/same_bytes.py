@@ -17,7 +17,10 @@ operations run is compared the same way, and counted apart; so is a
 fixed list of refusal and usage-error calls (`ERROR_ARGVS`), and so are
 the `constants` text and CSV formats at the benchmark's (N, s) pairs
 (`FORMAT_ARGVS`; the operations print JSON): paths that no benchmark
-operation takes.
+operation takes.  Last, since the in-process runs bypass the modules'
+`__main__` blocks, `python -m sobstab.cli` and `python -m sobstab` each
+run one command that loads numpy (`ENTRY_ARGV`) as a child process in
+the tree's `src`, and are compared and counted the same way.
 
 Every operation is compared at two BLAS thread counts, since the last
 digits of large products (and LAPACK's divide-and-conquer merges) may
@@ -63,6 +66,8 @@ ERROR_ARGVS = [
     ["alpha-estimate", *_NS, "--seed", "1", "--K", "x"],
     ["alpha-estimate", *_NS],
 ]
+ENTRY_ARGV = ["export-function", "--N", "2", "--s", "1", "--K", "2", "--profile", "gaussian"]
+ENTRY_MODULES = ("sobstab.cli", "sobstab")
 FORMAT_ARGVS = [["constants", "--N", str(N), "--s", s, "--format", fmt]
                 for N, s in PAIRS for fmt in ("text", "csv")]
 
@@ -88,14 +93,18 @@ json.dump(results, sys.stdout)
 """
 
 
+def child_env(threads: dict) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", *BLAS_THREAD_VARS)}
+    env.update(threads, PYTHONDONTWRITEBYTECODE="1")
+    return env
+
+
 def start(tree: Path, argvs: list[list[str]], threads: dict) -> subprocess.Popen:
     src = tree / "src"
     if not (src / "sobstab").is_dir():
         raise SystemExit(f"{tree} has no src/sobstab")
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", *BLAS_THREAD_VARS)}
-    env.update(threads, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.Popen([sys.executable, "-c", CHILD, str(src)], stdin=subprocess.PIPE,
-                            stdout=subprocess.PIPE, text=True, env=env)
+                            stdout=subprocess.PIPE, text=True, env=child_env(threads))
     proc.stdin.write(json.dumps(argvs))
     proc.stdin.close()
     return proc
@@ -106,6 +115,17 @@ def finish(proc: subprocess.Popen, tree: Path) -> list:
     if proc.wait() != 0:
         raise SystemExit(f"the child for {tree} exited with code {proc.returncode}")
     return json.loads(text)
+
+
+def entry_points(tree: Path, threads: dict) -> list:
+    """[exit code, stdout, stderr] of `python -m MODULE ENTRY_ARGV` per ENTRY_MODULES.
+
+    Run in the tree's `src`, which `-m` puts first on the module path.
+    """
+    procs = [subprocess.run([sys.executable, "-m", module, *ENTRY_ARGV], cwd=tree / "src",
+                            capture_output=True, text=True, env=child_env(threads))
+             for module in ENTRY_MODULES]
+    return [[proc.returncode, proc.stdout, proc.stderr] for proc in procs]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -119,14 +139,16 @@ def main(argv: list[str] | None = None) -> int:
     helps = [["--help"], *([command, "--help"] for command in dict.fromkeys(a[0] for a in argvs))]
     groups = {"help texts": helps, "error paths": ERROR_ARGVS, "constants formats": FORMAT_ARGVS}
     runs = argvs + [argv for group in groups.values() for argv in group]
+    # the entry points run apart from the child, after its runs
+    groups["entry points"] = [["-m", module, *ENTRY_ARGV] for module in ENTRY_MODULES]
     names = ([f"{workload} {op.kind} {op.key}" for workload, op in ops]
              + [group for group, group_argvs in groups.items() for _ in group_argvs])
     counts = []
     for label, threads in THREADS.items():
         children = [(start(tree, runs, threads), tree) for tree in (args.src_a, args.src_b)]
-        a, b = (finish(proc, tree) for proc, tree in children)
+        a, b = (finish(proc, tree) + entry_points(tree, threads) for proc, tree in children)
         differ = []
-        for name, argv, left, right in zip(names, runs, a, b):
+        for name, argv, left, right in zip(names, runs + groups["entry points"], a, b):
             parts = [part for part, x, y in zip(("exit code", "stdout", "stderr"), left, right)
                      if x != y]
             if parts:
