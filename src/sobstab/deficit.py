@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
 
-from ._util import RefusalError, fmt12, golden_section_min
+from ._util import _INVPHI, _INVPHI2, RefusalError, fmt12
 from .conformal import ManifoldPoint, manifold_samples
 from .specfun import SobolevParams, local_constant, sharp_constant
 from .zonal import (
@@ -61,10 +60,9 @@ _T0_TOL = 1e-10
 _T0_GRID = np.array(sorted({*np.linspace(-T0_CAP, T0_CAP, 49).tolist(),
                             -0.8, -0.4, 0.0, 0.4, 0.8}))
 _T0_GRID.setflags(write=False)
-_T0_BOUNDS = tuple(_T0_GRID.tolist())  # the bracket bounds as floats
-_MEMO_BYTES = 2**20  # bound on the g rows an extremizer table memoizes
 _RANDOM_DECAY = 0.75  # random members' degree-k coefficients scale as _RANDOM_DECAY**k
 _SANDWICH_SLACK = 1e-9  # roundoff allowed in 0 <= Psi <= d^2, relative to ||u||_*^2
+_GAP_EPS = 1e-2  # local:e2 members up to this eps must have a ratio below local_constant
 
 
 @dataclass(frozen=True)
@@ -154,36 +152,80 @@ class _AxialTable:
     table, which `run_scan` builds and drops with the scan.  `G` and `gg`
     hold the stacked g rows of the t0 grid and their norms, so that one
     product G @ (lam * coeffs) scores a member's whole grid.
-    `at(t0) -> (g, gg)` serves the golden-section search: its brackets
-    start at grid points, so most t0 values recur; it keeps the most
-    recent rows up to _MEMO_BYTES of g (2,016 rows at K = 64, 340 at
-    K = 384).  Every row is the plain expression
+    `rows(t0s) -> (g, gg)` builds the rows of any t0 values in one batch;
+    each row is bit for bit the plain expression
     `weighted_basis @ (1 - t t0)**(-beta)` and its norm `lam @ (g * g)`.
-    Every g is a new array, and all arrays are read-only.
+    A table keeps no rows but the grid's, and all its arrays are read-only.
     """
 
     def __init__(self, rule: QuadratureRule, K: int, p: SobolevParams) -> None:
         self.key = (rule, K, p)
-        lam = self.lam = lambdas(p, K)
-        weighted_basis = rule.basis(K) * rule.weights
-        t = rule.nodes
-        beta = p.beta
+        self.lam = lambdas(p, K)
+        self._weighted_basis = rule.basis(K) * rule.weights
+        self._nodes = rule.nodes
+        self._beta = p.beta
+        self.G, self.gg = self.rows(_T0_GRID)
 
-        def extremizer(t0: float) -> tuple[np.ndarray, float]:
-            g = weighted_basis.dot((1.0 - t * t0) ** -beta)
-            g.setflags(write=False)
-            return g, float(lam.dot(g * g))
+    def rows(self, t0s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Stacked products: np.matmul runs one GEMV per row and one dot per
+        # norm, the BLAS calls of the 1-D expressions; a 2-D `G @ lam`
+        # would be one GEMV over all rows and round differently.
+        power = (1.0 - self._nodes * t0s[:, None]) ** -self._beta
+        g = np.matmul(self._weighted_basis, power[:, :, None])[:, :, 0]
+        gg = np.matmul(self.lam, (g * g)[:, :, None])[:, 0]
+        g.setflags(write=False)
+        gg.setflags(write=False)
+        return g, gg
 
-        rows = [extremizer(x) for x in _T0_BOUNDS]
-        self.G = np.array([g for g, _ in rows])
-        self.gg = np.array([norm for _, norm in rows])
-        self.G.setflags(write=False)
-        self.gg.setflags(write=False)
-        self.at = lru_cache(maxsize=_MEMO_BYTES // (8 * (K + 1)))(extremizer)
+
+def _golden_lockstep(table: _AxialTable, lam_coeffs: np.ndarray, owner: np.ndarray,
+                     a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimize -<u,g_{t0}>_*^2 / ||g_{t0}||_*^2 on every bracket [a, b] at once.
+
+    Bracket j belongs to the member whose lam * coeffs is the row
+    lam_coeffs[owner[j]].  Every bracket takes exactly the steps of
+    `_util.golden_section_min` with tol=_T0_TOL, in the same float
+    operations, so NaN goes right and each bracket stops on its own; the
+    brackets only share each round's row builds, one per distinct t0.
+    Returns a (4, n) array: per bracket the final t0, its value,
+    <u,g>_* and ||g||_*^2.
+    """
+
+    def evaluate(x, members):
+        # (t0, value, <u,g>_*, ||g||_*^2) at the points x, stacked as rows;
+        # with return_inverse, np.unique leaves numpy.ma unimported
+        distinct, index = np.unique(x, return_inverse=True)
+        g, gg = table.rows(distinct)
+        g, gg = g[index], gg[index]
+        ug = np.matmul(lam_coeffs[members][:, None, :], g[:, :, None])[:, 0, 0]
+        return np.stack((x, -(ug * ug / gg), ug, gg))
+
+    n = a.size
+    h = b - a
+    both = evaluate(np.concatenate((a + _INVPHI2 * h, a + _INVPHI * h)),
+                    np.concatenate((owner, owner)))
+    c, d = both[:, :n], both[:, n:]
+    best = np.empty((4, n))
+    live = np.arange(n)
+    while live.size:
+        done = ~(h > _T0_TOL)
+        if done.any():
+            best[:, live[done]] = np.where(c[1] < d[1], c, d)[:, done]
+            keep = ~done
+            live, owner, a, b, h, c, d = (live[keep], owner[keep], a[keep], b[keep],
+                                          h[keep], c[:, keep], d[:, keep])
+            continue
+        # fc < fd: b, d, fd = d, c, fc and c is new; else a, c, fc = c, d, fd and d is new
+        left = c[1] < d[1]
+        a, b = np.where(left, a, c[0]), np.where(left, d[0], b)
+        h = b - a
+        new = evaluate(a + np.where(left, _INVPHI2, _INVPHI) * h, owner)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+    return best
 
 
-def distance(u: ZonalFunction, rule: QuadratureRule,
-             table: _AxialTable | None = None) -> tuple[float, Optional[ManifoldPoint]]:
+def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
+             table: _AxialTable | None = None):
     """Distance from u to the axial extremizer family in ||.||_*.
 
     The amplitude is eliminated in closed form (c* = <u,g>/||g||^2),
@@ -194,68 +236,72 @@ def distance(u: ZonalFunction, rule: QuadratureRule,
     for the distance to the full manifold.  The zero function sits in the
     closure of the family: (0.0, None).
 
+    `u` is one member or a list of members that share K and (N, s) (else
+    ValueError).  A list returns (float64 array of d, list of nearest) in
+    member order, and every member's result equals its lone call's bit
+    for bit: the brackets of all members are refined in lockstep, and
+    each round builds the rows of its distinct t0 values in one batch.
+
     The extremizer side (g_{t0} in the weighted basis and its norm) comes
-    from `table`, which must be built for this rule, u.K and u.params; a
-    call without one builds its own.  Per call only <u,g>_* is computed.
+    from `table`, which must be built for this rule, K and (N, s); a call
+    without one builds its own.  Per member only <u,g>_* is computed.
     The grid is scored by one product with the stacked grid rows, and
     those values only choose the brackets: every value the golden-section
     search compares, and the returned (d, c, t0), come from the per-point
     product lam_coeffs @ g, so the result does not depend on how the grid
     product rounds.
     """
+    members = [u] if isinstance(u, ZonalFunction) else list(u)
+    if not members:
+        raise ValueError("distance needs at least one member")
+    K, p = members[0].K, members[0].params
+    if any(v.K != K or v.params != p for v in members):
+        raise ValueError("a batch of members must share K and (N, s)")
     if table is None:
-        table = _AxialTable(rule, u.K, u.params)
-    elif table.key != (rule, u.K, u.params):
+        table = _AxialTable(rule, K, p)
+    elif table.key != (rule, K, p):
         raise ValueError("extremizer table was built for another rule, K or (N, s)")
-    ns2 = norm_star(u) ** 2
-    if ns2 == 0.0:
-        return 0.0, None
-    at = table.at
-    lam_coeffs = table.lam * u.coeffs
-    dot = lam_coeffs.dot
-
-    def neg_projection(t0: float) -> float:
-        # -<u,g>_*^2 / ||g||_*^2 at g = g_{t0}
-        g, norm = at(t0)
-        ug = float(dot(g))
-        return -(ug * ug / norm)
-
-    ug = table.G @ lam_coeffs
-    values = ug * ug / table.gg
-    padded = np.concatenate(([-math.inf], values, [-math.inf]))
-    peaks = ~((values < padded[:-2]) | (values < padded[2:]))  # local maxima
-    last = len(_T0_BOUNDS) - 1
-    projection, t0_best = -math.inf, None
-    for i in np.flatnonzero(peaks).tolist():
-        t0, neg = golden_section_min(neg_projection, _T0_BOUNDS[max(i - 1, 0)],
-                                     _T0_BOUNDS[min(i + 1, last)], tol=_T0_TOL)
-        if -neg > projection:
-            projection, t0_best = -neg, t0
-    d = math.sqrt(max(ns2 - projection, 0.0))
-    if t0_best is None:
-        return d, None
-    g, norm = at(t0_best)
-    c_best = float(dot(g)) / norm
-    nearest = None if c_best == 0.0 else ManifoldPoint(c_best, t0_best)
-    return d, nearest
+    ns2 = [norm_star(v) ** 2 for v in members]
+    ds, nearest = [0.0] * len(members), [None] * len(members)
+    live = [i for i, x in enumerate(ns2) if x != 0.0]
+    if live:
+        lam_coeffs = table.lam * np.array([members[i].coeffs for i in live])
+        ug = np.matmul(table.G, lam_coeffs[:, :, None])[:, :, 0]
+        values = ug * ug / table.gg
+        edge = np.full((len(live), 1), -math.inf)
+        padded = np.hstack((edge, values, edge))
+        peaks = ~((values < padded[:, :-2]) | (values < padded[:, 2:]))  # local maxima
+        owner, i = np.nonzero(peaks)  # by member, then by ascending t0
+        t0s, negs, ugs, ggs = _golden_lockstep(
+            table, lam_coeffs, owner, _T0_GRID[np.maximum(i - 1, 0)],
+            _T0_GRID[np.minimum(i + 1, _T0_GRID.size - 1)]).tolist()
+        found = [(-math.inf, None)] * len(live)  # (projection, bracket) per member
+        for j, member in enumerate(owner.tolist()):
+            if -negs[j] > found[member][0]:
+                found[member] = (-negs[j], j)
+        for member, (projection, j) in zip(live, found):
+            ds[member] = math.sqrt(max(ns2[member] - projection, 0.0))
+            if j is not None:
+                c_best = ugs[j] / ggs[j]
+                nearest[member] = None if c_best == 0.0 else ManifoldPoint(c_best, t0s[j])
+    if isinstance(u, ZonalFunction):
+        return ds[0], nearest[0]
+    return np.array(ds), nearest
 
 
-def stability_ratio(u: ZonalFunction, rule: QuadratureRule,
-                    table: _AxialTable | None = None) -> DeficitReport:
-    """Full deficit report with ratio = Psi / d^2; errors out on the manifold.
-
-    The ratio never exceeds 1 (up to quadrature slack): the first half of
-    the two-sided stability bound, which only strengthens when d is the
-    axial upper bound.  `table` is passed on to `distance`.  Raises
-    RefusalError, before the search, when ||u||_*^2, |u|_q or Psi
-    overflows; a finite ||u||_*^2 makes every coefficient, and d, finite.
-    """
-    ns2, lq, psi = _deficit_parts(u, rule)
-    for name, value in (("norm_star_sq", ns2), ("lq_norm", lq), ("deficit", psi)):
+def _finite_parts(u, rule):
+    # _deficit_parts, refused (RefusalError) when any part overflows; a
+    # finite ||u||_*^2 makes every coefficient, and d, finite
+    parts = _deficit_parts(u, rule)
+    for name, value in zip(("norm_star_sq", "lq_norm", "deficit"), parts):
         if not math.isfinite(value):
             raise RefusalError(f"{name} is {value}: the member's norms overflow double "
                                "precision, so no stability ratio is defined")
-    d, nearest = distance(u, rule, table)
+    return parts
+
+
+def _report(ns2, lq, psi, d, nearest) -> DeficitReport:
+    # The report of one member's parts and distance; OnManifoldError on the manifold
     if d <= 1e-9 * math.sqrt(ns2):
         raise OnManifoldError(
             f"distance {d:.3e} is below the on-manifold threshold; ratio undefined")
@@ -269,6 +315,21 @@ def stability_ratio(u: ZonalFunction, rule: QuadratureRule,
         ratio=psi / (d * d),
         boundary_hit=boundary,
     )
+
+
+def stability_ratio(u: ZonalFunction, rule: QuadratureRule,
+                    table: _AxialTable | None = None) -> DeficitReport:
+    """Full deficit report with ratio = Psi / d^2; errors out on the manifold.
+
+    The ratio never exceeds 1 (up to quadrature slack): the first half of
+    the two-sided stability bound, which only strengthens when d is the
+    axial upper bound.  `table` is passed on to `distance`.  Raises
+    RefusalError, before the search, when ||u||_*^2, |u|_q or Psi
+    overflows; a finite ||u||_*^2 makes every coefficient, and d, finite.
+    `run_scan` builds its reports with the same checks and helper.
+    """
+    parts = _finite_parts(u, rule)
+    return _report(*parts, *distance(u, rule, table))
 
 
 # --- seeded stability scans ---
@@ -408,26 +469,36 @@ class ScanResult:
 def run_scan(p: SobolevParams, cfg: ScanConfig) -> ScanResult:
     """Evaluate every scan member and reduce to the minimum stability ratio.
 
-    Members are generated in a fixed RNG order, evaluated one after the
-    other and reduced in member order.  They share one extremizer table,
-    which lives as long as the scan.  Raises OnManifoldError when every
-    member lies on the manifold, and RefusalError when a member's numbers
-    overflow (naming it) or, unless `violation` is set, alpha_hat <= 0.
+    Members are generated in a fixed RNG order.  Their deficit parts come
+    first; then one `distance` call searches all members in lockstep with
+    one extremizer table, which lives as long as the scan; reports are
+    reduced in member order.  Raises OnManifoldError when every member
+    lies on the manifold, and RefusalError when a member's numbers
+    overflow (naming it, before any search) or, unless `violation` is set,
+    alpha_hat <= 0, or a `local:e2` member at eps <= _GAP_EPS (N >= 2)
+    has a ratio of at least local_constant: König's strict gap puts the
+    ratio below it, so the scan cannot resolve alpha at that eps.
     """
     rule = gauss_jacobi_rule(p.N, cfg.rule_size)
     members = list(scan_members(p, cfg))
     table = _AxialTable(rule, cfg.K, p)
-    entries = []
-    # an overflowing member is refused by stability_ratio, not warned about by numpy
+    parts = []
+    # an overflowing member is refused by _finite_parts, not warned about by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        for idx, (family, label, u) in enumerate(members):
+        for _, label, u in members:
             try:
-                report = stability_ratio(u, rule, table)
-            except OnManifoldError:
-                report = None
+                parts.append(_finite_parts(u, rule))
             except RefusalError as exc:
                 raise RefusalError(f"member {label}: {exc}") from None
-            entries.append((idx, family, label, report))
+        ds, nearest = distance([u for *_, u in members], rule, table)
+    entries = []
+    for idx, ((family, label, _), part, d, near) in enumerate(
+            zip(members, parts, ds.tolist(), nearest)):
+        try:
+            report = _report(*part, d, near)
+        except OnManifoldError:
+            report = None
+        entries.append((idx, family, label, report))
 
     ratios = [report.ratio for *_, report in entries if report is not None]
     if not ratios:
@@ -442,8 +513,18 @@ def run_scan(p: SobolevParams, cfg: ScanConfig) -> ScanResult:
         n_skipped=len(entries) - len(ratios),
         seed=cfg.seed,
     )
-    if result.alpha_hat <= 0.0 and not result.violation:
+    if result.violation:
+        return result
+    if result.alpha_hat <= 0.0:
         raise RefusalError(
             f"minimum stability ratio is {fmt12(result.alpha_hat)}: a member's deficit "
             "rounds to zero, so alpha > 0 cannot be resolved; raise the smallest --eps")
+    gap = ({f"local:e2:eps={eps:g}" for eps in cfg.eps_grid if eps <= _GAP_EPS}
+           if p.N >= 2 else set())
+    for _, _, label, report in entries:
+        if label in gap and report is not None and not report.ratio < result.local_constant:
+            raise RefusalError(
+                f"member {label}: stability ratio {fmt12(report.ratio)} is not below "
+                f"local_constant {fmt12(result.local_constant)}, where the strict gap puts "
+                "it, so alpha cannot be resolved at this eps; raise the smallest --eps")
     return result

@@ -299,6 +299,17 @@ class TestScanCommands:
         assert out == ""
         assert err.startswith("refused: scan produced no usable members")
 
+    def test_strict_gap_break_is_refused(self, capsys):
+        # König: for N >= 2 the e2 ratio lies strictly below local_constant
+        # at small eps.  At (8, 3.3), eps = 1e-4 the d/Psi cancellation lifts
+        # it above, and this scan used to exit 0 with alpha_hat 0.496384391486
+        code, out, err = run(["deficit-scan", "--N", "8", "--s", "3.3", "--seed", "1",
+                              "--K", "384", "--eps", "1e-4", "--n-normal", "0",
+                              "--n-random", "0", "--bubbles", ""], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("refused: member local:e2:eps=0.0001: stability ratio "
+                              "0.496384391486 is not below local_constant 0.496240601504")
+
     @pytest.mark.parametrize("flags, reason", [
         # one overflowing member among finite ones used to print NaN and exit 0
         (["--eps", "1e300,0.1", "--n-normal", "0", "--n-random", "0", "--bubbles", "",

@@ -21,7 +21,6 @@ from sobstab.deficit import (
     ScanConfig,
     ScanResult,
     _RANDOM_DECAY,
-    _T0_BOUNDS,
     _T0_GRID,
     _T0_TOL,
     _AxialTable,
@@ -396,12 +395,34 @@ class TestScans:
         # for the caller to report, not a refusal
         broken = DeficitReport(norm_star_sq=1.0, lq_norm=1.0, deficit=-0.5, distance=0.5,
                                nearest=None, ratio=-2.0)
-        monkeypatch.setattr(deficit_module, "stability_ratio", lambda u, rule, table: broken)
+        monkeypatch.setattr(deficit_module, "_report", lambda *parts: broken)
         cfg = ScanConfig(seed=1, K=8, n_normal=0, n_random=1, eps_grid=(), normal_modes=(),
                          bubble_t0=())
         result = run_scan(P32, cfg)
         assert result.violation
         assert result.alpha_hat == -2.0
+
+    def test_strict_gap_holds_on_the_benchmark_shapes(self):
+        # König: for N >= 2 the e2 ratio lies strictly below local_constant
+        # at small eps; the benchmark's shapes resolve it, so none is refused
+        for N, s in BENCH_PAIRS:
+            p = SobolevParams(N, s)
+            for K in (32, 64, 384):
+                cfg = ScanConfig(seed=1, K=K, n_normal=0, n_random=0, bubble_t0=(),
+                                 normal_modes=(2,), eps_grid=(1e-2, 1e-3))
+                result = run_scan(p, cfg)
+                for _, _, label, report in result.entries:
+                    assert report.ratio < result.local_constant, (N, s, K, label)
+
+    def test_strict_gap_comes_after_a_violation(self, monkeypatch):
+        # a broken sandwich is reported (exit 4) before the gap is judged
+        broken = DeficitReport(norm_star_sq=1.0, lq_norm=1.0, deficit=2.0, distance=0.5,
+                               nearest=None, ratio=8.0)
+        monkeypatch.setattr(deficit_module, "_report", lambda *parts: broken)
+        cfg = ScanConfig(seed=1, K=8, n_normal=0, n_random=0, eps_grid=(1e-3,),
+                         normal_modes=(2,), bubble_t0=())
+        result = run_scan(P32, cfg)
+        assert result.violation and result.alpha_hat == 8.0
 
     @pytest.mark.parametrize("psi, violation", [
         (0.0, False), (0.25, False), (-1e-10, False), (0.25 + 1e-10, False),
@@ -457,8 +478,8 @@ class TestScans:
 
 class TestSharedExtremizerTable:
     # The members of a scan share g_{t0} and ||g_{t0}||_*^2 through one
-    # _AxialTable that run_scan builds; sharing must not change a single
-    # bit of any report.
+    # _AxialTable that run_scan builds and one lockstep distance call;
+    # sharing must not change a single bit of any report.
     CFG = ScanConfig(seed=7, n_normal=2, n_random=3, bubble_t0=(0.5, 0.8))
     ON_MANIFOLD = ScanConfig(seed=1, eps_grid=(1e-12,), normal_modes=(2,),
                              n_normal=0, n_random=0, bubble_t0=())
@@ -474,51 +495,66 @@ class TestSharedExtremizerTable:
 
     def test_scan_passes_one_table_to_distance(self, monkeypatch):
         # Wrappers of the module binding `distance` (the benchmark's spans
-        # and planted errors) see (u, rule, table) as three positionals.
+        # and planted errors) see one call with (members, rule, table) as
+        # three positionals, and what they return is what the scan reports.
         calls = []
         original = deficit_module.distance
 
         def spy(*args, **kwargs):
-            calls.append((args, kwargs))
-            return original(*args, **kwargs)
+            d, nearest = original(*args, **kwargs)
+            calls.append((args, kwargs, d))
+            return d, nearest
 
         monkeypatch.setattr(deficit_module, "distance", spy)
-        run_scan(P32, self.CFG)
-        assert len(calls) == self.CFG.n_members
-        table = calls[0][0][2]
-        assert isinstance(table, _AxialTable)
-        for args, kwargs in calls:
-            assert len(args) == 3 and not kwargs
-            assert args[2] is table
+        base = run_scan(P32, self.CFG)
+        assert len(calls) == 1
+        (members, rule, table), kwargs, d = calls[0]
+        assert not kwargs and isinstance(table, _AxialTable)
+        assert len(members) == self.CFG.n_members
+        for (_, _, u), v in zip(scan_members(P32, self.CFG), members):
+            assert np.array_equal(u.coeffs, v.coeffs)
+        assert rule is gauss_jacobi_rule(3, self.CFG.rule_size)
+        assert isinstance(d, np.ndarray) and d.dtype == np.float64
+        assert d.tolist() == [r.distance for *_, r in base.entries]
+
+        def off_by_1e6(*args, **kwargs):
+            d, nearest = original(*args, **kwargs)
+            return d * (1.0 + 1e-6), nearest
+
+        monkeypatch.setattr(deficit_module, "distance", off_by_1e6)
+        planted = run_scan(P32, self.CFG)
+        for (*_, r), (*_, moved) in zip(base.entries, planted.entries):
+            assert moved.distance == r.distance * (1.0 + 1e-6) != r.distance
 
     def test_table_lives_only_as_long_as_the_scan(self, monkeypatch):
         tables = []
         original = deficit_module.distance
 
-        def spy(u, rule, table):
+        def spy(members, rule, table):
             tables.append(weakref.ref(table))
-            return original(u, rule, table)
+            return original(members, rule, table)
 
-        def failing(f, a, b, **kwargs):
+        def failing(members, rule, table):
+            tables.append(weakref.ref(table))
             raise RuntimeError("search failed")
 
         monkeypatch.setattr(deficit_module, "distance", spy)
         run_scan(P32, self.CFG)
-        assert len(tables) == self.CFG.n_members
+        assert len(tables) == 1
         assert tables[-1]() is None  # freed on return, no collection needed
         with pytest.raises(OnManifoldError):
             run_scan(P32, self.ON_MANIFOLD)
-        monkeypatch.setattr(deficit_module, "golden_section_min", failing)
+        monkeypatch.setattr(deficit_module, "distance", failing)
         with pytest.raises(RuntimeError):  # raised while the table is in use
             run_scan(P32, self.CFG)
-        assert len(tables) == self.CFG.n_members + 2
+        assert len(tables) == 3
         gc.collect()
         assert all(ref() is None for ref in tables)
 
     def test_cached_arrays_are_read_only(self, rule32):
         table = _AxialTable(rule32, 64, P32)
-        g, _ = table.at(0.3)
-        for array in (g, table.G, table.gg, _T0_GRID):
+        g, gg = table.rows(np.array([0.3, -0.7]))
+        for array in (g, gg, table.G, table.gg, table.lam, _T0_GRID):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
@@ -530,32 +566,23 @@ class TestSharedExtremizerTable:
         assert np.array_equal(np.signbit(_T0_GRID), np.signbit(grid))
 
     def test_import_leaves_numpy_ma_out(self):
-        # np.unique imports numpy.ma; a cold scan command needs neither
-        code = "import sys, sobstab.deficit\nprint('numpy.ma' in sys.modules)"
+        # a plain np.unique imports numpy.ma; a cold scan command needs neither
+        code = ("import sys\n"
+                "from sobstab.deficit import ScanConfig, run_scan\n"
+                "from sobstab.specfun import SobolevParams\n"
+                "run_scan(SobolevParams(3, 2.0), ScanConfig(seed=1, K=8, n_normal=1, n_random=1))\n"
+                "print('numpy.ma' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=python_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
-    @pytest.mark.parametrize("K, rows", [(64, 2016), (384, 340)])
-    def test_memo_is_bounded_by_bytes(self, K, rows):
-        table = _AxialTable(gauss_jacobi_rule(3, 2 * K + 2), K, P32)
-        assert table.at.cache_info().maxsize == rows == deficit_module._MEMO_BYTES // (8 * (K + 1))
-
-    def test_memo_rows_are_fresh_arrays(self, rule32):
-        table = _AxialTable(rule32, 64, P32)
-        first, norm = table.at(0.3)
-        kept = first.copy()
-        others = [table.at(t0)[0] for t0 in (-0.7, 0.1, 0.55)]
-        assert np.array_equal(first, kept) and table.at(0.3) == (first, norm)
-        assert not any(np.shares_memory(first, g) for g in others + [table.G])
-
     def test_grid_block_rows_are_the_table_rows(self, rule32):
         table = _AxialTable(rule32, 64, P32)
         assert _T0_GRID.size == 49 + 4  # the starts +-0.4 and +-0.8 are off the linspace
         for t0, row, norm in zip(_T0_GRID.tolist(), table.G, table.gg.tolist()):
-            g, g_norm = table.at(t0)
-            assert np.array_equal(row, g) and norm == g_norm
+            g, g_norm = table.rows(np.array([t0]))
+            assert np.array_equal(row, g[0]) and norm == g_norm[0]
 
     def test_threads_may_share_a_table(self):
         # At M = 770 numpy's ufuncs release the GIL, so the threads' row
@@ -654,8 +681,9 @@ class TestBitIdenticalArithmetic:
         table = _AxialTable(rule, K, p)
         weighted_basis = rule.basis(K) * rule.weights
         beta = 0.5 * (N - s)
-        for t0 in np.random.default_rng(N).uniform(-0.95, 0.95, 200).tolist():
-            g, norm = table.at(t0)
+        t0s = np.random.default_rng(N).uniform(-0.95, 0.95, 200)
+        rows, norms = table.rows(t0s)
+        for t0, g, norm in zip(t0s.tolist(), rows, norms.tolist()):
             ref = weighted_basis.dot((1.0 - t0 * rule.nodes) ** (-beta))
             assert np.array_equal(g, ref), t0
             assert norm == float(table.lam.dot(ref * ref))
@@ -766,6 +794,51 @@ class TestGridProduct:
                 assert nearest.t0 < -0.5
 
 
+class TestBatchDistance:
+    # A list of members is searched in lockstep: every member's (d, nearest)
+    # must equal the per-point search's bit for bit, the sign of t0 of the
+    # exactly even bubbles included.
+
+    @pytest.mark.parametrize("N, s, K, n", [(3, 2.0, 64, 20), (5, 0.5, 384, 3)])
+    def test_scan_batch_equals_the_per_point_search(self, N, s, K, n):
+        p = SobolevParams(N, s)
+        cfg = ScanConfig(seed=5, K=K, n_normal=n, n_random=2 * n, bubble_t0=(0.5, 0.8))
+        rule = gauss_jacobi_rule(N, cfg.rule_size)
+        labels, members = zip(*((label, u) for _, label, u in scan_members(p, cfg)))
+        ds, nearest = distance(list(members), rule, _AxialTable(rule, K, p))
+        assert isinstance(ds, np.ndarray) and ds.dtype == np.float64
+        assert len(ds) == len(nearest) == cfg.n_members
+        for label, u, d, point in zip(labels, members, ds.tolist(), nearest):
+            assert (d, point) == per_point_distance(u, rule), label
+
+    def test_batch_of_one_equals_a_lone_call(self, rule32):
+        u = smooth_random_zonal(P32, np.random.default_rng(12), K=64, offset=1.0)
+        d, nearest = distance(u, rule32)
+        assert type(d) is float
+        ds, points = distance([u], rule32)
+        assert ds.tolist() == [d] and points == [nearest]
+
+    def test_mixed_batch_is_refused(self, rule32):
+        rng = np.random.default_rng(13)
+        u = smooth_random_zonal(P32, rng, K=64)
+        for other in (smooth_random_zonal(P32, rng, K=32),
+                      smooth_random_zonal(SobolevParams(3, 1.0), rng, K=64)):
+            with pytest.raises(ValueError, match="must share K and"):
+                distance([u, other], rule32)
+        with pytest.raises(ValueError, match="at least one member"):
+            distance([], rule32)
+
+    def test_zero_member_inside_a_batch(self, rule32):
+        rng = np.random.default_rng(14)
+        members = [smooth_random_zonal(P32, rng, K=64, offset=1.0),
+                   ZonalFunction(P32, np.zeros(65)), smooth_random_zonal(P32, rng, K=64)]
+        ds, nearest = distance(members, rule32)
+        assert (ds[1], nearest[1]) == (0.0, None)
+        for i in (0, 2):
+            assert (ds[i], nearest[i]) == distance(members[i], rule32)
+        assert distance([members[1]], rule32)[0].tolist() == [0.0]
+
+
 class TestSearchBound:
     # golden_section_min has no step budget: its precondition (tol above 16
     # ulps of the bracket) makes every step shrink the bracket to at most
@@ -787,9 +860,10 @@ class TestSearchBound:
         return math.ceil(math.log((b - a) / tol) / math.log(4 / 3))
 
     def test_distance_brackets_take_at_most_45_evaluations(self):
-        last = len(_T0_BOUNDS) - 1
+        bounds = _T0_GRID.tolist()
+        last = len(bounds) - 1
         for i in range(last + 1):
-            a, b = _T0_BOUNDS[max(i - 1, 0)], _T0_BOUNDS[min(i + 1, last)]
+            a, b = bounds[max(i - 1, 0)], bounds[min(i + 1, last)]
             for f in (lambda x: math.nan, lambda x: x, lambda x: -x,
                       lambda x: (x - 0.3 * a - 0.7 * b) ** 2):
                 assert self.evaluations(f, a, b, _T0_TOL) <= 45, (a, b)

@@ -59,6 +59,9 @@ ERROR_ARGVS = [
     [*_SMALL_SCAN, "--eps", "1e-7", "--n-normal", "5", "--bubbles", "0.5"],
     # every member lies on the manifold
     [*_SMALL_SCAN, "--eps", "1e-12", "--n-normal", "1", "--bubbles", ""],
+    # a local:e2 ratio at or above local_constant breaks the strict gap
+    ["deficit-scan", "--N", "8", "--s", "3.3", "--seed", "1", "--K", "384", "--eps", "1e-4",
+     "--n-normal", "0", "--n-random", "0", "--bubbles", ""],
     # the --seed note, the scan flags' parsing and the missing-seed error
     ["constants", *_NS, "--seed", "5"],
     ["deficit-scan", *_NS, "--seed", "1", "--eps", "abc"],
