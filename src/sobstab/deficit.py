@@ -63,6 +63,7 @@ _T0_GRID.setflags(write=False)
 _RANDOM_DECAY = 0.75  # random members' degree-k coefficients scale as _RANDOM_DECAY**k
 _SANDWICH_SLACK = 1e-9  # roundoff allowed in 0 <= Psi <= d^2, relative to ||u||_*^2
 _GAP_EPS = 1e-2  # local:e2 members up to this eps must have a ratio below local_constant
+_BLOCK_BYTES = 2**19  # weighted_basis bytes per block of `_AxialTable.rows`
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,14 @@ class _AxialTable:
     `rows(t0s) -> (g, gg)` builds the rows of any t0 values in one batch;
     each row is bit for bit the plain expression
     `weighted_basis @ (1 - t t0)**(-beta)` and its norm `lam @ (g * g)`.
+    The batch runs over `weighted_basis` in blocks of about _BLOCK_BYTES,
+    so that each block stays in cache while every t0 of the batch uses
+    it.  Every block but the last has a multiple of 16 rows, so BLAS
+    groups the rows as in one GEMV over the whole matrix, and the last
+    holds the rest, never a lone row (numpy would take a dot for it).
+    Below M of about 30,000, no block is large enough for OpenBLAS to
+    split between threads, so the rows of one rule do not depend on the
+    thread count.
     A table keeps no rows but the grid's, and all its arrays are read-only.
     """
 
@@ -162,16 +171,25 @@ class _AxialTable:
         self.key = (rule, K, p)
         self.lam = lambdas(p, K)
         self._weighted_basis = rule.basis(K) * rule.weights
+        n_rows, M = self._weighted_basis.shape
+        height = max(16, _BLOCK_BYTES // (8 * M) // 16 * 16)
+        edges = list(range(height, n_rows, height))
+        if edges and n_rows - edges[-1] == 1:
+            edges.pop()
+        self._blocks = [slice(lo, hi) for lo, hi in zip([0, *edges], [*edges, n_rows])]
         self._nodes = rule.nodes
         self._beta = p.beta
         self.G, self.gg = self.rows(_T0_GRID)
 
     def rows(self, t0s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Stacked products: np.matmul runs one GEMV per row and one dot per
-        # norm, the BLAS calls of the 1-D expressions; a 2-D `G @ lam`
-        # would be one GEMV over all rows and round differently.
+        # Stacked products: np.matmul runs one GEMV per row and block and one
+        # dot per norm, the BLAS calls of the 1-D expressions; a 2-D
+        # `G @ lam` would be one GEMV over all rows and round differently.
         power = (1.0 - self._nodes * t0s[:, None]) ** -self._beta
-        g = np.matmul(self._weighted_basis, power[:, :, None])[:, :, 0]
+        g = np.empty((t0s.size, self._weighted_basis.shape[0], 1))
+        for block in self._blocks:
+            np.matmul(self._weighted_basis[block], power[:, :, None], out=g[:, block])
+        g = g[:, :, 0]
         gg = np.matmul(self.lam, (g * g)[:, :, None])[:, 0]
         g.setflags(write=False)
         gg.setflags(write=False)
@@ -366,6 +384,11 @@ class ScanConfig:
             raise ValueError("family sizes must be nonnegative")
         if any(not 0 < eps < math.inf for eps in self.eps_grid):
             raise ValueError("epsilon grid entries must be positive and finite")
+        labels = [f"{eps:g}" for eps in self.eps_grid]  # as in the members' labels
+        shared = [label for i, label in enumerate(labels) if label in labels[:i]]
+        if shared:
+            raise ValueError(f"epsilon grid entries share the member label eps={shared[0]}; "
+                             "labels keep six significant digits")
         if any(k < 2 for k in self.normal_modes):
             raise ValueError("normal modes start at degree 2")
         if any(not 0 < t0 < 1 for t0 in self.bubble_t0):

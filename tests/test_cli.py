@@ -240,6 +240,16 @@ class TestScanCommands:
                              capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    def test_eps_values_sharing_a_label_are_refused(self, capsys):
+        # members are labelled by eps to six digits, and the strict-gap check
+        # matches labels: 0.0100000001 would be judged as the member at 0.01
+        code, out, err = run(["deficit-scan", "--N", "3", "--s", "2", "--seed", "1", "--K", "8",
+                              "--eps", "0.01,0.0100000001", "--n-normal", "0",
+                              "--n-random", "0", "--bubbles", "", "--modes", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: epsilon grid entries share the member label eps=0.01; "
+                       "labels keep six significant digits\n")
+
     @pytest.mark.parametrize("command", ["deficit-scan", "alpha-estimate"])
     def test_scan_flags_add_no_defaults(self, capsys, monkeypatch, tmp_path, command):
         # the CLI passes on only the flags given: ScanConfig alone holds the defaults

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -377,6 +378,15 @@ class TestScans:
         with pytest.raises(ValueError, match="^epsilon grid entries must be positive and finite$"):
             ScanConfig(seed=1, eps_grid=(0.1, eps))
 
+    @pytest.mark.parametrize("grid, label", [((0.01, 0.01), "0.01"),
+                                             ((0.01, 0.0100000001), "0.01"),
+                                             ((1e-3, 0.1, 0.00100000049), "0.001")])
+    def test_epsilons_sharing_a_label_rejected(self, grid, label):
+        # members are labelled by eps:g, and the strict-gap check matches labels
+        with pytest.raises(ValueError, match=f"share the member label eps={re.escape(label)};"):
+            ScanConfig(seed=1, eps_grid=grid)
+        assert ScanConfig(seed=1, eps_grid=(0.01, 0.0100001)).eps_grid == (0.01, 0.0100001)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             ScanConfig(seed=-1)
@@ -675,18 +685,79 @@ class TestBitIdenticalArithmetic:
 
     @pytest.mark.parametrize("N, s", BENCH_PAIRS + [(4, 2.0)])  # N - s = 2: beta = 1
     def test_table_rows_equal_the_power_expression(self, N, s):
+        # K + 1 takes every residue mod 4, in one block (K = 64) and in
+        # several; at K = 400 the rows end in a lone row past the last
+        # full block, which joins the block before it
         p = SobolevParams(N, s)
-        K = 64
-        rule = gauss_jacobi_rule(N, 2 * K + 2)
-        table = _AxialTable(rule, K, p)
-        weighted_basis = rule.basis(K) * rule.weights
         beta = 0.5 * (N - s)
-        t0s = np.random.default_rng(N).uniform(-0.95, 0.95, 200)
-        rows, norms = table.rows(t0s)
-        for t0, g, norm in zip(t0s.tolist(), rows, norms.tolist()):
-            ref = weighted_basis.dot((1.0 - t0 * rule.nodes) ** (-beta))
-            assert np.array_equal(g, ref), t0
-            assert norm == float(table.lam.dot(ref * ref))
+        for K in (64, 383, 384, 385, 386, 400):
+            rule = gauss_jacobi_rule(N, 2 * K + 2)
+            table = _AxialTable(rule, K, p)
+            weighted_basis = rule.basis(K) * rule.weights
+            t0s = np.random.default_rng(N + K).uniform(-0.95, 0.95, 200)
+            rows, norms = table.rows(t0s)
+            for t0, g, norm in zip(t0s.tolist(), rows, norms.tolist()):
+                ref = weighted_basis.dot((1.0 - t0 * rule.nodes) ** (-beta))
+                assert np.array_equal(g, ref), (K, t0)
+                assert norm == float(table.lam.dot(ref * ref)), (K, t0)
+
+    @pytest.mark.parametrize("K, sizes", [
+        (64, [65]),
+        (384, [80, 80, 80, 80, 65]),
+        (400, [80, 80, 80, 80, 81]),
+        (640, [48] * 13 + [17]),
+    ])
+    def test_row_blocks_keep_the_gemv_row_groups(self, K, sizes):
+        # BLAS takes a GEMV's rows in groups of 4 (8 in wider kernels) and
+        # the rest one by one, and numpy takes a one-row product as a dot;
+        # blocks of 16k rows, and a last block of more than one row, keep
+        # every row in the group it has in one GEMV over the whole matrix
+        table = _AxialTable(gauss_jacobi_rule(3, 2 * K + 2), K, P32)
+        blocks = table._blocks
+        assert [b.stop - b.start for b in blocks] == sizes
+        assert blocks[0].start == 0 and blocks[-1].stop == K + 1
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(size % 16 == 0 for size in sizes[:-1])
+        assert len(sizes) == 1 or sizes[-1] > 1
+        assert sizes[0] * 8 * (2 * K + 2) <= deficit_module._BLOCK_BYTES
+
+    def test_rows_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # At K = 640 one GEMV over all 641 rows is large enough for OpenBLAS
+        # to split between threads, and the rows at the split round apart
+        # from the one-thread product; no block is large enough.  The rule
+        # is built once here (its eigensolver depends on the thread count)
+        # and read by both children.
+        rule = gauss_jacobi_rule(8, 1282)
+        np.save(tmp_path / "nodes.npy", rule.nodes)
+        np.save(tmp_path / "weights.npy", rule.weights)
+        code = (
+            "import hashlib, sys\n"
+            "from pathlib import Path\n"
+            "import numpy as np\n"
+            "from sobstab.deficit import _AxialTable\n"
+            "from sobstab.specfun import SobolevParams\n"
+            "from sobstab.zonal import QuadratureRule\n"
+            "d = Path(sys.argv[1])\n"
+            "rule = QuadratureRule(8, np.load(d / 'nodes.npy'), np.load(d / 'weights.npy'))\n"
+            "table = _AxialTable(rule, 640, SobolevParams(8, 3.3))\n"
+            "t0s = np.linspace(-0.95, 0.95, 24)\n"
+            "g, gg = table.rows(t0s)\n"
+            "weighted_basis = rule.basis(640) * rule.weights\n"
+            "ref = [weighted_basis.dot((1.0 - t0 * rule.nodes) ** -2.35) for t0 in t0s]\n"
+            "print(hashlib.sha256(g.tobytes() + gg.tobytes()).hexdigest(),\n"
+            "      np.array_equal(g, ref))\n"
+        )
+        out = {}
+        for threads in ("1", "2"):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+            env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                                  capture_output=True, text=True, env=python_env(env))
+            assert proc.returncode == 0, proc.stderr
+            out[threads] = proc.stdout.split()
+        assert out["1"][1] == "True"  # the one-thread product, row by row
+        assert out["1"][0] == out["2"][0]
 
 
 class TestUlpSensitiveDistances:
@@ -694,12 +765,15 @@ class TestUlpSensitiveDistances:
     # so one ulp of the projection moves d by about 1.1e-7 relative: the
     # search's arithmetic must not change by a single rounding.  At K = 64
     # the products run on one BLAS thread whatever the setting, which the
-    # children at 1 and 2 threads check.
+    # children at 1 and 2 threads check.  At K = 384, where the rows are
+    # built in several blocks, the quadrature rule's eigensolver rounds
+    # differently on two threads, so those bits are pinned at one thread,
+    # the CLI's setting.
     CODE = (
-        "import json\n"
+        "import json, sys\n"
         "from sobstab.deficit import ScanConfig, run_scan\n"
         "from sobstab.specfun import SobolevParams\n"
-        "cfg = ScanConfig(seed=1, K=64, n_normal=2, n_random=0, bubble_t0=())\n"
+        "cfg = ScanConfig(seed=1, K=int(sys.argv[1]), n_normal=2, n_random=0, bubble_t0=())\n"
         "result = run_scan(SobolevParams(8, 3.3), cfg)\n"
         "print(json.dumps({label: [r.distance.hex(), r.nearest.c.hex(), r.nearest.t0.hex()]\n"
         "                  for _, _, label, r in result.entries\n"
@@ -718,15 +792,34 @@ class TestUlpSensitiveDistances:
                                   "-0x1.32ace68347681p-28"],
     }
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_pinned_bits(self, threads):
+    PINNED_DEEP = {  # the same at K = 384
+        "local:e2:eps=0.001": ["0x1.0624d8478d442p-10", "0x1.0000000000001p+0",
+                               "0x1.dfc8823514401p-30"],
+        "local:e3:eps=0.001": ["0x1.0624d8478d442p-10", "0x1.0000000000001p+0",
+                               "0x1.dfc882259bc05p-30"],
+        "local:e4:eps=0.001": ["0x1.0624d8478d442p-10", "0x1.0000000000001p+0",
+                               "0x1.dfc8823514401p-30"],
+        "local:rand0:eps=0.001": ["0x1.0624d26b8d175p-10", "0x1.0000000000001p+0",
+                                  "0x1.dfc882259bc05p-30"],
+        "local:rand1:eps=0.001": ["0x1.0624d8478d442p-10", "0x1.0000000000001p+0",
+                                  "0x1.dfc8823b2797bp-30"],
+    }
+
+    def scan(self, K, threads):
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
         env["OPENBLAS_NUM_THREADS"] = threads
-        proc = subprocess.run([sys.executable, "-c", self.CODE], capture_output=True, text=True,
-                              env=python_env(env))
+        proc = subprocess.run([sys.executable, "-c", self.CODE, str(K)], capture_output=True,
+                              text=True, env=python_env(env))
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == self.PINNED
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_pinned_bits(self, threads):
+        assert self.scan(64, threads) == self.PINNED
+
+    def test_pinned_bits_in_blocked_rows(self):
+        assert self.scan(384, "1") == self.PINNED_DEEP
 
 
 def per_point_distance(u, rule):
