@@ -150,7 +150,7 @@ class _AxialTable:
 
     g = weighted_basis @ g_{t0}(nodes) and gg = ||g_{t0}||_*^2 depend on
     the rule, K and (N, s) only, so the members of a scan share one
-    table, which `run_scan` builds and drops with the scan.  `G` and `gg`
+    table, which `_reports` builds and drops with the search.  `G` and `gg`
     hold the stacked g rows of the t0 grid and their norms, so that one
     product G @ (lam * coeffs) scores a member's whole grid.
     `rows(t0s) -> (g, gg)` builds the rows of any t0 values in one batch;
@@ -307,22 +307,10 @@ def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
     return np.array(ds), nearest
 
 
-def _finite_parts(u, rule):
-    # _deficit_parts, refused (RefusalError) when any part overflows; a
-    # finite ||u||_*^2 makes every coefficient, and d, finite
-    parts = _deficit_parts(u, rule)
-    for name, value in zip(("norm_star_sq", "lq_norm", "deficit"), parts):
-        if not math.isfinite(value):
-            raise RefusalError(f"{name} is {value}: the member's norms overflow double "
-                               "precision, so no stability ratio is defined")
-    return parts
-
-
-def _report(ns2, lq, psi, d, nearest) -> DeficitReport:
-    # The report of one member's parts and distance; OnManifoldError on the manifold
+def _report(ns2, lq, psi, d, nearest) -> DeficitReport | None:
+    # The report of one member's parts and distance; None on the manifold
     if d <= 1e-9 * math.sqrt(ns2):
-        raise OnManifoldError(
-            f"distance {d:.3e} is below the on-manifold threshold; ratio undefined")
+        return None
     boundary = bool(nearest is not None and abs(nearest.t0) >= T0_CAP - 1e-6)
     return DeficitReport(
         norm_star_sq=ns2,
@@ -335,19 +323,37 @@ def _report(ns2, lq, psi, d, nearest) -> DeficitReport:
     )
 
 
-def stability_ratio(u: ZonalFunction, rule: QuadratureRule,
-                    table: _AxialTable | None = None) -> DeficitReport:
+def _reports(members, rule: QuadratureRule) -> list[DeficitReport | None]:
+    # The report of each (label, member) pair, None on the manifold: an
+    # overflowing part is refused by label before the one lockstep search,
+    # and numpy warns of none of it; a finite ||u||_*^2 makes d finite.
+    parts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for label, u in members:
+            parts.append(_deficit_parts(u, rule))
+            for name, value in zip(("norm_star_sq", "lq_norm", "deficit"), parts[-1]):
+                if not math.isfinite(value):
+                    raise RefusalError(
+                        f"member {label}: {name} is {value}: the member's norms overflow "
+                        "double precision, so no stability ratio is defined")
+        table = _AxialTable(rule, members[0][1].K, members[0][1].params)  # dies with the call
+        ds, nearest = distance([u for _, u in members], rule, table)
+    return [_report(*part, d, near) for part, d, near in zip(parts, ds.tolist(), nearest)]
+
+
+def stability_ratio(u: ZonalFunction, rule: QuadratureRule) -> DeficitReport:
     """Full deficit report with ratio = Psi / d^2; errors out on the manifold.
 
     The ratio never exceeds 1 (up to quadrature slack): the first half of
     the two-sided stability bound, which only strengthens when d is the
-    axial upper bound.  `table` is passed on to `distance`.  Raises
-    RefusalError, before the search, when ||u||_*^2, |u|_q or Psi
-    overflows; a finite ||u||_*^2 makes every coefficient, and d, finite.
-    `run_scan` builds its reports with the same checks and helper.
+    axial upper bound.  A lone member is a scan of one: `run_scan` builds
+    its reports the same way, so an overflowing ||u||_*^2, |u|_q or Psi is
+    refused (RefusalError, as member u) before the search.
     """
-    parts = _finite_parts(u, rule)
-    return _report(*parts, *distance(u, rule, table))
+    (report,) = _reports([("u", u)], rule)
+    if report is None:
+        raise OnManifoldError("u is on the manifold (d <= 1e-9 ||u||_*); ratio undefined")
+    return report
 
 
 # --- seeded stability scans ---
@@ -384,15 +390,21 @@ class ScanConfig:
             raise ValueError("family sizes must be nonnegative")
         if any(not 0 < eps < math.inf for eps in self.eps_grid):
             raise ValueError("epsilon grid entries must be positive and finite")
-        labels = [f"{eps:g}" for eps in self.eps_grid]  # as in the members' labels
-        shared = [label for i, label in enumerate(labels) if label in labels[:i]]
-        if shared:
-            raise ValueError(f"epsilon grid entries share the member label eps={shared[0]}; "
-                             "labels keep six significant digits")
         if any(k < 2 for k in self.normal_modes):
             raise ValueError("normal modes start at degree 2")
         if any(not 0 < t0 < 1 for t0 in self.bubble_t0):
             raise ValueError("bubble separations must lie in (0, 1)")
+        # no two members may share a label: the strict-gap check matches labels
+        repeated = [k for i, k in enumerate(self.normal_modes) if k in self.normal_modes[:i]]
+        if repeated:
+            raise ValueError(f"normal mode {repeated[0]} is listed twice; each labels its members")
+        for what, key, values in (("epsilon grid entries", "eps", self.eps_grid),
+                                  ("bubble separations", "t0", self.bubble_t0)):
+            labels = [f"{key}={value:g}" for value in values]  # as in the members' labels
+            shared = [label for i, label in enumerate(labels) if label in labels[:i]]
+            if shared:
+                raise ValueError(f"{what} share the member label {shared[0]}; "
+                                 "labels keep six significant digits")
         if self.random_max_degree < 0:
             raise ValueError(f"random_max_degree must be >= 0, got {self.random_max_degree}")
         if self.random_max_degree < 2 and self.n_normal > 0 and self.eps_grid:
@@ -492,36 +504,23 @@ class ScanResult:
 def run_scan(p: SobolevParams, cfg: ScanConfig) -> ScanResult:
     """Evaluate every scan member and reduce to the minimum stability ratio.
 
-    Members are generated in a fixed RNG order.  Their deficit parts come
-    first; then one `distance` call searches all members in lockstep with
-    one extremizer table, which lives as long as the scan; reports are
-    reduced in member order.  Raises OnManifoldError when every member
-    lies on the manifold, and RefusalError when a member's numbers
-    overflow (naming it, before any search) or, unless `violation` is set,
+    Members are generated in a fixed RNG order, and their reports come
+    from the one path of a lone `stability_ratio`: every member's deficit
+    parts, then one `distance` call that searches all members in lockstep
+    with one extremizer table, which lives no longer than the scan.
+    Members on the manifold are skipped; the rest are reduced in member
+    order.  Raises OnManifoldError when every member lies on the
+    manifold, and RefusalError when a member's numbers overflow (naming
+    it, before any search) or, unless `violation` is set,
     alpha_hat <= 0, or a `local:e2` member at eps <= _GAP_EPS (N >= 2)
     has a ratio of at least local_constant: König's strict gap puts the
     ratio below it, so the scan cannot resolve alpha at that eps.
     """
     rule = gauss_jacobi_rule(p.N, cfg.rule_size)
     members = list(scan_members(p, cfg))
-    table = _AxialTable(rule, cfg.K, p)
-    parts = []
-    # an overflowing member is refused by _finite_parts, not warned about by numpy
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, label, u in members:
-            try:
-                parts.append(_finite_parts(u, rule))
-            except RefusalError as exc:
-                raise RefusalError(f"member {label}: {exc}") from None
-        ds, nearest = distance([u for *_, u in members], rule, table)
-    entries = []
-    for idx, ((family, label, _), part, d, near) in enumerate(
-            zip(members, parts, ds.tolist(), nearest)):
-        try:
-            report = _report(*part, d, near)
-        except OnManifoldError:
-            report = None
-        entries.append((idx, family, label, report))
+    reports = _reports([(label, u) for _, label, u in members], rule)
+    entries = [(idx, family, label, report)
+               for idx, ((family, label, _), report) in enumerate(zip(members, reports))]
 
     ratios = [report.ratio for *_, report in entries if report is not None]
     if not ratios:

@@ -234,6 +234,12 @@ class TestScanCommands:
         (["--eps", "nan"], "epsilon grid entries must be positive and finite"),
         (["--eps", "inf"], "epsilon grid entries must be positive and finite"),
         (["--seed", "-1"], "seed must be >= 0, got -1"),
+        # two members under one label: these printed both and exited 0
+        (["--K", "8", "--eps", "0.1", "--n-normal", "0", "--n-random", "0", "--modes", "2,2",
+          "--bubbles", "0.5"], "normal mode 2 is listed twice; each labels its members"),
+        (["--K", "8", "--eps", "0.1", "--n-normal", "0", "--n-random", "0", "--modes", "2",
+          "--bubbles", "0.5,0.50000001"],
+         "bubble separations share the member label t0=0.5; labels keep six significant digits"),
     ])
     def test_unresolvable_scan_is_usage_error(self, capsys, flags, message):
         code, out, err = run(["deficit-scan", "--N", "3", "--s", "2", "--seed", "1", *flags],

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -238,6 +239,17 @@ class TestStabilityRatio:
         with pytest.raises(OnManifoldError):
             stability_ratio(v, rule32)
 
+    def test_overflowing_member_is_refused(self, rule32):
+        # a lone member is a scan of one: refused before the search, and
+        # numpy warns of nothing, so -W error still sees the refusal
+        a = np.zeros(65)
+        a[0] = a[3] = 1e200
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RefusalError, match="^member u: norm_star_sq is inf: "):
+                stability_ratio(ZonalFunction(P32, a), rule32)
+        assert [str(w.message) for w in caught] == []
+
     def test_local_limit_along_e2(self, rule32):
         ratios = {}
         for eps in (1e-2, 1e-3):
@@ -386,6 +398,22 @@ class TestScans:
         with pytest.raises(ValueError, match=f"share the member label eps={re.escape(label)};"):
             ScanConfig(seed=1, eps_grid=grid)
         assert ScanConfig(seed=1, eps_grid=(0.01, 0.0100001)).eps_grid == (0.01, 0.0100001)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"normal_modes": (2, 3, 2)}, "normal mode 2 is listed twice; each labels its members"),
+        ({"bubble_t0": (0.5, 0.50000001)},
+         "bubble separations share the member label t0=0.5; labels keep six significant digits"),
+        ({"bubble_t0": (0.2, 0.35, 0.2)},
+         "bubble separations share the member label t0=0.2; labels keep six significant digits"),
+    ], ids=["modes", "bubbles-close", "bubbles-equal"])
+    def test_modes_and_bubbles_sharing_a_label_rejected(self, fields, message):
+        # `local:e{k}:eps=...` and `bubble:t0={t0:g}` label members as eps does
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScanConfig(seed=1, **fields)
+        cfg = ScanConfig(seed=1, K=8, normal_modes=(3, 2), bubble_t0=(0.5, 0.500001),
+                         n_normal=0, n_random=0, random_max_degree=8)
+        labels = [label for _, label, _ in scan_members(P32, cfg)]
+        assert len(set(labels)) == len(labels) == cfg.n_members
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
@@ -610,7 +638,7 @@ class TestSharedExtremizerTable:
 
         def reports(order):
             start.wait()
-            return [(i, stability_ratio(members[i], rule, table)) for i in order]
+            return [(i, distance(members[i], rule, table)) for i in order]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -621,8 +649,8 @@ class TestSharedExtremizerTable:
         finally:
             sys.setswitchinterval(interval)
         assert len(shared) == 2 * n * len(orders)
-        for i, report in shared:
-            assert report == alone[i], i
+        for i, (d, nearest) in shared:
+            assert (d, nearest) == (alone[i].distance, alone[i].nearest), i
 
     def test_table_is_keyed_by_degree_and_parameters(self, rule32):
         u = smooth_random_zonal(P32, np.random.default_rng(11), K=64, offset=1.0)
@@ -631,9 +659,8 @@ class TestSharedExtremizerTable:
         for other in (_AxialTable(rule32, 32, P32),
                       _AxialTable(rule32, 64, SobolevParams(3, 1.0)),
                       _AxialTable(gauss_jacobi_rule(3, 100), 64, P32)):
-            for call in (distance, stability_ratio):
-                with pytest.raises(ValueError, match="built for another rule, K or"):
-                    call(u, rule32, other)
+            with pytest.raises(ValueError, match="built for another rule, K or"):
+                distance(u, rule32, other)
 
 
 BENCH_PAIRS = [(3, 2.0), (2, 1.0), (5, 0.5), (8, 3.3)]

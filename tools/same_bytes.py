@@ -14,13 +14,14 @@ the tool only reads.  Every operation whose exit code, stdout or stderr
 differ between the trees is printed, and the exit status is 1 if any
 differ.  The `--help` text of the top level and of each subcommand the
 operations run is compared the same way, and counted apart; so is a
-fixed list of refusal and usage-error calls (`ERROR_ARGVS`), and so are
-the `constants` text and CSV formats at the benchmark's (N, s) pairs
-(`FORMAT_ARGVS`; the operations print JSON): paths that no benchmark
-operation takes.  Last, since the in-process runs bypass the modules'
-`__main__` blocks, `python -m sobstab.cli` and `python -m sobstab` each
-run one command that loads numpy (`ENTRY_ARGV`) as a child process in
-the tree's `src`, and are compared and counted the same way.
+fixed list of refusals, usage errors and a scan that skips on-manifold
+members (`ERROR_ARGVS`), and so are the `constants` text and CSV
+formats at the benchmark's (N, s) pairs (`FORMAT_ARGVS`; the operations
+print JSON): paths that no benchmark operation takes.  Last, since the
+in-process runs bypass the modules' `__main__` blocks, `python -m
+sobstab.cli` and `python -m sobstab` each run one command that loads
+numpy (`ENTRY_ARGV`) as a child process in the tree's `src`, and are
+compared and counted the same way.
 
 Every operation is compared at two BLAS thread counts, since the last
 digits of large products (and LAPACK's divide-and-conquer merges) may
@@ -59,6 +60,11 @@ ERROR_ARGVS = [
     [*_SMALL_SCAN, "--eps", "1e-7", "--n-normal", "5", "--bubbles", "0.5"],
     # every member lies on the manifold
     [*_SMALL_SCAN, "--eps", "1e-12", "--n-normal", "1", "--bubbles", ""],
+    # half the members lie on the manifold and are skipped (exit 0, n_skipped 4)
+    [*_SMALL_SCAN, "--eps", "1e-12,0.1", "--n-normal", "1", "--bubbles", ""],
+    # one member's norms overflow: refused by its label before the search
+    ["deficit-scan", *_NS, "--seed", "1", "--eps", "1e300,0.1", "--n-normal", "0",
+     "--n-random", "0", "--bubbles", "", "--modes", "2"],
     # a local:e2 ratio at or above local_constant breaks the strict gap
     ["deficit-scan", "--N", "8", "--s", "3.3", "--seed", "1", "--K", "384", "--eps", "1e-4",
      "--n-normal", "0", "--n-random", "0", "--bubbles", ""],
