@@ -18,6 +18,7 @@ import functools
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import TYPE_CHECKING, Optional
 
 # Each command imports the numerical modules it runs, so that a call
@@ -27,7 +28,7 @@ from .specfun import (SobolevParams, compute_constants, eigenvalue, local_consta
                       sharp_constant, unit_ball_radius)
 
 if TYPE_CHECKING:
-    from .deficit import ScanConfig
+    from .deficit import DeficitReport, ScanConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,6 +53,29 @@ def _json_text(obj) -> str:
 
 def _jsonl_line(obj) -> str:
     return json.dumps(round_floats(obj)) + "\n"
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _num(x: float) -> str:
+    # a float as json.dumps(round_floats(x)) prints it
+    text = repr(float(fmt12(x)))
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _member_line(index: int, family: str, label: str, report: DeficitReport | None) -> str:
+    """A deficit-scan member record as `_jsonl_line` prints it: the record schema."""
+    head = (f'{{"index": {index}, "family": {_json_str(family)}, '
+            f'"label": {_json_str(label)}, "skipped": ')
+    if report is None:
+        return head + "true}\n"
+    point = report.nearest
+    near = "null" if point is None else f'{{"c": {_num(point.c)}, "t0": {_num(point.t0)}}}'
+    return head + ('false, "norm_star_sq": {}, "lq_norm": {}, "deficit": {}, "distance": {}, '
+                   '"nearest": {}, "ratio": {}, "boundary_hit": {}}}\n').format(
+        *map(_num, (report.norm_star_sq, report.lq_norm, report.deficit, report.distance)),
+        near, _num(report.ratio), "true" if report.boundary_hit else "false")
 
 
 def _params(args) -> SobolevParams:
@@ -173,13 +197,7 @@ def cmd_deficit_scan(args) -> int:
     p = _params(args)
     cfg = _scan_config(args)
     result = run_scan(p, cfg)
-    lines = []
-    for index, family, label, report in result.entries:
-        record = {"index": index, "family": family, "label": label,
-                  "skipped": report is None}
-        if report is not None:
-            record.update(report.to_json_dict())
-        lines.append(_jsonl_line(record))
+    lines = [_member_line(*entry) for entry in result.entries]
     summary = result.summary_dict()
     summary.update({
         "families": cfg.families,

@@ -23,6 +23,7 @@ from .specfun import SobolevParams, local_constant, sharp_constant
 from .zonal import (
     QuadratureRule,
     ZonalFunction,
+    _stacked,
     analyze,
     constant,
     gauss_jacobi_rule,
@@ -78,29 +79,19 @@ class DeficitReport:
     ratio: Optional[float]
     boundary_hit: bool = False
 
-    def to_json_dict(self) -> dict:
-        return {
-            "norm_star_sq": self.norm_star_sq,
-            "lq_norm": self.lq_norm,
-            "deficit": self.deficit,
-            "distance": self.distance,
-            "nearest": None if self.nearest is None
-            else {"c": self.nearest.c, "t0": self.nearest.t0},
-            "ratio": self.ratio,
-            "boundary_hit": self.boundary_hit,
-        }
-
 
 def deficit(u: ZonalFunction, rule: QuadratureRule) -> float:
     """Psi(u) = ||u||_*^2 - S |u|_q^2; nonnegative, zero on the manifold."""
-    return _deficit_parts(u, rule)[2]
+    return _parts([u], rule)[0][2]
 
 
-def _deficit_parts(u, rule):
-    # (||u||_*^2, |u|_q, Psi(u)): the one expression of Psi, for deficit and the report
-    ns2 = norm_star(u) ** 2
-    lq = norm_lp(u, u.params.q, rule)
-    return ns2, lq, ns2 - sharp_constant(u.params) * lq * lq
+def _parts(us, rule):
+    # (||u||_*^2, |u|_q, Psi(u)) of each member of a batch: the one
+    # expression of Psi, for deficit and the reports
+    s_const = sharp_constant(us[0].params)
+    ns2 = [x ** 2 for x in norm_star(us)]
+    return [(x, lq, x - s_const * lq * lq)
+            for x, lq in zip(ns2, norm_lp(us, us[0].params.q, rule))]
 
 
 def _nonlinear_integrals(u, rule, *extra):
@@ -269,21 +260,17 @@ def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
     product lam_coeffs @ g, so the result does not depend on how the grid
     product rounds.
     """
-    members = [u] if isinstance(u, ZonalFunction) else list(u)
-    if not members:
-        raise ValueError("distance needs at least one member")
+    members, coeffs = _stacked(u)
     K, p = members[0].K, members[0].params
-    if any(v.K != K or v.params != p for v in members):
-        raise ValueError("a batch of members must share K and (N, s)")
     if table is None:
         table = _AxialTable(rule, K, p)
     elif table.key != (rule, K, p):
         raise ValueError("extremizer table was built for another rule, K or (N, s)")
-    ns2 = [norm_star(v) ** 2 for v in members]
+    ns2 = [x ** 2 for x in norm_star(members)]
     ds, nearest = [0.0] * len(members), [None] * len(members)
     live = [i for i, x in enumerate(ns2) if x != 0.0]
     if live:
-        lam_coeffs = table.lam * np.array([members[i].coeffs for i in live])
+        lam_coeffs = table.lam * coeffs[live]
         ug = np.matmul(table.G, lam_coeffs[:, :, None])[:, :, 0]
         values = ug * ug / table.gg
         edge = np.full((len(live), 1), -math.inf)
@@ -323,21 +310,20 @@ def _report(ns2, lq, psi, d, nearest) -> DeficitReport | None:
     )
 
 
-def _reports(members, rule: QuadratureRule) -> list[DeficitReport | None]:
-    # The report of each (label, member) pair, None on the manifold: an
-    # overflowing part is refused by label before the one lockstep search,
-    # and numpy warns of none of it; a finite ||u||_*^2 makes d finite.
-    parts = []
+def _reports(labels, us, rule: QuadratureRule) -> list[DeficitReport | None]:
+    # The report of each member, None on the manifold: an overflowing part
+    # is refused by label before the one lockstep search, and numpy warns
+    # of none of it; a finite ||u||_*^2 makes d finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        for label, u in members:
-            parts.append(_deficit_parts(u, rule))
-            for name, value in zip(("norm_star_sq", "lq_norm", "deficit"), parts[-1]):
+        parts = _parts(us, rule)
+        for label, part in zip(labels, parts):
+            for name, value in zip(("norm_star_sq", "lq_norm", "deficit"), part):
                 if not math.isfinite(value):
                     raise RefusalError(
                         f"member {label}: {name} is {value}: the member's norms overflow "
                         "double precision, so no stability ratio is defined")
-        table = _AxialTable(rule, members[0][1].K, members[0][1].params)  # dies with the call
-        ds, nearest = distance([u for _, u in members], rule, table)
+        table = _AxialTable(rule, us[0].K, us[0].params)  # dies with the call
+        ds, nearest = distance(us, rule, table)
     return [_report(*part, d, near) for part, d, near in zip(parts, ds.tolist(), nearest)]
 
 
@@ -350,7 +336,7 @@ def stability_ratio(u: ZonalFunction, rule: QuadratureRule) -> DeficitReport:
     its reports the same way, so an overflowing ||u||_*^2, |u|_q or Psi is
     refused (RefusalError, as member u) before the search.
     """
-    (report,) = _reports([("u", u)], rule)
+    (report,) = _reports(["u"], [u], rule)
     if report is None:
         raise OnManifoldError("u is on the manifold (d <= 1e-9 ||u||_*); ratio undefined")
     return report
@@ -410,6 +396,9 @@ class ScanConfig:
         if self.random_max_degree < 2 and self.n_normal > 0 and self.eps_grid:
             raise ValueError("random normal-space members need random_max_degree >= 2, "
                              f"got {self.random_max_degree}")
+        if self.random_max_degree == 0 and self.n_random > 0:
+            raise ValueError("random members need random_max_degree >= 1: of degree 0 they "
+                             "are constants, which lie on the manifold")
         if self.n_members == 0:
             raise ValueError("scan configuration selects zero members")
         if self.normal_modes and max(self.normal_modes) > min(self.random_max_degree, self.K):
@@ -441,31 +430,30 @@ def scan_members(p: SobolevParams, cfg: ScanConfig) -> Iterator[tuple[str, str, 
     lam = lambdas(p, K)
     one = constant(p, 1.0, K).coeffs
     kmax = min(cfg.random_max_degree, K)
-
-    def near_one(tail: np.ndarray, eps: float) -> ZonalFunction:
-        # 1 + eps v with v = the tail at degrees >= 2 at unit ||.||_*: the
-        # operations of `one + eps * (v * (1 / norm_star(v)))` in one array
-        # (adding all of `one` keeps 0.0 + x, which turns -0.0 into +0.0)
-        a = np.zeros(K + 1)
-        a[2:2 + tail.size] = tail
-        a *= 1.0 / math.sqrt(float(lam.dot(a * a)))
-        a *= eps
-        a += one
-        return ZonalFunction(p, a)
+    modes = list(cfg.normal_modes)
 
     for eps in cfg.eps_grid:
-        for k in cfg.normal_modes:
-            tail = np.zeros(kmax - 1)
-            tail[k - 2] = 1.0
-            yield "local", f"local:e{k}:eps={eps:g}", near_one(tail, eps)
-        for j in range(cfg.n_normal):
-            tail = rng.standard_normal(kmax - 1) * _RANDOM_DECAY ** np.arange(kmax - 1)
-            yield "local", f"local:rand{j}:eps={eps:g}", near_one(tail, eps)
+        # Rows 1 + eps v, v a mode or a random tail at degrees >= 2 at unit
+        # ||.||_*: the operations of `one + eps * (v * (1 / norm_star(v)))`
+        # (adding all of `one` keeps 0.0 + x, which turns -0.0 into +0.0).
+        # One (n_normal, kmax - 1) draw is the stream of n_normal draws.
+        a = np.zeros((len(modes) + cfg.n_normal, K + 1))
+        a[range(len(modes)), modes] = 1.0
+        if cfg.n_normal:
+            a[len(modes):, 2:kmax + 1] = (rng.standard_normal((cfg.n_normal, kmax - 1))
+                                          * _RANDOM_DECAY ** np.arange(kmax - 1))
+        a *= 1.0 / np.sqrt(np.matmul(lam, (a * a)[:, :, None]))
+        a *= eps
+        a += one
+        labels = [f"e{k}" for k in modes] + [f"rand{j}" for j in range(cfg.n_normal)]
+        for label, row in zip(labels, a):
+            yield "local", f"local:{label}:eps={eps:g}", ZonalFunction(p, row)
 
-    for j in range(cfg.n_random):
-        a = np.zeros(K + 1)
-        a[: kmax + 1] = rng.standard_normal(kmax + 1) * _RANDOM_DECAY ** np.arange(kmax + 1)
-        yield "random", f"random:{j}", ZonalFunction(p, a)
+    a = np.zeros((cfg.n_random, K + 1))
+    a[:, :kmax + 1] = (rng.standard_normal((cfg.n_random, kmax + 1))
+                       * _RANDOM_DECAY ** np.arange(kmax + 1))
+    for j, row in enumerate(a):
+        yield "random", f"random:{j}", ZonalFunction(p, row)
 
     for t0 in cfg.bubble_t0:
         vals = (manifold_samples(p, 1.0, t0, rule.nodes)
@@ -517,10 +505,8 @@ def run_scan(p: SobolevParams, cfg: ScanConfig) -> ScanResult:
     ratio below it, so the scan cannot resolve alpha at that eps.
     """
     rule = gauss_jacobi_rule(p.N, cfg.rule_size)
-    members = list(scan_members(p, cfg))
-    reports = _reports([(label, u) for _, label, u in members], rule)
-    entries = [(idx, family, label, report)
-               for idx, ((family, label, _), report) in enumerate(zip(members, reports))]
+    families, labels, members = zip(*scan_members(p, cfg))
+    entries = list(zip(range(len(members)), families, labels, _reports(labels, members, rule)))
 
     ratios = [report.ratio for *_, report in entries if report is not None]
     if not ratios:

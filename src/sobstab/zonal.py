@@ -340,10 +340,26 @@ def node_values(u: ZonalFunction, rule: QuadratureRule) -> np.ndarray:
     return u.coeffs.dot(rule.basis(u.K))
 
 
-def norm_star(u: ZonalFunction) -> float:
-    """Spectral norm sqrt(sum lambda_k a_k^2) of the conformal quadratic form."""
-    lam = lambdas(u.params, u.K)
-    return math.sqrt(float(lam.dot(u.coeffs * u.coeffs)))
+def _stacked(u) -> tuple[list[ZonalFunction], np.ndarray]:
+    # One member or a list that shares K and (N, s): the members and their coefficient rows
+    members = [u] if isinstance(u, ZonalFunction) else list(u)
+    if not members:
+        raise ValueError("a batch needs at least one member")
+    if any(v.K != members[0].K or v.params != members[0].params for v in members):
+        raise ValueError("a batch of members must share K and (N, s)")
+    return members, np.array([v.coeffs for v in members])
+
+
+def norm_star(u: ZonalFunction | list[ZonalFunction]):
+    """Spectral norm sqrt(sum lambda_k a_k^2) of the conformal quadratic form.
+
+    A list of members that share K and (N, s) gives a list of the norms,
+    each its lone call's bit for bit.
+    """
+    members, A = _stacked(u)
+    lam = lambdas(members[0].params, members[0].K)
+    norms = [math.sqrt(x) for x in np.matmul(lam, (A * A)[:, :, None])[:, 0].tolist()]
+    return norms[0] if isinstance(u, ZonalFunction) else norms
 
 
 def inner_star(u: ZonalFunction, v: ZonalFunction) -> float:
@@ -355,12 +371,20 @@ def inner_star(u: ZonalFunction, v: ZonalFunction) -> float:
     return float(lam @ (u.coeffs[:n] * v.coeffs[:n]))
 
 
-def norm_lp(u: ZonalFunction, p: float, rule: QuadratureRule) -> float:
-    """L^p(S^N) norm by quadrature of |u|^p at the rule nodes; p >= 1."""
+def norm_lp(u: ZonalFunction | list[ZonalFunction], p: float, rule: QuadratureRule):
+    """L^p(S^N) norm by quadrature of |u|^p at the rule nodes; p >= 1.
+
+    A list gives a list, as for `norm_star`.  The last power is taken per
+    member, as a scalar: numpy's array power rounds some norms otherwise.
+    """
     if p < 1.0:
         raise ValueError(f"norm_lp requires p >= 1, got {p}")
-    vals = np.abs(node_values(u, rule))
-    return float(rule.weights.dot(vals**p) ** (1.0 / p))
+    members, A = _stacked(u)
+    if rule.N != members[0].params.N:
+        raise ValueError(f"rule dimension {rule.N} != params dimension {members[0].params.N}")
+    vals = np.abs(np.matmul(A[:, None, :], rule.basis(members[0].K)))[:, 0]
+    norms = [float(x ** (1.0 / p)) for x in np.matmul(rule.weights, (vals**p)[:, :, None])[:, 0]]
+    return norms[0] if isinstance(u, ZonalFunction) else norms
 
 
 def to_json_dict(u: ZonalFunction) -> dict:

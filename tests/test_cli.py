@@ -224,6 +224,16 @@ class TestScanCommands:
                               "--n-random", "1"], capsys)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("pair", [["--N", "8", "--s", "3.3", "--seed", "4"],
+                                      ["--N", "3", "--s", "2", "--seed", "1"]])
+    def test_random_members_of_degree_zero_are_refused(self, capsys, pair):
+        # these printed a ratio of roundoff (exit 0) or refused for an eps the scan lacks
+        code, out, err = run(["deficit-scan", *pair, "--max-degree", "0", "--n-random", "3",
+                              "--n-normal", "0", "--modes", "", "--bubbles", "0.5"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: random members need random_max_degree >= 1: of degree 0 they "
+                       "are constants, which lie on the manifold\n")
+
     @pytest.mark.parametrize("flags, message", [
         # a rule of fewer than K + 1 nodes aliases degree K: at M = 10 a scan
         # would read a distance of 3.85 for the member at distance 0.1
@@ -364,6 +374,68 @@ class TestScanCommands:
         assert code == 0
         doc = strict_json(out)
         assert set(doc) >= {"alpha_hat", "local_constant", "n_members", "seed"}
+
+
+class TestMemberRecords:
+    # cli._member_line writes each deficit-scan member record; its bytes are
+    # those of json.dumps(round_floats(record)) on the record as a dict
+
+    @staticmethod
+    def old_line(index, family, label, report):
+        from sobstab._util import round_floats
+
+        record = {"index": index, "family": family, "label": label, "skipped": report is None}
+        if report is not None:
+            record.update({
+                "norm_star_sq": report.norm_star_sq,
+                "lq_norm": report.lq_norm,
+                "deficit": report.deficit,
+                "distance": report.distance,
+                "nearest": None if report.nearest is None
+                else {"c": report.nearest.c, "t0": report.nearest.t0},
+                "ratio": report.ratio,
+                "boundary_hit": report.boundary_hit,
+            })
+        return json.dumps(round_floats(record)) + "\n"
+
+    def test_lines_equal_the_dict_recipe(self):
+        from sobstab.conformal import ManifoldPoint
+        from sobstab.deficit import DeficitReport
+
+        def report(nearest=ManifoldPoint(0.731234567890123, -1e-9), **fields):
+            values = dict(norm_star_sq=23.588816413612, lq_norm=1 / 3, deficit=2.1e-14,
+                          distance=5.960464477539e-08, ratio=0.123456789012345678,
+                          boundary_hit=False)
+            values.update(fields)
+            return DeficitReport(nearest=nearest, **values)
+
+        inf, nan = math.inf, math.nan
+        entries = [
+            (0, "random", "random:0", None),
+            (1, "local", "local:e2:eps=0.1", report()),
+            (2, "local", "local:e3:eps=0.1", report(nearest=None)),
+            (3, "bubble", "bubble:t0=0.5", report(deficit=nan, ratio=inf, distance=-0.0)),
+            (4, "random", "random:4", report(norm_star_sq=inf, lq_norm=-inf, ratio=-0.0,
+                                             nearest=ManifoldPoint(-2.5, -0.0))),
+            (5, "bubble", "bubble:t0=1e+20", report(deficit=1e20, ratio=1e-300, lq_norm=5e-324)),
+            (6, 'fam"ily\\', 'la"bel\\ \u00e9\u2013\U0001d400\n\t\x00', report()),
+            (7, "random", "random:7", report(nearest=ManifoldPoint(1.0, 0.95), boundary_hit=True)),
+        ]
+        for entry in entries:
+            assert cli._member_line(*entry) == self.old_line(*entry), entry[2]
+
+    def test_scan_lines_equal_the_dict_recipe(self, capsys):
+        from sobstab.deficit import ScanConfig, run_scan
+        from sobstab.specfun import SobolevParams
+
+        argv = ["deficit-scan", "--N", "5", "--s", "0.5", "--seed", "3", "--n-normal", "4",
+                "--n-random", "4", "--eps", "1e-12,0.1"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        result = run_scan(SobolevParams(5, 0.5), ScanConfig(seed=3, n_normal=4, n_random=4,
+                                                            eps_grid=(1e-12, 0.1)))
+        assert result.n_skipped > 0
+        assert out.splitlines(keepends=True)[:-1] == [self.old_line(*e) for e in result.entries]
 
 
 class TestVerifyCommand:

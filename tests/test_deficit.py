@@ -43,6 +43,7 @@ from sobstab.zonal import (
     gauss_jacobi_rule,
     inner_star,
     lambdas,
+    norm_lp,
     norm_star,
 )
 
@@ -490,6 +491,17 @@ class TestScans:
                                  **no_normal)
                 assert len(run_scan(P32, cfg).entries) == cfg.n_members
 
+    def test_random_members_of_degree_zero_are_refused(self):
+        # constants lie on the manifold: their d is the roundoff of the
+        # cancellation in ||u||_*^2 - projection, and their ratio noise
+        message = "random members need random_max_degree >= 1: of degree 0 they are constants"
+        with pytest.raises(ValueError, match=message):
+            ScanConfig(seed=4, K=64, normal_modes=(), n_normal=0, n_random=3,
+                       bubble_t0=(0.5,), random_max_degree=0)
+        cfg = ScanConfig(seed=4, K=8, normal_modes=(), n_normal=0, n_random=0,
+                         bubble_t0=(0.5,), random_max_degree=0)
+        assert len(run_scan(P32, cfg).entries) == 1
+
     def test_boundary_cap_reported(self, rule32):
         # a bubble pushed past the cap flags the boundary hit
         va = manifold_zonal(P32, ManifoldPoint(1.0, 0.97), rule32, 64)
@@ -709,6 +721,24 @@ class TestBitIdenticalArithmetic:
             assert np.array_equal(u.coeffs, expected)
             assert np.array_equal(np.signbit(u.coeffs), np.signbit(expected))
         assert negative_zeros > 0
+
+    @pytest.mark.parametrize("K", [64, 384])
+    @pytest.mark.parametrize("N, s", BENCH_PAIRS)
+    def test_batch_norms_equal_the_lone_calls(self, N, s, K):
+        # one norm_star or norm_lp call over a scan's members gives each
+        # member's lone call, and the plain one-member expression, bit for bit
+        p = SobolevParams(N, s)
+        for seed in (1, 2):
+            cfg = ScanConfig(seed=seed, K=K, n_normal=20, n_random=20)
+            rule = gauss_jacobi_rule(N, cfg.rule_size)
+            members = [u for _, _, u in scan_members(p, cfg)]
+            lam, basis = lambdas(p, K), rule.basis(K)
+            stars, lqs = norm_star(members), norm_lp(members, p.q, rule)
+            assert stars == [norm_star(u) for u in members]
+            assert stars == [math.sqrt(float(lam.dot(u.coeffs * u.coeffs))) for u in members]
+            assert lqs == [norm_lp(u, p.q, rule) for u in members]
+            assert lqs == [float(rule.weights.dot(np.abs(u.coeffs.dot(basis)) ** p.q)
+                                 ** (1.0 / p.q)) for u in members]
 
     @pytest.mark.parametrize("N, s", BENCH_PAIRS + [(4, 2.0)])  # N - s = 2: beta = 1
     def test_table_rows_equal_the_power_expression(self, N, s):

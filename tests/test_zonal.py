@@ -395,6 +395,32 @@ class TestNormLp:
             assert norm_star(u) ** 2 >= s_const * lq * lq * (1 - 1e-9)
 
 
+class TestBatchNorms:
+    # norm_star and norm_lp take a list of members the way deficit.distance does
+
+    def test_lone_call_returns_a_float(self, rule32):
+        u = smooth_random_zonal(P32, np.random.default_rng(10), K=8)
+        assert type(norm_star(u)) is float
+        assert type(norm_lp(u, P32.q, rule32)) is float
+        assert norm_star([u]) == [norm_star(u)]
+        assert norm_lp([u], P32.q, rule32) == [norm_lp(u, P32.q, rule32)]
+
+    def test_mixed_batch_is_refused(self, rule32):
+        rng = np.random.default_rng(11)
+        u = smooth_random_zonal(P32, rng, K=64)
+        for other in (smooth_random_zonal(P32, rng, K=32),
+                      smooth_random_zonal(SobolevParams(3, 1.0), rng, K=64)):
+            for batch in ([u, other], [other, u]):
+                with pytest.raises(ValueError, match="must share K and"):
+                    norm_star(batch)
+                with pytest.raises(ValueError, match="must share K and"):
+                    norm_lp(batch, P32.q, rule32)
+        with pytest.raises(ValueError, match="at least one member"):
+            norm_star([])
+        with pytest.raises(ValueError, match="at least one member"):
+            norm_lp([], P32.q, rule32)
+
+
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(9)

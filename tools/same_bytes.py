@@ -14,10 +14,12 @@ the tool only reads.  Every operation whose exit code, stdout or stderr
 differ between the trees is printed, and the exit status is 1 if any
 differ.  The `--help` text of the top level and of each subcommand the
 operations run is compared the same way, and counted apart; so is a
-fixed list of refusals, usage errors and a scan that skips on-manifold
-members (`ERROR_ARGVS`), and so are the `constants` text and CSV
-formats at the benchmark's (N, s) pairs (`FORMAT_ARGVS`; the operations
-print JSON): paths that no benchmark operation takes.  Last, since the
+fixed list (`ERROR_ARGVS`) of refusals, usage errors, a scan that skips
+on-manifold members and small scans whose stacked member arrays have
+shapes no benchmark scan builds (no mode rows, random members up to
+degree K, no near-manifold family), and so are the `constants` text and
+CSV formats at the benchmark's (N, s) pairs (`FORMAT_ARGVS`; the
+operations print JSON): paths that no benchmark operation takes.  Last, since the
 in-process runs bypass the modules' `__main__` blocks, `python -m
 sobstab.cli` and `python -m sobstab` each run one command that loads
 numpy (`ENTRY_ARGV`) as a child process in the tree's `src`, and are
@@ -65,6 +67,16 @@ ERROR_ARGVS = [
     # one member's norms overflow: refused by its label before the search
     ["deficit-scan", *_NS, "--seed", "1", "--eps", "1e300,0.1", "--n-normal", "0",
      "--n-random", "0", "--bubbles", "", "--modes", "2"],
+    # random members of degree 0 are constants, on the manifold: refused
+    ["deficit-scan", "--N", "8", "--s", "3.3", "--seed", "4", "--max-degree", "0",
+     "--n-random", "3", "--n-normal", "0", "--modes", "", "--bubbles", "0.5"],
+    # stacked member arrays without mode rows, up to degree K, and without local members
+    ["deficit-scan", *_NS, "--seed", "1", "--K", "8", "--modes", "", "--n-normal", "2",
+     "--n-random", "1", "--bubbles", "0.5"],
+    ["deficit-scan", *_NS, "--seed", "1", "--K", "8", "--max-degree", "20", "--n-normal", "2",
+     "--n-random", "2"],
+    ["deficit-scan", *_NS, "--seed", "1", "--K", "8", "--eps", "", "--n-random", "2",
+     "--bubbles", "0.5"],
     # a local:e2 ratio at or above local_constant breaks the strict gap
     ["deficit-scan", "--N", "8", "--s", "3.3", "--seed", "1", "--K", "384", "--eps", "1e-4",
      "--n-normal", "0", "--n-random", "0", "--bubbles", ""],
