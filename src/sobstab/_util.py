@@ -21,6 +21,25 @@ class RefusalError(Exception):
     """A result the discretization cannot resolve; the CLI refuses it (exit 3)."""
 
 
+class Frozen:
+    """Immutable __slots__ base: `__init__` sets each slot once, by `_set`; equal to itself only."""
+
+    __slots__ = ()
+
+    def _set(self, **slots) -> None:
+        for name, value in slots.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable; {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = (f"{n}={getattr(self, n)!r}" for n in self.__slots__ if not n.startswith("_"))
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
 def golden_section_min(f: Callable[[float], float], a: float, b: float,
                        tol: float) -> tuple[float, float]:
     """Minimize f on [a, b] by golden-section search.

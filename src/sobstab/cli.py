@@ -13,7 +13,6 @@ too coarse or a stability ratio whose deficit rounds to zero), 4
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import json
@@ -108,6 +107,7 @@ def _write_table(args, doc: dict, header: tuple, rows: list[tuple], line) -> Non
     if args.format == "json":
         text = _json_text(doc)
     elif args.format == "csv":
+        import csv
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([header, *rows])
         text = buf.getvalue()
@@ -131,7 +131,7 @@ def _constants_line(name: str, value) -> str:
 def cmd_constants(args) -> int:
     p = _params(args)
     eigen = _eigen_rows(p, args.kmax)
-    weak = compute_constants(p).to_json_dict()
+    weak = compute_constants(p)._asdict()
     doc = {
         "N": p.N,
         "s": p.s,

@@ -11,12 +11,11 @@ axial manifold u_{c,t0}(t) = c (1 - t0 t)^(-(N-s)/2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._util import PROFILE_GRAMMAR
+from ._util import PROFILE_GRAMMAR, Frozen
 from .specfun import SobolevParams
 from .zonal import QuadratureRule, ZonalFunction, analyze, synthesize
 
@@ -40,32 +39,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ManifoldPoint:
+class ManifoldPoint(NamedTuple("ManifoldPoint", [("c", float), ("t0", float)])):
     """Axial extremizer u_{c,t0}(t) = c (1 - t0 t)^(-(N-s)/2); c != 0, |t0| < 1."""
 
-    c: float
-    t0: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.c == 0.0:
+    def __new__(cls, c: float, t0: float) -> ManifoldPoint:
+        if c == 0.0:
             raise ValueError("amplitude c must be nonzero")
-        if not abs(self.t0) < 1.0:
-            raise ValueError(f"axial parameter must satisfy |t0| < 1, got {self.t0}")
+        if not abs(t0) < 1.0:
+            raise ValueError(f"axial parameter must satisfy |t0| < 1, got {t0}")
+        return super().__new__(cls, c, t0)
 
 
-@dataclass(frozen=True)
-class RadialFunction:
-    """Radial profile r -> u(r) on R^N, zero beyond support_radius (may be inf)."""
+class RadialFunction(Frozen):
+    """Radial profile r -> u(r) on R^N, zero beyond support_radius (may be inf).
 
-    params: SobolevParams
-    profile: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-    support_radius: float = math.inf
-    name: str = ""
+    Immutable and equal only to itself.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.support_radius > 0:
+    __slots__ = ("params", "profile", "support_radius", "name")
+
+    def __init__(self, params: SobolevParams, profile: Callable[[np.ndarray], np.ndarray],
+                 support_radius: float = math.inf, name: str = "") -> None:
+        if not support_radius > 0:
             raise ValueError("support_radius must be positive")
+        self._set(params=params, profile=profile, support_radius=support_radius, name=name)
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)

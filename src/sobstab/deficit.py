@@ -12,8 +12,7 @@ over seeded scan families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -67,8 +66,7 @@ _GAP_EPS = 1e-2  # local:e2 members up to this eps must have a ratio below local
 _BLOCK_BYTES = 2**19  # weighted_basis bytes per block of `_AxialTable.rows`
 
 
-@dataclass(frozen=True)
-class DeficitReport:
+class DeficitReport(NamedTuple):
     """Deficit, axial distance (an upper bound for the true one), and their ratio."""
 
     norm_star_sq: float
@@ -82,16 +80,16 @@ class DeficitReport:
 
 def deficit(u: ZonalFunction, rule: QuadratureRule) -> float:
     """Psi(u) = ||u||_*^2 - S |u|_q^2; nonnegative, zero on the manifold."""
-    return _parts([u], rule)[0][2]
+    return _parts(None, [u], rule)[0][2]
 
 
-def _parts(us, rule):
+def _parts(labels, us, rule):
     # (||u||_*^2, |u|_q, Psi(u)) of each member of a batch: the one
     # expression of Psi, for deficit and the reports
     s_const = sharp_constant(us[0].params)
     ns2 = [x ** 2 for x in norm_star(us)]
     return [(x, lq, x - s_const * lq * lq)
-            for x, lq in zip(ns2, norm_lp(us, us[0].params.q, rule))]
+            for x, lq in zip(ns2, norm_lp(us, us[0].params.q, rule, labels))]
 
 
 def _nonlinear_integrals(u, rule, *extra):
@@ -311,20 +309,26 @@ def _report(ns2, lq, psi, d, nearest) -> DeficitReport | None:
 
 
 def _reports(labels, us, rule: QuadratureRule) -> list[DeficitReport | None]:
-    # The report of each member, None on the manifold: an overflowing part
-    # is refused by label before the one lockstep search, and numpy warns
-    # of none of it; a finite ||u||_*^2 makes d finite.
+    # The report of each member, None on the manifold: the first member in
+    # order whose part overflows or whose |u|_q underflows is refused by
+    # label before the one lockstep search, and numpy warns of none of it;
+    # a finite ||u||_*^2 makes d finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        parts = _parts(us, rule)
+        try:
+            parts = _parts(labels, us, rule)
+        except RefusalError:  # an underflow: one member at a time, so the first is named
+            parts = (_parts([label], [u], rule)[0] for label, u in zip(labels, us))
+        checked = []
         for label, part in zip(labels, parts):
             for name, value in zip(("norm_star_sq", "lq_norm", "deficit"), part):
                 if not math.isfinite(value):
                     raise RefusalError(
                         f"member {label}: {name} is {value}: the member's norms overflow "
                         "double precision, so no stability ratio is defined")
+            checked.append(part)
         table = _AxialTable(rule, us[0].K, us[0].params)  # dies with the call
         ds, nearest = distance(us, rule, table)
-    return [_report(*part, d, near) for part, d, near in zip(parts, ds.tolist(), nearest)]
+    return [_report(*part, d, near) for part, d, near in zip(checked, ds.tolist(), nearest)]
 
 
 def stability_ratio(u: ZonalFunction, rule: QuadratureRule) -> DeficitReport:
@@ -345,18 +349,7 @@ def stability_ratio(u: ZonalFunction, rule: QuadratureRule) -> DeficitReport:
 # --- seeded stability scans ---
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    """Scan families for the empirical stability constant.
-
-    Three families: small perturbations of the constant extremizer along
-    the normal space (pure low modes plus random combinations, one member
-    per epsilon), fully random coefficient vectors, and symmetric
-    two-bubble superpositions.  Everything is drawn up front from one
-    seeded generator, so results are reproducible bit for bit.  Every
-    check of a scan runs here, so an invalid config cannot be built.
-    """
-
+class _ScanFields(NamedTuple):
     seed: int
     K: int = 64
     M: Optional[int] = None
@@ -367,7 +360,23 @@ class ScanConfig:
     bubble_t0: tuple[float, ...] = (0.2, 0.35, 0.5, 0.65, 0.8)
     random_max_degree: int = 16
 
-    def __post_init__(self) -> None:
+
+class ScanConfig(_ScanFields):
+    """Scan families for the empirical stability constant.
+
+    Three families: small perturbations of the constant extremizer along
+    the normal space (pure low modes plus random combinations, one member
+    per epsilon), fully random coefficient vectors, and symmetric
+    two-bubble superpositions.  Everything is drawn up front from one
+    seeded generator, so results are reproducible bit for bit.  Every
+    check of a scan runs here, so an invalid config cannot be built.
+    Immutable and equal by value; `_fields` names the settings.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ScanConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.K < 2:
             raise ValueError("truncation degree K must be >= 2")
         if self.M is not None and self.M <= self.K:
@@ -405,6 +414,7 @@ class ScanConfig:
             raise ValueError("normal_modes exceed the random_max_degree/K window")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        return self
 
     @property
     def rule_size(self) -> int:
@@ -461,25 +471,19 @@ def scan_members(p: SobolevParams, cfg: ScanConfig) -> Iterator[tuple[str, str, 
         yield "bubble", f"bubble:t0={t0:g}", analyze(p, vals, rule, K)
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Ordered member reports plus the scan summary."""
 
     entries: list  # (index, family, label, DeficitReport | None)
     alpha_hat: float
     local_constant: float
     n_members: int
-    n_skipped: int
     seed: int
+    n_skipped: int
 
     def summary_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "local_constant": self.local_constant,
-            "n_members": self.n_members,
-            "seed": self.seed,
-            "n_skipped": self.n_skipped,
-        }
+        """Every field but the entries, in field order: the summary record."""
+        return dict(zip(self._fields[1:], self[1:]))
 
     @property
     def violation(self) -> bool:

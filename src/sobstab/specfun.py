@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from ._util import RefusalError
 
@@ -74,25 +74,25 @@ def sphere_area(n: int) -> float:
     return _sphere_area(n)
 
 
-@dataclass(frozen=True)
-class SobolevParams:
+class SobolevParams(NamedTuple("SobolevParams", [("N", int), ("s", float)])):
     """Dimension N and order s, with 0 < s < N.
 
     The critical exponent q = 2N/(N-s) and the extremizer exponent
     beta = (N-s)/2 (the optimizers are c (1 - t0 t)^(-beta) on S^N) are
     always recomputed from (N, s), never stored, so they can not drift
-    out of sync.
+    out of sync.  Immutable, hashable and equal by value, so it keys the
+    lru_caches.
     """
 
-    N: int
-    s: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.N, int) or self.N < 1:
-            raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
-        object.__setattr__(self, "s", float(self.s))
-        if not 0.0 < self.s < self.N:
-            raise ValueError(f"need 0 < s < N, got s={self.s}, N={self.N}")
+    def __new__(cls, N: int, s: float) -> SobolevParams:
+        if not isinstance(N, int) or N < 1:
+            raise ValueError(f"N must be an integer >= 1, got {N!r}")
+        s = float(s)
+        if not 0.0 < s < N:
+            raise ValueError(f"need 0 < s < N, got s={s}, N={N}")
+        return super().__new__(cls, N, s)
 
     @property
     def q(self) -> float:
@@ -172,12 +172,12 @@ def unit_ball_radius(N: int) -> float:
     return ball_volume(N) ** (-1.0 / N)
 
 
-@dataclass(frozen=True)
-class WeakNormConstants:
+class WeakNormConstants(NamedTuple):
     """The explicit constants of the weak-norm remainder bound.
 
     rho solves rho/(sqrt(S)(1-rho)) = (tail L^q mass of the extremizer
     outside the unit ball)^(1/q); C = C0^(-2) is the final constant.
+    `_asdict()` gives them in field order, the output schema.
     """
 
     rho: float
@@ -187,9 +187,6 @@ class WeakNormConstants:
     C2: float
     C0: float
     C: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def extremizer_weak_norm(p: SobolevParams) -> float:

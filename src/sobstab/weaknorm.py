@@ -16,8 +16,7 @@ evaluating both sides for smooth radial test functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -133,15 +132,14 @@ def radial_cells(u: RadialFunction, n_cells: int = 2048,
     return cell_mass / measures, measures
 
 
-@dataclass(frozen=True)
-class Theorem2Case:
+class Theorem2Case(NamedTuple):
     """One verification case of the weak-norm remainder bound."""
 
     profile: str
     lhs: float
     rhs: float
     margin: float
-    weak: float
+    weak_norm: float
     omega_measure: float
     norm_star_sq: float
     lq_norm: float
@@ -152,14 +150,8 @@ class Theorem2Case:
         return self.margin < -1e-6 * self.lhs
 
     def to_json_dict(self) -> dict:
-        return {
-            "profile": self.profile,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "weak_norm": self.weak,
-            "omega_measure": self.omega_measure,
-        }
+        """The fields up to omega_measure, in field order: the case record."""
+        return dict(zip(self._fields[:6], self))
 
 
 def verify_theorem2(u: RadialFunction, K: int = 384, n_cells: int = 2048) -> Theorem2Case:
@@ -193,7 +185,7 @@ def verify_theorem2(u: RadialFunction, K: int = 384, n_cells: int = 2048) -> The
         lhs=lhs,
         rhs=rhs,
         margin=lhs - rhs,
-        weak=wk,
+        weak_norm=wk,
         omega_measure=omega,
         norm_star_sq=ns2,
         lq_norm=lq,

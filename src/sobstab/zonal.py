@@ -15,11 +15,12 @@ integral over S^N reduces to one over t in (-1, 1) against the measure
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
 from functools import cache, lru_cache
 
 import numpy as np
 
+from ._util import Frozen, RefusalError
 from .specfun import SobolevParams, _sphere_area, eigenvalue
 
 __all__ = [
@@ -49,28 +50,24 @@ def _recurrence_sq(N: int, n: int) -> float:
     return n * (n + N - 2.0) / ((2.0 * n + N - 1.0) * (2.0 * n + N - 3.0))
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
+class QuadratureRule(Frozen):
     """Gauss rule on (-1, 1) carrying the full latitudinal sphere measure.
 
     weights sum to |S^N|; nodes are strictly increasing.  The reflection
     symmetry t -> -t is exact and checked on construction: nodes equal
     -nodes[::-1] and weights equal weights[::-1] bit for bit, which is
-    what lets `analyze` fold the odd coefficients.  Immutable; basis
-    matrices are cached per truncation degree.
+    what lets `analyze` fold the odd coefficients.  Immutable, equal only
+    to itself; basis matrices are cached per truncation degree.
     """
 
-    N: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    _basis_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    __slots__ = ("N", "nodes", "weights", "_basis_cache")
 
-    def __post_init__(self) -> None:
-        if not (np.array_equal(self.nodes, -self.nodes[::-1])
-                and np.array_equal(self.weights, self.weights[::-1])):
+    def __init__(self, N: int, nodes: np.ndarray, weights: np.ndarray) -> None:
+        if not (np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])):
             raise ValueError("quadrature rule must be exactly symmetric about t = 0")
-        self.nodes.setflags(write=False)
-        self.weights.setflags(write=False)
+        nodes.setflags(write=False)
+        weights.setflags(write=False)
+        self._set(N=N, nodes=nodes, weights=weights, _basis_cache={})
 
     @property
     def M(self) -> int:
@@ -229,25 +226,24 @@ def lambdas(params: SobolevParams, K: int) -> np.ndarray:
     return lam
 
 
-@dataclass(frozen=True, eq=False)
-class ZonalFunction:
+class ZonalFunction(Frozen):
     """Coefficients a_0..a_K in the orthonormal zonal basis, plus (N, s).
 
     Parseval: the L^2(S^N) norm is sqrt(sum a_k^2); the conformal-operator
-    norm is ||u||_*^2 = sum lambda_k(s) a_k^2.
+    norm is ||u||_*^2 = sum lambda_k(s) a_k^2.  Immutable (the coefficients
+    are a read-only copy) and equal only to itself.
     """
 
-    params: SobolevParams
-    coeffs: np.ndarray
+    __slots__ = ("params", "coeffs")
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=float)
+    def __init__(self, params: SobolevParams, coeffs) -> None:
+        arr = np.array(coeffs, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("coeffs must be a non-empty 1-D array")
         if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        self._set(params=params, coeffs=arr)
 
     @property
     def K(self) -> int:
@@ -371,11 +367,20 @@ def inner_star(u: ZonalFunction, v: ZonalFunction) -> float:
     return float(lam @ (u.coeffs[:n] * v.coeffs[:n]))
 
 
-def norm_lp(u: ZonalFunction | list[ZonalFunction], p: float, rule: QuadratureRule):
+# Below this sum of w |u|^p, node terms that underflowed can move |u|_p by more than roundoff
+_LP_SUM_MIN = sys.float_info.min / sys.float_info.epsilon
+
+
+def norm_lp(u: ZonalFunction | list[ZonalFunction], p: float, rule: QuadratureRule,
+            labels: list[str] | None = None):
     """L^p(S^N) norm by quadrature of |u|^p at the rule nodes; p >= 1.
 
     A list gives a list, as for `norm_star`.  The last power is taken per
     member, as a scalar: numpy's array power rounds some norms otherwise.
+    A nonzero member whose sum of w |u|^p is below min/eps of the doubles
+    is refused (RefusalError, naming it by `labels` when given): its
+    norm would lose more than roundoff, down to 0.0.  The zero function
+    has norm 0.0.
     """
     if p < 1.0:
         raise ValueError(f"norm_lp requires p >= 1, got {p}")
@@ -383,7 +388,16 @@ def norm_lp(u: ZonalFunction | list[ZonalFunction], p: float, rule: QuadratureRu
     if rule.N != members[0].params.N:
         raise ValueError(f"rule dimension {rule.N} != params dimension {members[0].params.N}")
     vals = np.abs(np.matmul(A[:, None, :], rule.basis(members[0].K)))[:, 0]
-    norms = [float(x ** (1.0 / p)) for x in np.matmul(rule.weights, (vals**p)[:, :, None])[:, 0]]
+    sums = np.matmul(rule.weights, (vals**p)[:, :, None])[:, 0]
+    tiny = np.flatnonzero((sums < _LP_SUM_MIN) & A.any(axis=1))
+    if tiny.size:
+        i = int(tiny[0])
+        who = "" if labels is None else f"member {labels[i]}: "
+        raise RefusalError(
+            f"{who}|u|_{p:g} underflows: its quadrature sum of w |u|^{p:g} is "
+            f"{float(sums[i])!r}, below min/eps of the doubles, where the node terms "
+            "that underflowed move it by more than roundoff")
+    norms = [float(x ** (1.0 / p)) for x in sums]
     return norms[0] if isinstance(u, ZonalFunction) else norms
 
 

@@ -293,12 +293,10 @@ class TestScanCommands:
                         ScanConfig(seed=5, K=16, eps_grid=(0.5,))]
 
     def test_scan_flags_name_every_config_field_once(self):
-        from dataclasses import fields
-
         from sobstab.deficit import ScanConfig
 
         named = sorted(field for _, field, *_ in cli._SCAN_FLAGS)
-        assert named == sorted(f.name for f in fields(ScanConfig) if f.name != "seed")
+        assert named == sorted(name for name in ScanConfig._fields if name != "seed")
 
     def test_seed_required(self, capsys):
         code, _, err = run(["deficit-scan", "--N", "3", "--s", "2"], capsys)
@@ -457,6 +455,14 @@ class TestVerifyCommand:
         assert code == 3
         assert "increase K" in err
 
+    def test_underflowing_pullback_is_refused(self, capsys):
+        # |u|^6 underflowed at every node, and lhs printed as ||u||_*^2,
+        # 5.61e-262 (a scaled sum gives 1.86e-262), with exit 0
+        code, out, err = run(["verify-theorem2", "--N", "3", "--s", "2",
+                              "--profiles", "bump:0.62,300"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("refused: |u|_6 underflows: ")
+
     def test_zero_cells_is_usage_error(self, capsys):
         # no cell would give a weak norm of 0 and a margin equal to the lhs
         code, out, err = run(["verify-theorem2", "--N", "3", "--s", "2", "--cells", "0"],
@@ -502,7 +508,7 @@ class TestVerifyCommand:
 
         def fake_verify(profile, K=0, n_cells=0):
             return Theorem2Case(profile="fake", lhs=1.0, rhs=2.0, margin=-1.0,
-                                weak=1.0, omega_measure=1.0,
+                                weak_norm=1.0, omega_measure=1.0,
                                 norm_star_sq=1.0, lq_norm=1.0)
 
         monkeypatch.setattr(weaknorm, "verify_theorem2", fake_verify)
@@ -745,7 +751,9 @@ class TestSciPyImports:
 
 
 class TestCommandImports:
-    # A CLI call loads the numerical modules of its command only.
+    # A CLI call loads the numerical modules of its command only, never
+    # dataclasses (whose classes cost an exec at import, and which loads
+    # inspect), and csv only to write --format csv.
     BASE = {"sobstab._util", "sobstab.specfun", "sobstab.cli"}
     NUMERIC = {"numpy", "sobstab.conformal", "sobstab.zonal"}
     SCAN = ["--N", "3", "--s", "2", "--seed", "1", "--K", "16", "--n-normal", "1",
@@ -758,21 +766,23 @@ class TestCommandImports:
         # the weak-norm constants are closed forms in specfun
         (["constants", "--N", "3", "--s", "2"], set()),
         (["constants", "--N", "3", "--s", "2", "--format", "json"], set()),
-        (["constants", "--N", "3", "--s", "2", "--format", "csv"], set()),
+        (["constants", "--N", "3", "--s", "2", "--format", "csv"], {"csv"}),
+        (["eigenvalues", "--N", "3", "--s", "2", "--format", "csv"], {"csv"}),
         (["verify-theorem2", "--N", "3", "--s", "2"], NUMERIC | {"sobstab.weaknorm"}),
         (["export-function", "--N", "3", "--s", "2", "--K", "16", "--profile", "gaussian"],
          NUMERIC),
         (["deficit-scan", *SCAN], NUMERIC | {"sobstab.deficit"}),
         (["alpha-estimate", *SCAN], NUMERIC | {"sobstab.deficit"}),
     ], ids=["import", "help", "eigenvalues", "constants", "constants-json", "constants-csv",
-            "verify-theorem2", "export-function", "deficit-scan", "alpha-estimate"])
+            "eigenvalues-csv", "verify-theorem2", "export-function", "deficit-scan",
+            "alpha-estimate"])
     def test_loaded_modules(self, argv, extra):
         code = "import contextlib, io, sys\nfrom sobstab.cli import main\n"
         if argv is not None:
             code += ("with contextlib.redirect_stdout(io.StringIO()):\n"
                      f"    assert main({argv!r}) == 0\n")
-        code += ("print(' '.join(m for m in sys.modules "
-                 "if m == 'numpy' or m.startswith('sobstab.')))")
+        code += ("print(' '.join(m for m in sys.modules if m in ('numpy', 'dataclasses', "
+                 "'csv') or m.startswith('sobstab.')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=python_env())
         assert proc.returncode == 0, proc.stderr

@@ -251,6 +251,27 @@ class TestStabilityRatio:
                 stability_ratio(ZonalFunction(P32, a), rule32)
         assert [str(w.message) for w in caught] == []
 
+    def test_underflowing_member_is_refused(self, rule32):
+        # |u|^6 underflowed at every node: lq_norm 0.0, ratio 85715.29 and
+        # deficit == ||u||_*^2, where the ratio is 0.5709 at scale 1
+        a = np.zeros(65)
+        a[0], a[2] = 1e-100, 1e-103
+        u = ZonalFunction(P32, a)
+        with pytest.raises(RefusalError, match=r"^member u: \|u\|_6 underflows: "):
+            stability_ratio(u, rule32)
+        with pytest.raises(RefusalError, match=r"^\|u\|_6 underflows: "):
+            deficit(u, rule32)
+
+    def test_scan_names_the_first_refused_member(self, rule32):
+        tiny = ZonalFunction(P32, np.r_[1e-160, 0.0, 1e-163, np.zeros(62)])
+        huge = ZonalFunction(P32, np.r_[1e200, 0.0, 0.0, 1e200, np.zeros(61)])
+        ok = constant(P32, 1.0, 64) + 0.1 * unit_mode(P32, 2)
+        for members, message in (([ok, tiny], r"^member b: \|u\|_6 underflows: "),
+                                 ([tiny, huge], r"^member a: \|u\|_6 underflows: "),
+                                 ([huge, tiny], "^member a: norm_star_sq is inf: ")):
+            with pytest.raises(RefusalError, match=message):
+                deficit_module._reports(["a", "b"], members, rule32)
+
     def test_local_limit_along_e2(self, rule32):
         ratios = {}
         for eps in (1e-2, 1e-3):

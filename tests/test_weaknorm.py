@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -240,7 +239,7 @@ class TestConstants:
         # residual of a 1e-9 relative error reads 1.3e-13 and 4.8e-43
         p = SobolevParams(N, 1.0)
         wc = compute_constants(p)
-        planted = dataclasses.replace(wc, rho=wc.rho * (1.0 + 1e-9))
+        planted = wc._replace(rho=wc.rho * (1.0 + 1e-9))
         assert abs(eq_rho_residual(p, wc)) <= 1e-12
         assert abs(eq_rho_residual(p, planted)) > 1e-12
 
@@ -309,7 +308,7 @@ class TestConstantsAgainstOracle:
                                      (30, 27.0), (37, 33.3), (38, 34.2), (100, 90.0),
                                      (216, 1.0), (225, 1.0), (300, 1.0)])
     def test_every_constant_matches_mpmath(self, N, s):
-        got = compute_constants(SobolevParams(N, s)).to_json_dict()
+        got = compute_constants(SobolevParams(N, s))._asdict()
         for name, value in _constants_oracle(N, s).items():
             assert got[name] == pytest.approx(float(value), rel=1e-12), name
 
@@ -358,7 +357,7 @@ class TestVerifyTheorem2:
         assert scaled.margin == pytest.approx(base.margin, rel=1e-6)
         assert scaled.omega_measure == pytest.approx(
             base.omega_measure * lam ** (-p.q), rel=1e-10)
-        assert scaled.weak == pytest.approx(base.weak / lam, rel=1e-8)
+        assert scaled.weak_norm == pytest.approx(base.weak_norm / lam, rel=1e-8)
 
     def test_composes_with_deficit_functional(self):
         # the remainder bound restated through the deficit module
@@ -385,7 +384,7 @@ class TestVerifyTheorem2:
 
     @pytest.mark.parametrize("margin, violated", [(0.5, False), (-5e-7, False), (-2e-6, True)])
     def test_violated_below_the_roundoff_margin(self, margin, violated):
-        case = Theorem2Case(profile="p", lhs=1.0, rhs=1.0 - margin, margin=margin, weak=1.0,
+        case = Theorem2Case(profile="p", lhs=1.0, rhs=1.0 - margin, margin=margin, weak_norm=1.0,
                             omega_measure=1.0, norm_star_sq=1.0, lq_norm=1.0)
         assert case.violated is violated
 

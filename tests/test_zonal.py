@@ -10,6 +10,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
 
 from sobstab import zonal
+from sobstab._util import RefusalError
 from sobstab.conformal import manifold_samples
 from sobstab.specfun import SobolevParams, eigenvalue, sphere_area, _sphere_area
 from sobstab.zonal import (
@@ -393,6 +394,32 @@ class TestNormLp:
             u = ZonalFunction(P32, coeffs)
             lq = norm_lp(u, P32.q, rule32)
             assert norm_star(u) ** 2 >= s_const * lq * lq * (1 - 1e-9)
+
+    @staticmethod
+    def scaled(scale):
+        # (3, 2), K=64: |u|_6 of a[0] = 1, a[2] = 1e-3 is 0.37002, and its
+        # quadrature sum of w |u|^6 is 2.6e-3 scale^6
+        a = np.zeros(65)
+        a[0], a[2] = scale, 1e-3 * scale
+        return ZonalFunction(P32, a)
+
+    @pytest.mark.parametrize("scale", [1e-50, 1e-100, 1e-200, 1e-320])
+    def test_underflowed_sum_is_refused(self, rule32, scale):
+        # the sum underflowed to 0.0 or below min/eps: |u|_q came out 0.0 at 1e-100
+        with pytest.raises(RefusalError, match=r"^\|u\|_6 underflows: "):
+            norm_lp(self.scaled(scale), P32.q, rule32)
+        with pytest.raises(RefusalError, match=r"^member b: \|u\|_6 underflows: "):
+            norm_lp([self.scaled(1.0), self.scaled(scale)], P32.q, rule32, labels=["a", "b"])
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e-40, 1e-48])
+    def test_small_sum_above_the_bound_keeps_its_norm(self, rule32, scale):
+        assert norm_lp(self.scaled(scale), P32.q, rule32) == pytest.approx(
+            scale * norm_lp(self.scaled(1.0), P32.q, rule32), rel=1e-13)
+
+    def test_zero_function_has_norm_zero(self, rule32):
+        zero = constant(P32, 0.0, 8)
+        assert norm_lp(zero, P32.q, rule32) == 0.0
+        assert norm_lp([zero, zero], 2.0, rule32) == [0.0, 0.0]
 
 
 class TestBatchNorms:

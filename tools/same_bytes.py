@@ -21,9 +21,10 @@ degree K, no near-manifold family), and so are the `constants` text and
 CSV formats at the benchmark's (N, s) pairs (`FORMAT_ARGVS`; the
 operations print JSON): paths that no benchmark operation takes.  Last, since the
 in-process runs bypass the modules' `__main__` blocks, `python -m
-sobstab.cli` and `python -m sobstab` each run one command that loads
-numpy (`ENTRY_ARGV`) as a child process in the tree's `src`, and are
-compared and counted the same way.
+sobstab.cli` and `python -m sobstab` each run every command of
+`ENTRY_ARGVS` as a child process in the tree's `src`: one that loads
+numpy and one that loads neither numpy nor the scan modules (`constants
+--format csv`).  They are compared and counted the same way.
 
 Every operation is compared at two BLAS thread counts, since the last
 digits of large products (and LAPACK's divide-and-conquer merges) may
@@ -87,7 +88,8 @@ ERROR_ARGVS = [
     ["alpha-estimate", *_NS, "--seed", "1", "--K", "x"],
     ["alpha-estimate", *_NS],
 ]
-ENTRY_ARGV = ["export-function", "--N", "2", "--s", "1", "--K", "2", "--profile", "gaussian"]
+ENTRY_ARGVS = [["export-function", "--N", "2", "--s", "1", "--K", "2", "--profile", "gaussian"],
+               ["constants", "--N", "3", "--s", "2", "--format", "csv"]]
 ENTRY_MODULES = ("sobstab.cli", "sobstab")
 FORMAT_ARGVS = [["constants", "--N", str(N), "--s", s, "--format", fmt]
                 for N, s in PAIRS for fmt in ("text", "csv")]
@@ -139,13 +141,13 @@ def finish(proc: subprocess.Popen, tree: Path) -> list:
 
 
 def entry_points(tree: Path, threads: dict) -> list:
-    """[exit code, stdout, stderr] of `python -m MODULE ENTRY_ARGV` per ENTRY_MODULES.
+    """[exit code, stdout, stderr] of `python -m MODULE ARGV` per ENTRY_MODULES and ENTRY_ARGVS.
 
     Run in the tree's `src`, which `-m` puts first on the module path.
     """
-    procs = [subprocess.run([sys.executable, "-m", module, *ENTRY_ARGV], cwd=tree / "src",
+    procs = [subprocess.run([sys.executable, "-m", module, *argv], cwd=tree / "src",
                             capture_output=True, text=True, env=child_env(threads))
-             for module in ENTRY_MODULES]
+             for module in ENTRY_MODULES for argv in ENTRY_ARGVS]
     return [[proc.returncode, proc.stdout, proc.stderr] for proc in procs]
 
 
@@ -161,7 +163,8 @@ def main(argv: list[str] | None = None) -> int:
     groups = {"help texts": helps, "error paths": ERROR_ARGVS, "constants formats": FORMAT_ARGVS}
     runs = argvs + [argv for group in groups.values() for argv in group]
     # the entry points run apart from the child, after its runs
-    groups["entry points"] = [["-m", module, *ENTRY_ARGV] for module in ENTRY_MODULES]
+    groups["entry points"] = [["-m", module, *argv]
+                              for module in ENTRY_MODULES for argv in ENTRY_ARGVS]
     names = ([f"{workload} {op.kind} {op.key}" for workload, op in ops]
              + [group for group, group_argvs in groups.items() for _ in group_argvs])
     counts = []
