@@ -22,7 +22,12 @@ class RefusalError(Exception):
 
 
 class Frozen:
-    """Immutable __slots__ base: `__init__` sets each slot once, by `_set`; equal to itself only."""
+    """Immutable __slots__ base: `__init__` sets each slot once, by `_set`; equal to itself only.
+
+    The public slots, in order, are the arguments of `__init__`: copies and
+    pickles are rebuilt through it, so they are checked (and their arrays
+    made read-only) as any new instance is.
+    """
 
     __slots__ = ()
 
@@ -35,9 +40,20 @@ class Frozen:
 
     __delattr__ = __setattr__
 
+    def _public(self) -> list[tuple[str, object]]:
+        return [(n, getattr(self, n)) for n in self.__slots__ if not n.startswith("_")]
+
+    def __reduce__(self):
+        return type(self), tuple(value for _, value in self._public())
+
     def __repr__(self) -> str:
-        fields = (f"{n}={getattr(self, n)!r}" for n in self.__slots__ if not n.startswith("_"))
+        fields = (f"{n}={value!r}" for n, value in self._public())
         return f"{type(self).__name__}({', '.join(fields)})"
+
+
+def checked_make(cls, iterable):
+    """A NamedTuple `_make` that builds through `cls.__new__`, so `_replace` checks too."""
+    return cls(*iterable)
 
 
 def golden_section_min(f: Callable[[float], float], a: float, b: float,

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._util import PROFILE_GRAMMAR, Frozen
+from ._util import PROFILE_GRAMMAR, Frozen, checked_make
 from .specfun import SobolevParams
 from .zonal import QuadratureRule, ZonalFunction, analyze, synthesize
 
@@ -43,6 +43,7 @@ class ManifoldPoint(NamedTuple("ManifoldPoint", [("c", float), ("t0", float)])):
     """Axial extremizer u_{c,t0}(t) = c (1 - t0 t)^(-(N-s)/2); c != 0, |t0| < 1."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, c: float, t0: float) -> ManifoldPoint:
         if c == 0.0:

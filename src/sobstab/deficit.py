@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from ._util import _INVPHI, _INVPHI2, RefusalError, fmt12
+from ._util import _INVPHI, _INVPHI2, RefusalError, checked_make, fmt12
 from .conformal import ManifoldPoint, manifold_samples
 from .specfun import SobolevParams, local_constant, sharp_constant
 from .zonal import (
@@ -80,16 +80,16 @@ class DeficitReport(NamedTuple):
 
 def deficit(u: ZonalFunction, rule: QuadratureRule) -> float:
     """Psi(u) = ||u||_*^2 - S |u|_q^2; nonnegative, zero on the manifold."""
-    return _parts(None, [u], rule)[0][2]
+    return _parts([u], rule)[0][2]
 
 
-def _parts(labels, us, rule):
+def _parts(us, rule):
     # (||u||_*^2, |u|_q, Psi(u)) of each member of a batch: the one
     # expression of Psi, for deficit and the reports
     s_const = sharp_constant(us[0].params)
     ns2 = [x ** 2 for x in norm_star(us)]
     return [(x, lq, x - s_const * lq * lq)
-            for x, lq in zip(ns2, norm_lp(us, us[0].params.q, rule, labels))]
+            for x, lq in zip(ns2, norm_lp(us, us[0].params.q, rule))]
 
 
 def _nonlinear_integrals(u, rule, *extra):
@@ -315,11 +315,16 @@ def _reports(labels, us, rule: QuadratureRule) -> list[DeficitReport | None]:
     # a finite ||u||_*^2 makes d finite.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            parts = _parts(labels, us, rule)
+            parts = _parts(us, rule)
         except RefusalError:  # an underflow: one member at a time, so the first is named
-            parts = (_parts([label], [u], rule)[0] for label, u in zip(labels, us))
+            parts = [None] * len(us)
         checked = []
-        for label, part in zip(labels, parts):
+        for label, u, part in zip(labels, us, parts):
+            if part is None:
+                try:
+                    (part,) = _parts([u], rule)
+                except RefusalError as exc:
+                    raise RefusalError(f"member {label}: {exc}") from None
             for name, value in zip(("norm_star_sq", "lq_norm", "deficit"), part):
                 if not math.isfinite(value):
                     raise RefusalError(
@@ -370,10 +375,12 @@ class ScanConfig(_ScanFields):
     two-bubble superpositions.  Everything is drawn up front from one
     seeded generator, so results are reproducible bit for bit.  Every
     check of a scan runs here, so an invalid config cannot be built.
-    Immutable and equal by value; `_fields` names the settings.
+    Immutable and equal by value; `_fields` names the settings, and
+    `_replace` checks its result as construction does.
     """
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, *args, **kwargs) -> ScanConfig:
         self = super().__new__(cls, *args, **kwargs)
@@ -478,12 +485,17 @@ class ScanResult(NamedTuple):
     alpha_hat: float
     local_constant: float
     n_members: int
-    seed: int
     n_skipped: int
+    seed: int
 
     def summary_dict(self) -> dict:
-        """Every field but the entries, in field order: the summary record."""
-        return dict(zip(self._fields[1:], self[1:]))
+        return {
+            "alpha_hat": self.alpha_hat,
+            "local_constant": self.local_constant,
+            "n_members": self.n_members,
+            "seed": self.seed,
+            "n_skipped": self.n_skipped,
+        }
 
     @property
     def violation(self) -> bool:

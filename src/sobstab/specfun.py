@@ -16,7 +16,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from ._util import RefusalError
+from ._util import RefusalError, checked_make
 
 __all__ = [
     "SobolevParams",
@@ -85,6 +85,7 @@ class SobolevParams(NamedTuple("SobolevParams", [("N", int), ("s", float)])):
     """
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, N: int, s: float) -> SobolevParams:
         if not isinstance(N, int) or N < 1:

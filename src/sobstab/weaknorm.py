@@ -139,7 +139,7 @@ class Theorem2Case(NamedTuple):
     lhs: float
     rhs: float
     margin: float
-    weak_norm: float
+    weak: float
     omega_measure: float
     norm_star_sq: float
     lq_norm: float
@@ -150,8 +150,14 @@ class Theorem2Case(NamedTuple):
         return self.margin < -1e-6 * self.lhs
 
     def to_json_dict(self) -> dict:
-        """The fields up to omega_measure, in field order: the case record."""
-        return dict(zip(self._fields[:6], self))
+        return {
+            "profile": self.profile,
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "margin": self.margin,
+            "weak_norm": self.weak,
+            "omega_measure": self.omega_measure,
+        }
 
 
 def verify_theorem2(u: RadialFunction, K: int = 384, n_cells: int = 2048) -> Theorem2Case:
@@ -185,7 +191,7 @@ def verify_theorem2(u: RadialFunction, K: int = 384, n_cells: int = 2048) -> The
         lhs=lhs,
         rhs=rhs,
         margin=lhs - rhs,
-        weak_norm=wk,
+        weak=wk,
         omega_measure=omega,
         norm_star_sq=ns2,
         lq_norm=lq,

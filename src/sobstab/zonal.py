@@ -371,15 +371,16 @@ def inner_star(u: ZonalFunction, v: ZonalFunction) -> float:
 _LP_SUM_MIN = sys.float_info.min / sys.float_info.epsilon
 
 
-def norm_lp(u: ZonalFunction | list[ZonalFunction], p: float, rule: QuadratureRule,
-            labels: list[str] | None = None):
+def norm_lp(u: ZonalFunction | list[ZonalFunction], p: float, rule: QuadratureRule):
     """L^p(S^N) norm by quadrature of |u|^p at the rule nodes; p >= 1.
 
     A list gives a list, as for `norm_star`.  The last power is taken per
     member, as a scalar: numpy's array power rounds some norms otherwise.
-    A nonzero member whose sum of w |u|^p is below min/eps of the doubles
-    is refused (RefusalError, naming it by `labels` when given): its
-    norm would lose more than roundoff, down to 0.0.  The zero function
+    A nonzero member is refused (RefusalError) when its sum of w |u|^p is
+    below min/eps of the doubles and a node term |u|^p, or w |u|^p with a
+    normal weight w, fell below the smallest normal double: its norm
+    would lose more than roundoff, down to 0.0.  A small sum of normal
+    terms (from a small |S^N|, say) keeps its norm; the zero function
     has norm 0.0.
     """
     if p < 1.0:
@@ -388,15 +389,19 @@ def norm_lp(u: ZonalFunction | list[ZonalFunction], p: float, rule: QuadratureRu
     if rule.N != members[0].params.N:
         raise ValueError(f"rule dimension {rule.N} != params dimension {members[0].params.N}")
     vals = np.abs(np.matmul(A[:, None, :], rule.basis(members[0].K)))[:, 0]
-    sums = np.matmul(rule.weights, (vals**p)[:, :, None])[:, 0]
-    tiny = np.flatnonzero((sums < _LP_SUM_MIN) & A.any(axis=1))
-    if tiny.size:
-        i = int(tiny[0])
-        who = "" if labels is None else f"member {labels[i]}: "
-        raise RefusalError(
-            f"{who}|u|_{p:g} underflows: its quadrature sum of w |u|^{p:g} is "
-            f"{float(sums[i])!r}, below min/eps of the doubles, where the node terms "
-            "that underflowed move it by more than roundoff")
+    terms = vals**p
+    sums = np.matmul(rule.weights, terms[:, :, None])[:, 0]
+    small = np.flatnonzero((sums < _LP_SUM_MIN) & A.any(axis=1))
+    if small.size:
+        x = terms[small]
+        w, tiny = rule.weights, sys.float_info.min
+        lost = (vals[small] > 0.0) & ((x < tiny) | ((w * x < tiny) & (w >= tiny)))
+        refused = small[(sums[small] == 0.0) | lost.any(axis=1)]
+        if refused.size:
+            raise RefusalError(
+                f"|u|_{p:g} underflows: node terms of its quadrature sum of w |u|^{p:g} fell "
+                f"below the smallest normal double, and the sum, {float(sums[refused[0]])!r}, "
+                f"is below min/eps, where they move |u|_{p:g} by more than roundoff")
     norms = [float(x ** (1.0 / p)) for x in sums]
     return norms[0] if isinstance(u, ZonalFunction) else norms
 

@@ -201,7 +201,7 @@ def test_criterion_09_weak_norm_remainder_harness():
                 case = verify_theorem2(bump_profile(p, r0, sharp), K)
                 assert case.margin >= -1e-6 * case.lhs, (N, s, sharp)
                 assert case.rhs == pytest.approx(
-                    wc.C * case.omega_measure ** (-2 / p.q) * case.weak_norm**2, rel=1e-12)
+                    wc.C * case.omega_measure ** (-2 / p.q) * case.weak**2, rel=1e-12)
 
 
 def test_criterion_10_scan_determinism(tmp_path):

@@ -508,7 +508,7 @@ class TestVerifyCommand:
 
         def fake_verify(profile, K=0, n_cells=0):
             return Theorem2Case(profile="fake", lhs=1.0, rhs=2.0, margin=-1.0,
-                                weak_norm=1.0, omega_measure=1.0,
+                                weak=1.0, omega_measure=1.0,
                                 norm_star_sq=1.0, lq_norm=1.0)
 
         monkeypatch.setattr(weaknorm, "verify_theorem2", fake_verify)

@@ -5,7 +5,9 @@ equal only to themselves; SobolevParams, ManifoldPoint and ScanConfig
 are NamedTuples that validate on construction.
 """
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from sobstab.conformal import ManifoldPoint, RadialFunction, gaussian_profile
 from sobstab.deficit import DeficitReport, ScanConfig, ScanResult, stability_ratio
 from sobstab.specfun import SobolevParams, WeakNormConstants, compute_constants
 from sobstab.weaknorm import Theorem2Case
-from sobstab.zonal import QuadratureRule, ZonalFunction, constant, gauss_jacobi_rule, lambdas
+from sobstab.zonal import (QuadratureRule, ZonalFunction, constant, gauss_jacobi_rule, lambdas,
+                           norm_lp)
 
 from conftest import P32
 
@@ -67,6 +70,18 @@ class TestSobolevParams:
         after = lambdas.cache_info()
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
+    def test_replace_and_pickle_check_as_construction_does(self):
+        replaced = P32._replace(s=1)
+        assert replaced == SobolevParams(3, 1.0) and type(replaced.s) is float
+        for fields in ({"s": 5.0}, {"N": 0}):
+            with pytest.raises(ValueError):
+                P32._replace(**fields)
+        assert pickle.loads(pickle.dumps(P32)) == P32 and copy.copy(P32) == P32
+        assert ManifoldPoint(1.0, 0.5)._replace(t0=-0.5) == ManifoldPoint(1.0, -0.5)
+        for fields in ({"t0": 2.0}, {"c": 0.0}):
+            with pytest.raises(ValueError):
+                ManifoldPoint(1.0, 0.5)._replace(**fields)
+
     @pytest.mark.parametrize("N, s", [(0, 0.5), (2.0, 1.0), (3, 0.0), (3, 3.0), (3, -1.0),
                                       (3, math.nan)])
     def test_invalid_pairs_are_refused(self, N, s):
@@ -101,6 +116,20 @@ class TestArrayHolders:
         for array in (u.coeffs, rule.nodes, rule.weights):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda obj: pickle.loads(pickle.dumps(obj))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_checked_new_instances(self, clone):
+        u = ZonalFunction(P32, [1.0, 0.0, 0.5])
+        rule = gauss_jacobi_rule(3, 8)
+        u2, rule2 = clone(u), clone(rule)
+        assert type(u2) is ZonalFunction and u2 != u and u2.params == u.params
+        assert type(rule2) is QuadratureRule and rule2 != rule and rule2.N == 3
+        for got, want in ((u2.coeffs, u.coeffs), (rule2.nodes, rule.nodes),
+                          (rule2.weights, rule.weights)):
+            assert got.tobytes() == want.tobytes() and not got.flags.writeable
+        assert norm_lp(u2, P32.q, rule2) == norm_lp(u, P32.q, rule)
 
     def test_repr_names_the_fields(self):
         assert repr(ZonalFunction(P32, [1.0])) == (
@@ -138,6 +167,14 @@ class TestScanConfig:
     def test_every_invalid_config_is_refused(self, fields, message):
         with pytest.raises(ValueError, match=message):
             ScanConfig(**{"seed": 1, **fields})
+
+    def test_replace_checks_as_construction_does(self):
+        cfg = ScanConfig(seed=1)
+        assert cfg._replace(K=32) == ScanConfig(seed=1, K=32)
+        for fields, message in (({"K": 1}, "truncation degree K must be >= 2"),
+                                ({"seed": -1}, "seed must be >= 0")):
+            with pytest.raises(ValueError, match=message):
+                cfg._replace(**fields)
 
     def test_equal_by_value(self):
         a, b = ScanConfig(seed=1, K=16, eps_grid=(0.5,)), ScanConfig(1, 16, eps_grid=(0.5,))

@@ -357,7 +357,7 @@ class TestVerifyTheorem2:
         assert scaled.margin == pytest.approx(base.margin, rel=1e-6)
         assert scaled.omega_measure == pytest.approx(
             base.omega_measure * lam ** (-p.q), rel=1e-10)
-        assert scaled.weak_norm == pytest.approx(base.weak_norm / lam, rel=1e-8)
+        assert scaled.weak == pytest.approx(base.weak / lam, rel=1e-8)
 
     def test_composes_with_deficit_functional(self):
         # the remainder bound restated through the deficit module
@@ -384,7 +384,7 @@ class TestVerifyTheorem2:
 
     @pytest.mark.parametrize("margin, violated", [(0.5, False), (-5e-7, False), (-2e-6, True)])
     def test_violated_below_the_roundoff_margin(self, margin, violated):
-        case = Theorem2Case(profile="p", lhs=1.0, rhs=1.0 - margin, margin=margin, weak_norm=1.0,
+        case = Theorem2Case(profile="p", lhs=1.0, rhs=1.0 - margin, margin=margin, weak=1.0,
                             omega_measure=1.0, norm_star_sq=1.0, lq_norm=1.0)
         assert case.violated is violated
 

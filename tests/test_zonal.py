@@ -403,18 +403,36 @@ class TestNormLp:
         a[0], a[2] = scale, 1e-3 * scale
         return ZonalFunction(P32, a)
 
-    @pytest.mark.parametrize("scale", [1e-50, 1e-100, 1e-200, 1e-320])
+    @pytest.mark.parametrize("scale", [1e-51, 1e-100, 1e-200, 1e-320])
     def test_underflowed_sum_is_refused(self, rule32, scale):
-        # the sum underflowed to 0.0 or below min/eps: |u|_q came out 0.0 at 1e-100
+        # node terms underflowed and the sum is below min/eps: |u|_q came
+        # out 0.0 at 1e-100; a batch refuses as its members do
         with pytest.raises(RefusalError, match=r"^\|u\|_6 underflows: "):
             norm_lp(self.scaled(scale), P32.q, rule32)
-        with pytest.raises(RefusalError, match=r"^member b: \|u\|_6 underflows: "):
-            norm_lp([self.scaled(1.0), self.scaled(scale)], P32.q, rule32, labels=["a", "b"])
+        with pytest.raises(RefusalError, match=r"^\|u\|_6 underflows: "):
+            norm_lp([self.scaled(1.0), self.scaled(scale)], P32.q, rule32)
 
     @pytest.mark.parametrize("scale", [1e-20, 1e-40, 1e-48])
     def test_small_sum_above_the_bound_keeps_its_norm(self, rule32, scale):
         assert norm_lp(self.scaled(scale), P32.q, rule32) == pytest.approx(
             scale * norm_lp(self.scaled(1.0), P32.q, rule32), rel=1e-13)
+
+    def test_small_sum_of_normal_terms_keeps_its_norm(self, rule32):
+        # at 1e-50 the sum, 2.6e-303, is below min/eps, but no node term underflowed
+        assert norm_lp(self.scaled(1e-50), P32.q, rule32) == pytest.approx(
+            1e-50 * norm_lp(self.scaled(1.0), P32.q, rule32), rel=1e-13)
+
+    @pytest.mark.parametrize("N", [421, 430])
+    def test_constant_on_a_small_sphere_keeps_its_norm(self, N):
+        # |S^N| < 1e-292, so the sum of w |1|^q is below min/eps; at N = 430
+        # some weights are subnormal themselves
+        p = SobolevParams(N, 2.0)
+        rule = default_rule(N, 8)
+        assert sphere_area(N) < 1e-292
+        assert norm_lp(constant(p, 1.0, 8), p.q, rule) == pytest.approx(
+            sphere_area(N) ** (1 / p.q), rel=1e-14)
+        with pytest.raises(RefusalError, match="underflows"):
+            norm_lp(constant(p, 1e-100, 8), p.q, rule)
 
     def test_zero_function_has_norm_zero(self, rule32):
         zero = constant(P32, 0.0, 8)
