@@ -17,19 +17,13 @@ import numpy as np
 
 from ._util import PROFILE_GRAMMAR, Frozen, checked_make
 from .specfun import SobolevParams
-from .zonal import QuadratureRule, ZonalFunction, analyze, synthesize
+from .zonal import QuadratureRule, ZonalFunction, analyze
 
 __all__ = [
     "ManifoldPoint",
     "RadialFunction",
-    "stereo_radius",
-    "latitude_of_radius",
     "pullback_to_sphere",
-    "radial_node_weights",
     "manifold_samples",
-    "manifold_zonal",
-    "conformal_shift",
-    "dilate",
     "gaussian_profile",
     "bump_profile",
     "extremizer_profile",
@@ -76,41 +70,11 @@ class RadialFunction(Frozen):
         return out
 
 
-def stereo_radius(t: float) -> float:
-    """Radius r = sqrt((1-t)/(1+t)) whose stereographic image has latitude t.
-
-    t = 1 is the pole (r = 0); t = -1 is the point at infinity and returns
-    math.inf.  Inverse of latitude_of_radius.
-    """
-    if t < -1.0 or t > 1.0:
-        raise ValueError(f"latitude outside [-1, 1]: {t}")
-    if t == -1.0:
-        return math.inf
-    return math.sqrt((1.0 - t) / (1.0 + t))
-
-
-def latitude_of_radius(r: float) -> float:
-    """Latitude t = (1 - r^2)/(1 + r^2) of the stereographic image of radius r."""
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    if math.isinf(r):
-        return -1.0
-    return (1.0 - r * r) / (1.0 + r * r)
-
-
-def radial_node_weights(rule: QuadratureRule) -> np.ndarray:
-    """Weights W_i with sum_i W_i f(r_i) = integral of f(|x|) over R^N.
-
-    The sphere rule transported through the stereographic change of
-    variables; the Jacobian (2/(1+r^2))^N equals (1+t)^N at latitude t.
-    """
-    return rule.weights * (1.0 + rule.nodes) ** (-rule.N)
-
-
 def pullback_to_sphere(u: RadialFunction, rule: QuadratureRule, K: int) -> ZonalFunction:
     """Zonal v with J^(1/q) v(pi(x)) = u(x); preserves ||.||_* and the L^q norm.
 
-    Sampled at the nodes' radii (stereo_radius) and projected to degree K.
+    Sampled at the radii r = sqrt((1-t)/(1+t)) of the node latitudes t and
+    projected to degree K.
     The conformal factor ((1+r^2)/2)^((N-s)/2) equals (1+t)^(-(N-s)/2).
     """
     p = u.params
@@ -126,50 +90,6 @@ def manifold_samples(params: SobolevParams, c: float, t0: float, t) -> np.ndarra
     if not abs(t0) < 1.0:
         raise ValueError(f"axial parameter must satisfy |t0| < 1, got {t0}")
     return c * (1.0 - t0 * np.asarray(t, dtype=float)) ** -params.beta
-
-
-def manifold_zonal(params: SobolevParams, point: ManifoldPoint,
-                   rule: QuadratureRule, K: int) -> ZonalFunction:
-    """Degree-K expansion of the axial extremizer u_{c,t0}.
-
-    Coefficients decay geometrically in k (the nearest singularity sits at
-    t = 1/t0), so the truncation saturates the equality case of the sharp
-    inequality for moderate K.
-    """
-    vals = manifold_samples(params, point.c, point.t0, rule.nodes)
-    return analyze(params, vals, rule, K)
-
-
-def conformal_shift(u: ZonalFunction, t0: float, rule: QuadratureRule, K: int) -> ZonalFunction:
-    """Axial conformal transform u -> J^(1/q) u(tau(.)), re-expanded at degree K.
-
-    tau moves the latitude by the Moebius map t -> (t - t0)/(1 - t0 t)
-    (the sphere conjugate of an R^N dilation) and the Jacobian factor is
-    J^(1/q) = (1 - t0^2)^((N-s)/4) (1 - t0 t)^(-(N-s)/2).  Preserves
-    ||.||_* and |.|_q up to truncation error, and maps the axial manifold
-    into itself; t0 = 0 is the identity.
-    """
-    if not abs(t0) < 1.0:
-        raise ValueError(f"axial parameter must satisfy |t0| < 1, got {t0}")
-    p = u.params
-    t = rule.nodes
-    tau = (t - t0) / (1.0 - t0 * t)
-    jac_q = (1.0 - t0 * t0) ** (0.5 * p.beta) * (1.0 - t0 * t) ** -p.beta
-    return analyze(p, jac_q * synthesize(u, tau), rule, K)
-
-
-def dilate(u: RadialFunction, lam: float) -> RadialFunction:
-    """Norm-preserving rescaling u_lam(x) = lam * u(lam^(2/(N-s)) x)."""
-    if not lam > 0:
-        raise ValueError(f"dilation parameter must be positive, got {lam}")
-    p = u.params
-    mu = lam ** (1.0 / p.beta)
-    return RadialFunction(
-        params=p,
-        profile=lambda r: lam * u.profile(mu * r),
-        support_radius=u.support_radius / mu,
-        name=f"dilate({u.name or 'profile'},{lam:g})",
-    )
 
 
 # --- named radial profiles (CLI grammar: name or name:param[,param...]) ---

@@ -2,7 +2,7 @@
 
 The deficit Psi(u) = ||u||_*^2 - S |u|_q^2 vanishes exactly on the
 extremizer manifold and controls the squared distance to it from both
-sides.  This module evaluates Psi and its first two derivative forms,
+sides.  This module evaluates Psi and its first derivative form,
 computes the distance to the axial manifold slice (an upper bound for
 the full distance, exact within the axial family), and estimates the
 stability constant empirically as the minimum deficit/distance^2 ratio
@@ -41,7 +41,6 @@ __all__ = [
     "ScanResult",
     "deficit",
     "gradient_form",
-    "hessian_form",
     "distance",
     "stability_ratio",
     "scan_members",
@@ -92,46 +91,18 @@ def _parts(us, rule):
             for x, lq in zip(ns2, norm_lp(us, us[0].params.q, rule))]
 
 
-def _nonlinear_integrals(u, rule, *extra):
-    # Returns |u|_q, the integrals I[z] = int |u|^(q-2) u z for each extra
-    # sample set z, and |u|^(q-2) at the nodes.
-    q = u.params.q
-    uv = node_values(u, rule)
-    absu = np.abs(uv)
-    lq = float((rule.weights @ absu**q) ** (1.0 / q))
-    weight = absu ** (q - 2.0)
-    kernel = weight * uv
-    return lq, [float(rule.weights @ (kernel * e)) for e in extra], weight
-
-
 def gradient_form(u: ZonalFunction, v: ZonalFunction, rule: QuadratureRule) -> float:
-    """Directional derivative Psi'(u)v = 2<u,v>_* - 2 S |u|_q^(2-q) int |u|^(q-2) u v."""
+    """Directional derivative Psi'(u)v = 2<u,v>_* - 2 S |u|_q^(2-q) int |u|^(q-2) u v.
+
+    |u|_q is `norm_lp`'s, so an underflowed |u|_q is refused (RefusalError).
+    """
     if norm_star(u) == 0.0:
         raise ValueError("gradient form undefined at u = 0")
     q = u.params.q
-    lq, (iv,), _ = _nonlinear_integrals(u, rule, node_values(v, rule))
+    lq = norm_lp(u, q, rule)
+    uv = node_values(u, rule)
+    iv = float(rule.weights @ (np.abs(uv) ** (q - 2.0) * uv * node_values(v, rule)))
     return 2.0 * inner_star(u, v) - 2.0 * sharp_constant(u.params) * lq ** (2.0 - q) * iv
-
-
-def hessian_form(u: ZonalFunction, v: ZonalFunction, w: ZonalFunction,
-                 rule: QuadratureRule) -> float:
-    """Second derivative Psi''(u)(v, w); symmetric bilinear in (v, w).
-
-    Half of it is <v,w>_* - S (2-q) |u|_q^(2-2q) I[v] I[w]
-    - S (q-1) |u|_q^(2-q) int |u|^(q-2) v w, with I[z] = int |u|^(q-2) u z.
-    """
-    if norm_star(u) == 0.0:
-        raise ValueError("hessian form undefined at u = 0")
-    q = u.params.q
-    s_const = sharp_constant(u.params)
-    vv = node_values(v, rule)
-    wv = node_values(w, rule)
-    lq, (i_v, i_w), weight = _nonlinear_integrals(u, rule, vv, wv)
-    i_vw = float(rule.weights @ (weight * vv * wv))
-    half = (inner_star(v, w)
-            - s_const * (2.0 - q) * lq ** (2.0 - 2.0 * q) * i_v * i_w
-            - s_const * (q - 1.0) * lq ** (2.0 - q) * i_vw)
-    return 2.0 * half
 
 
 class _AxialTable:

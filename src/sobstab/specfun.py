@@ -26,7 +26,6 @@ __all__ = [
     "eigenvalue",
     "multiplicity",
     "local_constant",
-    "lambda1_identity_residual",
     "WeakNormConstants",
     "ball_volume",
     "unit_ball_radius",
@@ -149,17 +148,6 @@ def local_constant(p: SobolevParams) -> float:
     Algebraically identical to 1 - eigenvalue(p, 1)/eigenvalue(p, 2).
     """
     return 2.0 * p.s / (p.N + p.s + 2.0)
-
-
-def lambda1_identity_residual(p: SobolevParams) -> float:
-    """Residual of (q-1) * S * |S^N|^((2-q)/q) - lambda_1.
-
-    The two sides agree exactly (Gamma duplication); the returned residual
-    is pure floating-point noise and is asserted ~0 in the test suite.
-    """
-    lam1 = eigenvalue(p, 1)
-    lhs = (p.q - 1.0) * sharp_constant(p) * sphere_area(p.N) ** ((2.0 - p.q) / p.q)
-    return lhs - lam1
 
 
 def ball_volume(N: int) -> float:

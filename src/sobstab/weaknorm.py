@@ -9,8 +9,8 @@ the weak-norm remainder bound
     ||u||^2 - S |u|_q^2  >=  C |Omega|^(-2/q) |u|_w^2
 
 for compactly supported u are closed forms in `specfun`, bound here too.
-This module checks rho by quadrature and provides a verification harness
-evaluating both sides for smooth radial test functions.
+This module provides a verification harness evaluating both sides for
+smooth radial test functions.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 from ._util import RefusalError
 from .conformal import RadialFunction, pullback_to_sphere
 # the closed forms are bound here too (not in __all__), for callers that look them up here
-from .specfun import (SobolevParams, WeakNormConstants, _sphere_area, ball_volume,
-                      compute_constants, extremizer_weak_norm, sharp_constant, unit_ball_radius)
+from .specfun import (SobolevParams, _sphere_area, ball_volume, compute_constants,
+                      extremizer_weak_norm, sharp_constant, unit_ball_radius)
 from .zonal import default_rule, gauss_jacobi_rule, lambdas, norm_lp, norm_star
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "Theorem2Case",
     "weak_norm",
     "radial_cells",
-    "extremizer_tail_lq",
-    "eq_rho_residual",
     "verify_theorem2",
 ]
 
@@ -73,37 +71,9 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule.nodes, rule.weights / _sphere_area(1)
 
 
-def extremizer_tail_lq(p: SobolevParams, lam: float, r0: float) -> float:
-    """L^q mass of the rescaled extremizer outside the ball of radius r0, by quadrature.
-
-    Equals |S^(N-1)| int_{a}^inf r^(N-1) (1+r^2)^(-N) dr with
-    a = lam^(2/(N-s)) r0.  The substitution r = cot(psi) turns the
-    integrand into the bounded smooth function 2^(1-N) sin(2 psi)^(N-1)
-    on [0, atan(1/a)], an interval free of the cancellation in
-    pi/2 - atan(a) when a is large.  Fixed 64-point Gauss-Legendre
-    resolves it to ~1e-14 relative for N <= 24 and a <= 1e3.  It is the
-    independent check behind `eq_rho_residual`: `compute_constants`
-    takes the unit-ball tail in closed form.
-    """
-    if not (lam > 0 and r0 > 0):
-        raise ValueError("lam and r0 must be positive")
-    N = p.N
-    a = lam ** (1.0 / p.beta) * r0
-    half = 0.5 * math.atan(1.0 / a)
-    gl_x, gl_w = _gl_nodes(64)
-    psi = half * (1.0 + gl_x)
-    val = half * float(gl_w @ np.sin(2.0 * psi) ** (N - 1))
-    return _sphere_area(N - 1) * 2.0 ** (1 - N) * val
-
-
-def eq_rho_residual(p: SobolevParams, constants: WeakNormConstants) -> float:
-    """Residual (rho - x/(1+x)) / rho, x = tail^(1/q) sqrt(S), of rho's equation solved for rho.
-
-    Relative to rho, so it checks rho's digits where rho is tiny (4.8e-34
-    at (100, 1)).  The tail is by quadrature; no 1 - rho cancels as s -> N.
-    """
-    x = extremizer_tail_lq(p, 1.0, 1.0) ** (1.0 / p.q) * math.sqrt(sharp_constant(p))
-    return (constants.rho - x / (1.0 + x)) / constants.rho
+def _check_cells(n_cells: int) -> None:
+    if n_cells < 1:
+        raise ValueError(f"the weak norm needs at least one radial cell, got {n_cells}")
 
 
 def radial_cells(u: RadialFunction, n_cells: int = 2048,
@@ -115,8 +85,7 @@ def radial_cells(u: RadialFunction, n_cells: int = 2048,
     exact ball masses at the grid radii.
     """
     p = u.params
-    if n_cells < 1:
-        raise ValueError(f"the weak norm needs at least one radial cell, got {n_cells}")
+    _check_cells(n_cells)
     if r_max is None:
         if not math.isfinite(u.support_radius):
             raise ValueError("r_max required for profiles with unbounded support")
@@ -168,11 +137,14 @@ def verify_theorem2(u: RadialFunction, K: int = 384, n_cells: int = 2048) -> The
     involved); the right side is C |Omega|^(-2/q) |u|_w^2 with Omega the
     support ball and |u|_w on `n_cells` radial cells.  Spectral truncation
     is refused when the top coefficient band exceeds 1e-6 of the norm.
+    A profile without compact support and fewer than one cell are refused
+    (ValueError) before the rule is built.
     """
     p = u.params
-    rule = default_rule(p.N, K)
     if not math.isfinite(u.support_radius):
         raise ValueError("verification requires a compactly supported profile")
+    _check_cells(n_cells)
+    rule = default_rule(p.N, K)
     v = pullback_to_sphere(u, rule, K)
     ns2 = norm_star(v) ** 2
     # the share of ||v||_* in the top 8 coefficients

@@ -7,7 +7,7 @@ integral over S^N reduces to one over t in (-1, 1) against the measure
   * Gauss-Jacobi quadrature for that measure (Golub-Welsch construction),
   * the orthonormal zonal-harmonic basis e_k (normalized ultraspherical
     polynomials with positive leading coefficient),
-  * analysis/synthesis between node samples and coefficients,
+  * analysis of node samples into coefficients and synthesis at the nodes,
   * L^p norms and the spectral quadratic form sum lambda_k a_k^2 that
     realizes the conformal operator norm ||.||_*.
 """
@@ -28,9 +28,7 @@ __all__ = [
     "ZonalFunction",
     "gauss_jacobi_rule",
     "default_rule",
-    "basis_eval",
     "analyze",
-    "synthesize",
     "norm_star",
     "inner_star",
     "norm_lp",
@@ -38,7 +36,6 @@ __all__ = [
     "constant",
     "basis_function",
     "to_json_dict",
-    "from_json_dict",
 ]
 
 
@@ -203,21 +200,6 @@ def _basis_matrix(N: int, K: int, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def basis_eval(N: int, k: int, t):
-    """Orthonormal zonal harmonic e_k at latitude(s) t, |t| <= 1.
-
-    Normalized so that the integral of e_k e_j over S^N is delta_kj, with
-    positive leading coefficient (e_1 is a positive multiple of t).
-    """
-    if k < 0:
-        raise ValueError(f"degree k must be >= 0, got {k}")
-    arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(arr) > 1.0):
-        raise ValueError("latitude outside [-1, 1]")
-    vals = _basis_matrix(N, k, np.atleast_1d(arr))[k]
-    return float(vals[0]) if arr.ndim == 0 else vals
-
-
 @lru_cache(maxsize=None)
 def lambdas(params: SobolevParams, K: int) -> np.ndarray:
     """Eigenvalues lambda_0 .. lambda_K as a read-only vector, cached."""
@@ -320,15 +302,6 @@ def analyze(params: SobolevParams, samples, rule: QuadratureRule, K: int) -> Zon
     return ZonalFunction(params, coeffs)
 
 
-def synthesize(u: ZonalFunction, t):
-    """Evaluate sum_k a_k e_k at latitude(s) t, |t| <= 1."""
-    arr = np.asarray(t, dtype=float)
-    if np.any(np.abs(arr) > 1.0):
-        raise ValueError("latitude outside [-1, 1]")
-    vals = u.coeffs @ _basis_matrix(u.params.N, u.K, np.atleast_1d(arr))
-    return float(vals[0]) if arr.ndim == 0 else vals
-
-
 def node_values(u: ZonalFunction, rule: QuadratureRule) -> np.ndarray:
     """Values of u at the rule's nodes (cached basis fast path)."""
     if rule.N != u.params.N:
@@ -414,11 +387,3 @@ def to_json_dict(u: ZonalFunction) -> dict:
         "K": u.K,
         "coeffs": [float(c) for c in u.coeffs],
     }
-
-
-def from_json_dict(d: dict) -> ZonalFunction:
-    """Inverse of to_json_dict."""
-    u = ZonalFunction(SobolevParams(int(d["N"]), float(d["s"])), np.asarray(d["coeffs"], dtype=float))
-    if u.K != int(d["K"]):
-        raise ValueError(f"K={d['K']} does not match {u.K + 1} coefficients")
-    return u

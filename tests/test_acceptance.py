@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from sobstab.cli import main as cli_main
-from sobstab.conformal import ManifoldPoint, bump_profile, conformal_shift, manifold_zonal
+from sobstab.conformal import ManifoldPoint, bump_profile
 from sobstab.deficit import (
     ScanConfig,
     deficit,
     distance,
     gradient_form,
-    hessian_form,
     run_scan,
     stability_ratio,
 )
@@ -30,10 +29,11 @@ from sobstab.specfun import (
     sharp_constant,
     sphere_area,
 )
-from sobstab.weaknorm import compute_constants, eq_rho_residual, unit_ball_radius, verify_theorem2
+from sobstab.weaknorm import compute_constants, unit_ball_radius, verify_theorem2
 from sobstab.zonal import basis_function, constant, default_rule, norm_lp, norm_star
 
-from conftest import PARAM_GRID, P32, smooth_random_zonal
+from conftest import (PARAM_GRID, P32, conformal_shift, eq_rho_residual, hessian_form,
+                      manifold_zonal, smooth_random_zonal)
 
 
 class _Criterion:

@@ -7,39 +7,15 @@ from sobstab.conformal import (
     ManifoldPoint,
     RadialFunction,
     bump_profile,
-    conformal_shift,
-    dilate,
     extremizer_profile,
     gaussian_profile,
-    latitude_of_radius,
-    manifold_zonal,
     parse_profile,
     pullback_to_sphere,
-    radial_node_weights,
-    stereo_radius,
 )
 from sobstab.specfun import SobolevParams, sphere_area, sharp_constant
 from sobstab.zonal import constant, default_rule, norm_lp, norm_star
 
-from conftest import P32, smooth_random_zonal
-
-
-class TestStereographic:
-    def test_pole_and_equator(self):
-        assert stereo_radius(1.0) == 0.0
-        assert stereo_radius(0.0) == pytest.approx(1.0, rel=1e-15)
-        assert stereo_radius(-1.0) == math.inf
-        assert latitude_of_radius(math.inf) == -1.0
-
-    def test_round_trip(self):
-        for t in np.linspace(-0.999, 1.0, 41):
-            assert latitude_of_radius(stereo_radius(t)) == pytest.approx(t, abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            stereo_radius(1.2)
-        with pytest.raises(ValueError):
-            latitude_of_radius(-0.1)
+from conftest import P32, conformal_shift, dilate, manifold_zonal, smooth_random_zonal
 
 
 class TestPullback:
@@ -55,7 +31,8 @@ class TestPullback:
     def test_lq_isometry_on_random_smooth_profiles(self):
         rng = np.random.default_rng(11)
         rule = default_rule(3, 64)
-        weights_rn = radial_node_weights(rule)
+        # the sphere rule through the stereographic Jacobian (2/(1+r^2))^N = (1+t)^N
+        weights_rn = rule.weights * (1.0 + rule.nodes) ** (-rule.N)
         radii = np.sqrt((1 - rule.nodes) / (1 + rule.nodes))
         for _ in range(20):
             a, b, c = rng.uniform(0.3, 2.0, size=3)

@@ -15,7 +15,7 @@ import pytest
 
 import sobstab.deficit as deficit_module
 from sobstab._util import RefusalError, golden_section_min
-from sobstab.conformal import ManifoldPoint, conformal_shift, manifold_zonal
+from sobstab.conformal import ManifoldPoint
 from sobstab.deficit import (
     T0_CAP,
     DeficitReport,
@@ -29,7 +29,6 @@ from sobstab.deficit import (
     deficit,
     distance,
     gradient_form,
-    hessian_form,
     run_scan,
     scan_members,
     stability_ratio,
@@ -47,7 +46,8 @@ from sobstab.zonal import (
     norm_star,
 )
 
-from conftest import PARAM_GRID, P32, python_env, smooth_random_zonal
+from conftest import (PARAM_GRID, P32, conformal_shift, hessian_form, manifold_zonal, python_env,
+                      smooth_random_zonal)
 
 
 def unit_mode(p, k, K=64):
@@ -110,6 +110,14 @@ class TestGradientForm:
         zero = ZonalFunction(P32, np.zeros(8))
         with pytest.raises(ValueError):
             gradient_form(zero, constant(P32, 1.0, 7), rule32)
+
+    def test_underflowed_lq_is_refused(self, rule32):
+        # |u|^6 underflows at every node: |u|_q read 0.0, and 0.0 ** (2 - q) raised
+        # ZeroDivisionError
+        a = np.zeros(65)
+        a[0], a[2] = 1e-100, 1e-103
+        with pytest.raises(RefusalError, match="^[|]u[|]_6 underflows: "):
+            gradient_form(ZonalFunction(P32, a), basis_function(P32, 2, 64), rule32)
 
 
 class TestHessianForm:

@@ -8,7 +8,6 @@ from scipy.optimize import brentq
 
 from sobstab.conformal import (
     bump_profile,
-    dilate,
     extremizer_profile,
     gaussian_profile,
     mollified_extremizer_profile,
@@ -20,18 +19,16 @@ from sobstab.weaknorm import (
     TruncationError,
     ball_volume,
     compute_constants,
-    eq_rho_residual,
-    extremizer_tail_lq,
     extremizer_weak_norm,
     radial_cells,
     unit_ball_radius,
     verify_theorem2,
     weak_norm,
 )
-from sobstab.zonal import default_rule
+from sobstab.zonal import default_rule, gauss_jacobi_rule
 from sobstab.conformal import pullback_to_sphere
 
-from conftest import PARAM_GRID, P32
+from conftest import PARAM_GRID, P32, dilate, eq_rho_residual, extremizer_tail_lq
 
 # Frozen output of the independent oracle for the (N=3, s=2) extremizer
 # weak norm: a 1e4-point threshold scan over compactified superlevel radii
@@ -391,3 +388,14 @@ class TestVerifyTheorem2:
     def test_rejects_unbounded_support(self):
         with pytest.raises(ValueError):
             verify_theorem2(gaussian_profile(P32), 64)
+
+    @pytest.mark.parametrize("make, K, n_cells, message", [
+        (gaussian_profile, 997, 2048, "verification requires a compactly supported profile"),
+        (bump_profile, 998, 0, "the weak norm needs at least one radial cell, got 0"),
+    ], ids=["unbounded-support", "zero-cells"])
+    def test_refused_before_the_rule_is_built(self, make, K, n_cells, message):
+        # at a K no other test uses, so building its rule first would be a cache miss
+        misses = gauss_jacobi_rule.cache_info().misses
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify_theorem2(make(P32), K, n_cells)
+        assert gauss_jacobi_rule.cache_info().misses == misses
