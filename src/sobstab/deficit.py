@@ -231,6 +231,7 @@ def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
     """
     members, coeffs = _stacked(u)
     K, p = members[0].K, members[0].params
+    rule._check_dimension(p.N)
     if table is None:
         table = _AxialTable(rule, K, p)
     elif table.key != (rule, K, p):
@@ -357,7 +358,7 @@ class ScanConfig(_ScanFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.K < 2:
             raise ValueError("truncation degree K must be >= 2")
-        if self.M is not None and self.M <= self.K:
+        if self.M is not None and self.M <= self.K:  # rule.basis would refuse it only mid-scan
             raise ValueError(f"M={self.M} nodes cannot resolve degree K={self.K} (need M >= K+1)")
         if self.n_normal < 0 or self.n_random < 0:
             raise ValueError("family sizes must be nonnegative")

@@ -71,13 +71,20 @@ class QuadratureRule(Frozen):
         return self.nodes.size
 
     def basis(self, K: int) -> np.ndarray:
-        """Matrix e_k(t_i), shape (K+1, M), cached."""
+        """Matrix e_k(t_i), shape (K+1, M), cached: every evaluation's check of 0 <= K < M."""
         E = self._basis_cache.get(K)
         if E is None:
+            _check_degree(K)
+            if K >= self.M:
+                raise ValueError(f"M={self.M} nodes cannot resolve degree K={K} (need M >= K+1)")
             E = _basis_matrix(self.N, K, self.nodes)
             E.setflags(write=False)
             self._basis_cache[K] = E
         return E
+
+    def _check_dimension(self, N: int) -> None:
+        if N != self.N:
+            raise ValueError(f"rule dimension {self.N} != params dimension {N}")
 
 
 @cache
@@ -275,7 +282,7 @@ def analyze(params: SobolevParams, samples, rule: QuadratureRule, K: int) -> Zon
     """Project node samples onto e_0..e_K: a_k = sum_i w_i f(t_i) e_k(t_i).
 
     Exact for zonal polynomials of degree <= K whenever M >= K + 1; fewer
-    nodes than that (aliasing) and a K below 0 are refused.
+    nodes than that (aliasing) and a K below 0 are refused by `rule.basis`.
 
     The even coefficients come from the full, unfolded product.  The odd
     ones are folded over the exact reflection symmetry of the rule: since
@@ -284,17 +291,13 @@ def analyze(params: SobolevParams, samples, rule: QuadratureRule, K: int) -> Zon
     So the odd coefficients of exactly even samples are exactly zero,
     whatever the BLAS summation order.
     """
-    _check_degree(K)
-    if rule.N != params.N:
-        raise ValueError(f"rule dimension {rule.N} != params dimension {params.N}")
-    if rule.M <= K:
-        raise ValueError(f"M={rule.M} nodes cannot resolve degree K={K} (need M >= K+1)")
+    rule._check_dimension(params.N)
+    E = rule.basis(K)
     vals = np.asarray(samples, dtype=float)
     if vals.shape != (rule.M,):
         raise ValueError(f"expected {rule.M} samples, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("samples must be finite")
-    E = rule.basis(K)
     wv = rule.weights * vals
     h = rule.M // 2
     coeffs = E @ wv
@@ -304,8 +307,7 @@ def analyze(params: SobolevParams, samples, rule: QuadratureRule, K: int) -> Zon
 
 def node_values(u: ZonalFunction, rule: QuadratureRule) -> np.ndarray:
     """Values of u at the rule's nodes (cached basis fast path)."""
-    if rule.N != u.params.N:
-        raise ValueError(f"rule dimension {rule.N} != params dimension {u.params.N}")
+    rule._check_dimension(u.params.N)
     return u.coeffs.dot(rule.basis(u.K))
 
 
@@ -345,7 +347,7 @@ _LP_SUM_MIN = sys.float_info.min / sys.float_info.epsilon
 
 
 def norm_lp(u: ZonalFunction | list[ZonalFunction], p: float, rule: QuadratureRule):
-    """L^p(S^N) norm by quadrature of |u|^p at the rule nodes; p >= 1.
+    """L^p(S^N) norm by quadrature of |u|^p at the rule nodes; 1 <= p < inf.
 
     A list gives a list, as for `norm_star`.  The last power is taken per
     member, as a scalar: numpy's array power rounds some norms otherwise.
@@ -356,11 +358,10 @@ def norm_lp(u: ZonalFunction | list[ZonalFunction], p: float, rule: QuadratureRu
     terms (from a small |S^N|, say) keeps its norm; the zero function
     has norm 0.0.
     """
-    if p < 1.0:
-        raise ValueError(f"norm_lp requires p >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise ValueError(f"norm_lp requires 1 <= p < inf, got {p}")
     members, A = _stacked(u)
-    if rule.N != members[0].params.N:
-        raise ValueError(f"rule dimension {rule.N} != params dimension {members[0].params.N}")
+    rule._check_dimension(members[0].params.N)
     vals = np.abs(np.matmul(A[:, None, :], rule.basis(members[0].K)))[:, 0]
     terms = vals**p
     sums = np.matmul(rule.weights, terms[:, :, None])[:, 0]

@@ -219,21 +219,3 @@ class TestLocalConstant:
             target = 1.0 - eigenvalue(p, 1) / eigenvalue(p, 2)
             assert local_constant(p) == pytest.approx(target, rel=1e-12)
             assert 0.0 < local_constant(p) < 1.0
-
-
-class TestLambda1Identity:
-    @staticmethod
-    def residual(p):
-        # the two sides agree exactly (Gamma duplication), so the residual is roundoff
-        lhs = (p.q - 1.0) * sharp_constant(p) * sphere_area(p.N) ** ((2.0 - p.q) / p.q)
-        return lhs - eigenvalue(p, 1)
-
-    def test_residual_vanishes_on_grid(self):
-        assert len(PARAM_GRID) >= 20
-        for p in PARAM_GRID:
-            res = self.residual(p)
-            assert abs(res) <= 1e-10 * eigenvalue(p, 1), (p.N, p.s)
-
-    def test_specific_pairs(self):
-        for p in (P32, SobolevParams(2, 0.5), SobolevParams(7, 3.3)):
-            assert abs(self.residual(p)) <= 1e-10 * eigenvalue(p, 1)

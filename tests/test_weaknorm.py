@@ -207,12 +207,6 @@ class TestTailIntegral:
                     assert extremizer_tail_lq(p, lam, r0) == pytest.approx(
                         float(oracle), rel=1e-13), (N, a)
 
-    def test_rejects_nonpositive_arguments(self):
-        with pytest.raises(ValueError):
-            extremizer_tail_lq(P32, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            extremizer_tail_lq(P32, 1.0, -2.0)
-
 
 class TestConstants:
     def test_rho_in_unit_interval_with_tiny_residual(self):

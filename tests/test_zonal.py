@@ -12,6 +12,7 @@ from scipy.special import roots_jacobi
 from sobstab import zonal
 from sobstab._util import RefusalError
 from sobstab.conformal import manifold_samples
+from sobstab.deficit import deficit, distance, gradient_form, stability_ratio
 from sobstab.specfun import SobolevParams, eigenvalue, sphere_area, _sphere_area
 from sobstab.zonal import (
     QuadratureRule,
@@ -372,6 +373,12 @@ class TestNormLp:
     def test_rejects_p_below_one(self, rule32):
         with pytest.raises(ValueError):
             norm_lp(constant(P32, 1.0, 4), 0.5, rule32)
+        # nor a non-finite one: the quadrature sum cannot give max |u|, which is 3.065
+        # at the nodes for this u
+        u = 3.0 * constant(P32, 1.0, 8) + 0.1 * basis_function(P32, 2, 8)
+        for p in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^norm_lp requires 1 <= p < inf, got "):
+                norm_lp(u, p, default_rule(3, 8))
 
     def test_sharp_inequality_has_no_counterexample(self, rule32):
         # randomized search for a violation of ||u||_*^2 >= S |u|_q^2
@@ -474,3 +481,44 @@ class TestDomainChecks:
         rule2 = gauss_jacobi_rule(2, 12)
         with pytest.raises(ValueError):
             norm_lp(u, 2.0, rule2)
+
+
+# Every function that evaluates a member on a rule, as f(u, rule)
+EVALUATIONS = {
+    "node_values": node_values,
+    "norm_lp": lambda u, rule: norm_lp(u, u.params.q, rule),
+    "deficit": deficit,
+    "gradient_form": lambda u, rule: gradient_form(u, u, rule),
+    "stability_ratio": stability_ratio,
+    "distance": distance,
+}
+
+
+class TestRuleFit:
+    """The rule refuses a member it cannot evaluate, whichever function asks."""
+
+    @staticmethod
+    def member():
+        # 1 + 0.1 e_40 at K = 64: a 30-node rule would alias it to ratio 0.5305 and
+        # d = 5.6223, where the default 130-node rule gives 0.9976 and 4.0997
+        return constant(P32, 1.0, 64) + 0.1 * basis_function(P32, 40, 64)
+
+    @pytest.mark.parametrize("name", EVALUATIONS)
+    @pytest.mark.parametrize("M", [30, 64])
+    def test_too_few_nodes_are_refused(self, name, M):
+        with pytest.raises(ValueError, match=rf"^M={M} nodes cannot resolve degree K=64 "):
+            EVALUATIONS[name](self.member(), gauss_jacobi_rule(3, M))
+
+    @pytest.mark.parametrize("name", EVALUATIONS)
+    def test_one_node_more_than_the_degree_evaluates(self, name):
+        EVALUATIONS[name](self.member(), gauss_jacobi_rule(3, 65))
+
+    @pytest.mark.parametrize("name", EVALUATIONS)
+    def test_rule_of_another_dimension_is_refused(self, name):
+        # on this rule distance would find c = 1.2533 for a member whose nearest c is 1
+        with pytest.raises(ValueError, match=r"^rule dimension 2 != params dimension 3$"):
+            EVALUATIONS[name](self.member(), default_rule(2, 64))
+
+    def test_negative_degree_is_refused(self):
+        with pytest.raises(ValueError, match=r"^truncation degree K must be >= 0, got -1$"):
+            gauss_jacobi_rule(3, 8).basis(-1)

@@ -59,6 +59,9 @@ ERROR_ARGVS = [
     ["verify-theorem2", *_NS, "--cells", "0"],
     ["export-function", *_NS, "--profile", "gaussian", "--K", "-1"],
     ["export-function", *_NS, "--profile", "gaussian", "--K", "-1", "--M", "8"],
+    # too few nodes for the degree: refused where the rule builds its basis
+    ["export-function", *_NS, "--profile", "gaussian", "--K", "64", "--M", "30"],
+    ["export-function", *_NS, "--profile", "gaussian", "--K", "64", "--M", "64"],
     # every member's deficit rounds to zero: alpha_hat <= 0 is refused
     [*_SMALL_SCAN, "--eps", "1e-7", "--n-normal", "5", "--bubbles", "0.5"],
     # every member lies on the manifold
