@@ -27,7 +27,7 @@ from .specfun import (SobolevParams, compute_constants, eigenvalue, local_consta
                       sharp_constant, unit_ball_radius)
 
 if TYPE_CHECKING:
-    from .deficit import DeficitReport, ScanConfig
+    from .deficit import DeficitReport, ScanConfig, ScanResult
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -75,6 +75,12 @@ def _member_line(index: int, family: str, label: str, report: DeficitReport | No
                    '"nearest": {}, "ratio": {}, "boundary_hit": {}}}\n').format(
         *map(_num, (report.norm_star_sq, report.lq_norm, report.deficit, report.distance)),
         near, _num(report.ratio), "true" if report.boundary_hit else "false")
+
+
+def _summary(result: ScanResult) -> dict:
+    """A scan's summary record: `alpha-estimate` prints it, `deficit-scan` extends it."""
+    return {"alpha_hat": result.alpha_hat, "local_constant": result.local_constant,
+            "n_members": result.n_members, "seed": result.seed, "n_skipped": result.n_skipped}
 
 
 def _params(args) -> SobolevParams:
@@ -198,14 +204,8 @@ def cmd_deficit_scan(args) -> int:
     cfg = _scan_config(args)
     result = run_scan(p, cfg)
     lines = [_member_line(*entry) for entry in result.entries]
-    summary = result.summary_dict()
-    summary.update({
-        "families": cfg.families,
-        "K": cfg.K,
-        "M": cfg.rule_size,
-        "t0_cap": T0_CAP,
-    })
-    lines.append(_jsonl_line(summary))
+    lines.append(_jsonl_line({**_summary(result), "families": cfg.families, "K": cfg.K,
+                              "M": cfg.rule_size, "t0_cap": T0_CAP}))
     _write_output("".join(lines), args.out)
     return EXIT_INVARIANT if result.violation else EXIT_OK
 
@@ -214,7 +214,7 @@ def cmd_alpha_estimate(args) -> int:
     from .deficit import run_scan
 
     result = run_scan(_params(args), _scan_config(args))
-    _write_output(_json_text(result.summary_dict()), args.out)
+    _write_output(_json_text(_summary(result)), args.out)
     return EXIT_INVARIANT if result.violation else EXIT_OK
 
 
@@ -235,23 +235,16 @@ def cmd_verify_theorem2(args) -> int:
              if value is not None}
     cases = [verify_theorem2(parse_profile(spec_text, p), **given)
              for spec_text in profile_specs]
-    doc = {
-        "N": p.N,
-        "s": p.s,
-        "rho": wc.rho,
-        "C1": wc.C1,
-        "C2": wc.C2,
-        "C0": wc.C0,
-        "C": wc.C,
-        "cases": [c.to_json_dict() for c in cases],
-    }
+    doc = {"N": p.N, "s": p.s, "rho": wc.rho, "C1": wc.C1, "C2": wc.C2, "C0": wc.C0, "C": wc.C,
+           "cases": [{"profile": c.profile, "lhs": c.lhs, "rhs": c.rhs, "margin": c.margin,
+                      "weak_norm": c.weak, "omega_measure": c.omega_measure} for c in cases]}
     _write_output(_json_text(doc), args.out)
     return EXIT_INVARIANT if any(case.violated for case in cases) else EXIT_OK
 
 
 def cmd_export_function(args) -> int:
     from .conformal import parse_profile, pullback_to_sphere
-    from .zonal import default_rule, gauss_jacobi_rule, to_json_dict
+    from .zonal import default_rule, gauss_jacobi_rule
 
     p = _params(args)
     if args.profile is None:
@@ -259,7 +252,8 @@ def cmd_export_function(args) -> int:
     profile = parse_profile(args.profile, p)
     rule = default_rule(p.N, args.K) if args.M is None else gauss_jacobi_rule(p.N, args.M)
     u = pullback_to_sphere(profile, rule, args.K)
-    _write_output(_json_text(to_json_dict(u)), args.out)
+    _write_output(_json_text({"N": p.N, "s": p.s, "K": u.K, "coeffs": u.coeffs.tolist()}),
+                  args.out)
     return EXIT_OK
 
 

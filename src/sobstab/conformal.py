@@ -15,8 +15,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._util import PROFILE_GRAMMAR, Frozen, checked_make
-from .specfun import SobolevParams
+from ._util import PROFILE_GRAMMAR, Frozen, RefusalError, checked_make
+from .specfun import SobolevParams, _in_range
 from .zonal import QuadratureRule, ZonalFunction, analyze
 
 __all__ = [
@@ -76,12 +76,19 @@ def pullback_to_sphere(u: RadialFunction, rule: QuadratureRule, K: int) -> Zonal
     Sampled at the radii r = sqrt((1-t)/(1+t)) of the node latitudes t and
     projected to degree K.
     The conformal factor ((1+r^2)/2)^((N-s)/2) equals (1+t)^(-(N-s)/2).
+    A power that overflows in the profile rounds its sample to 0.0, as it
+    should; a profile that is 0.0 at every node is one the rule cannot see,
+    and is refused (RefusalError).
     """
     p = u.params
     t = rule.nodes
-    vals = (1.0 + t) ** -p.beta * u(np.sqrt((1.0 - t) / (1.0 + t)))
+    with np.errstate(over="ignore"):
+        vals = (1.0 + t) ** -p.beta * u(np.sqrt((1.0 - t) / (1.0 + t)))
     if not np.all(np.isfinite(vals)):
         raise ValueError("profile produced non-finite samples at quadrature nodes")
+    if not vals.any():
+        raise RefusalError(f"profile {u.name or 'radial'} is 0.0 at all {rule.M} quadrature "
+                           "nodes, so the rule cannot resolve it")
     return analyze(p, vals, rule, K)
 
 
@@ -118,11 +125,18 @@ def bump_profile(params: SobolevParams, radius: float = 1.0,
 
 
 def extremizer_profile(params: SobolevParams, scale: float = 1.0) -> RadialFunction:
-    """Rescaled extremizer scale * (1 + (scale^(2/(N-s)) r)^2)^(-(N-s)/2)."""
+    """Rescaled extremizer scale * (1 + (mu r)^2)^(-(N-s)/2) with mu = scale^(2/(N-s)).
+
+    A scale whose mu is not a normal double is refused (RefusalError).
+    """
     if not scale > 0:
         raise ValueError("extremizer scale must be positive")
     beta = params.beta
-    mu = scale ** (1.0 / beta)
+    try:
+        mu = scale ** (1.0 / beta)
+    except OverflowError:
+        mu = math.inf
+    _in_range(mu, "the dilation scale^(2/(N-s)) of extremizer:{:g}", scale)
     return RadialFunction(params, lambda r: scale * (1.0 + (mu * r) ** 2) ** -beta,
                           name=f"extremizer:{scale:g}")
 

@@ -212,7 +212,8 @@ def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
     golden-section refinement of every local optimum.  Returns
     (d, nearest); d is exact within the axial family and an upper bound
     for the distance to the full manifold.  The zero function sits in the
-    closure of the family: (0.0, None).
+    closure of the family: (0.0, None).  A member whose ||u||_*^2 overflows
+    is refused (RefusalError), as `stability_ratio` refuses it.
 
     `u` is one member or a list of members that share K and (N, s) (else
     ValueError).  A list returns (float64 array of d, list of nearest) in
@@ -232,11 +233,16 @@ def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
     members, coeffs = _stacked(u)
     K, p = members[0].K, members[0].params
     rule._check_dimension(p.N)
+    with np.errstate(over="ignore"):
+        ns2 = [x ** 2 for x in norm_star(members)]
+    for i, x in enumerate(ns2):
+        if not math.isfinite(x):
+            raise RefusalError(f"member {i}: norm_star_sq is {x}: the member's norms overflow "
+                               "double precision, so no distance is defined")
     if table is None:
         table = _AxialTable(rule, K, p)
     elif table.key != (rule, K, p):
         raise ValueError("extremizer table was built for another rule, K or (N, s)")
-    ns2 = [x ** 2 for x in norm_star(members)]
     ds, nearest = [0.0] * len(members), [None] * len(members)
     live = [i for i, x in enumerate(ns2) if x != 0.0]
     if live:
@@ -459,15 +465,6 @@ class ScanResult(NamedTuple):
     n_members: int
     n_skipped: int
     seed: int
-
-    def summary_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "local_constant": self.local_constant,
-            "n_members": self.n_members,
-            "seed": self.seed,
-            "n_skipped": self.n_skipped,
-        }
 
     @property
     def violation(self) -> bool:

@@ -118,16 +118,6 @@ class Theorem2Case(NamedTuple):
         """True when the bound fails beyond roundoff: margin < -1e-6 lhs."""
         return self.margin < -1e-6 * self.lhs
 
-    def to_json_dict(self) -> dict:
-        return {
-            "profile": self.profile,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "weak_norm": self.weak,
-            "omega_measure": self.omega_measure,
-        }
-
 
 def verify_theorem2(u: RadialFunction, K: int = 384, n_cells: int = 2048) -> Theorem2Case:
     """Evaluate both sides of the weak-norm remainder bound for one profile.

@@ -35,7 +35,6 @@ __all__ = [
     "lambdas",
     "constant",
     "basis_function",
-    "to_json_dict",
 ]
 
 
@@ -378,13 +377,3 @@ def norm_lp(u: ZonalFunction | list[ZonalFunction], p: float, rule: QuadratureRu
                 f"is below min/eps, where they move |u|_{p:g} by more than roundoff")
     norms = [float(x ** (1.0 / p)) for x in sums]
     return norms[0] if isinstance(u, ZonalFunction) else norms
-
-
-def to_json_dict(u: ZonalFunction) -> dict:
-    """JSON-ready form {N, s, K, coeffs}; field order is part of the schema."""
-    return {
-        "N": u.params.N,
-        "s": u.params.s,
-        "K": u.K,
-        "coeffs": [float(c) for c in u.coeffs],
-    }

@@ -368,6 +368,16 @@ class TestScanCommands:
         assert code == 4
         assert strict_json(out)["alpha_hat"] == 0.5
 
+    def test_summary_keys_in_order(self, capsys):
+        # alpha-estimate prints the summary record; deficit-scan's last line extends it
+        summary = ["alpha_hat", "local_constant", "n_members", "seed", "n_skipped"]
+        code, out, _ = run(["alpha-estimate", *self.SCAN_ARGS], capsys)
+        assert code == 0 and list(strict_json(out)) == summary
+        code, out, _ = run(["deficit-scan", *self.SCAN_ARGS], capsys)
+        assert code == 0
+        assert list(strict_json(out.splitlines()[-1])) == [*summary, "families", "K", "M",
+                                                           "t0_cap"]
+
     def test_alpha_estimate_summary_only(self, capsys):
         code, out, _ = run(["alpha-estimate", *self.SCAN_ARGS], capsys)
         assert code == 0
@@ -443,10 +453,11 @@ class TestVerifyCommand:
                           "--out", str(path)], capsys)
         assert code == 0
         doc = strict_json(path.read_text())
-        assert set(doc) >= {"N", "s", "rho", "C1", "C2", "C0", "C", "cases"}
+        assert list(doc) == ["N", "s", "rho", "C1", "C2", "C0", "C", "cases"]
         assert len(doc["cases"]) == 3
         for case in doc["cases"]:
-            assert set(case) >= {"profile", "lhs", "rhs", "margin"}
+            assert list(case) == ["profile", "lhs", "rhs", "margin", "weak_norm",
+                                  "omega_measure"]
             assert case["margin"] > 0
 
     def test_under_resolved_refusal(self, capsys):
@@ -563,6 +574,45 @@ class TestExportCommand:
                               "--profile", "gaussian", *rule_size], capsys)
         assert (code, out) == (2, "")
         assert err == "error: truncation degree K must be >= 0, got -1\n"
+
+
+class TestUnresolvableProfiles:
+    # Each printed every number as 0.0 and exited 0, reported a false
+    # violation (exit 4), or failed with a traceback or a usage error.
+    @pytest.mark.parametrize("argv, reason", [
+        # the 770-node rule's largest node sits at r = 0.00204: lhs 0.0, margin < 0, exit 4
+        (["verify-theorem2", "--N", "3", "--s", "2", "--profiles", "bump:0.001,1"],
+         "profile bump:0.001,1 is 0.0 at all 770 quadrature nodes"),
+        (["verify-theorem2", "--N", "8", "--s", "3.3", "--profiles", "bump:0.001,1"],
+         "profile bump:0.001,1 is 0.0 at all 770 quadrature nodes"),
+        (["verify-theorem2", "--N", "3", "--s", "2", "--profiles", "bump:1,1e300"],
+         "profile bump:1,1e+300 is 0.0 at all 770 quadrature nodes"),
+        # a usage error (cell measures must be positive) with a numpy warning
+        (["verify-theorem2", "--N", "3", "--s", "2", "--profiles", "bump:1e-300,1"],
+         "profile bump:1e-300,1 is 0.0 at all 770 quadrature nodes"),
+        # (mu r)^2 overflows at every node
+        (["verify-theorem2", "--N", "3", "--s", "2", "--profiles",
+          "mollified_extremizer:1e150,1"],
+         "profile mollified_extremizer:1e+150,1 is 0.0 at all 770 quadrature nodes"),
+        (["export-function", "--N", "3", "--s", "2", "--K", "16", "--profile", "gaussian:1e300"],
+         "profile gaussian:1e+300 is 0.0 at all 34 quadrature nodes"),
+        # mu = scale^(2/(N-s)) overflowed (OverflowError) or was 0.0
+        (["export-function", "--N", "3", "--s", "2", "--K", "16", "--profile", "extremizer:1e200"],
+         "the dilation scale^(2/(N-s)) of extremizer:1e+200 is inf, "),
+        (["verify-theorem2", "--N", "3", "--s", "2", "--profiles",
+          "mollified_extremizer:1e200,1"],
+         "the dilation scale^(2/(N-s)) of extremizer:1e+200 is inf, "),
+        (["export-function", "--N", "3", "--s", "2", "--K", "16", "--profile",
+          "extremizer:1e-320"],
+         "the dilation scale^(2/(N-s)) of extremizer:9.99989e-321 is 0.0, "),
+    ])
+    def test_refused(self, capsys, argv, reason):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"refused: {reason}") and err.count("\n") == 1
+        assert [str(w.message) for w in caught] == []
 
 
 class TestConfigFile:
@@ -684,76 +734,12 @@ class TestEntryPoint:
         assert first.stdout == second.stdout and len(first.stdout) > 0
 
 
-class TestSciPyImports:
-    # numpy is the only runtime dependency: no command may load scipy.
-    SCAN = ["--N", "3", "--s", "2", "--seed", "1", "--K", "16", "--n-normal", "1",
-            "--n-random", "1", "--bubbles", "0.5"]
-    COMMANDS = [
-        ["constants", "--N", "3", "--s", "2"],
-        ["eigenvalues", "--N", "3", "--s", "2"],
-        ["deficit-scan", *SCAN],
-        ["alpha-estimate", *SCAN],
-        ["verify-theorem2", "--N", "3", "--s", "2"],
-        ["export-function", "--N", "3", "--s", "2", "--K", "16", "--profile", "gaussian"],
-    ]
-
-    @staticmethod
-    def child(code: str) -> str:
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=python_env())
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
-
-    @classmethod
-    def scipy_modules(cls, code: str) -> list[str]:
-        return cls.child(code + "\nimport sys\n"
-                         "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-                         ).split()
-
-    @staticmethod
-    def run_all(commands) -> str:
-        # Code that runs each command in one child, silencing its output.
-        return ("import contextlib, io\nfrom sobstab.cli import main\n"
-                "with contextlib.redirect_stdout(io.StringIO()), "
-                "contextlib.redirect_stderr(io.StringIO()):\n"
-                f"    for argv in {commands!r}:\n"
-                "        assert main(argv) == 0, argv")
-
-    def test_cli_import_loads_no_scipy(self):
-        assert self.scipy_modules("import sobstab.cli") == []
-
-    def test_closed_form_commands_load_no_scipy(self):
-        assert self.scipy_modules(self.run_all(self.COMMANDS[:2])) == []
-
-    def test_no_command_loads_scipy_integrate(self):
-        assert not [m for m in self.scipy_modules(self.run_all(self.COMMANDS))
-                    if m.startswith("scipy.integrate")]
-
-    def test_no_command_loads_scipy(self):
-        assert self.scipy_modules(self.run_all(self.COMMANDS)) == []
-
-    def test_no_command_loads_numpy_polynomial(self):
-        # Gauss-Legendre nodes come from the package's own Gauss-Jacobi rule
-        code = self.run_all(self.COMMANDS) + ("\nimport sys\nprint(' '.join(m for m in sys.modules"
-                                              " if m.startswith('numpy.polynomial')))")
-        assert self.child(code).split() == []
-
-    def test_same_bytes_without_scipy(self):
-        # A child in which scipy cannot be imported prints what a normal one does.
-        # deficit-scan, verify-theorem2 and export-function
-        commands = [self.COMMANDS[i] for i in (2, 4, 5)]
-        code = ("from sobstab.cli import main\n"
-                f"for argv in {commands!r}:\n"
-                "    assert main(argv) == 0, argv")
-        normal = self.child(code)
-        assert normal.count("\n") > 10
-        assert self.child('import sys\nsys.modules["scipy"] = None\n' + code) == normal
-
-
 class TestCommandImports:
     # A CLI call loads the numerical modules of its command only, never
     # dataclasses (whose classes cost an exec at import, and which loads
-    # inspect), and csv only to write --format csv.
+    # inspect), and csv only to write --format csv.  numpy is the only
+    # runtime dependency, so no call loads scipy, nor numpy.polynomial (the
+    # Gauss-Legendre nodes come from the package's own Gauss-Jacobi rule).
     BASE = {"sobstab._util", "sobstab.specfun", "sobstab.cli"}
     NUMERIC = {"numpy", "sobstab.conformal", "sobstab.zonal"}
     SCAN = ["--N", "3", "--s", "2", "--seed", "1", "--K", "16", "--n-normal", "1",
@@ -781,8 +767,8 @@ class TestCommandImports:
         if argv is not None:
             code += ("with contextlib.redirect_stdout(io.StringIO()):\n"
                      f"    assert main({argv!r}) == 0\n")
-        code += ("print(' '.join(m for m in sys.modules if m in ('numpy', 'dataclasses', "
-                 "'csv') or m.startswith('sobstab.')))")
+        code += ("print(' '.join(m for m in sys.modules if m in ('numpy', 'dataclasses', 'csv', "
+                 "'scipy') or m.startswith(('sobstab.', 'scipy.', 'numpy.polynomial'))))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=python_env())
         assert proc.returncode == 0, proc.stderr
@@ -910,8 +896,8 @@ class TestPackageNamespace:
             "inner_star", "lambdas", "local_constant", "log_gamma", "manifold_samples",
             "mollified_extremizer_profile", "multiplicity", "norm_lp", "norm_star",
             "parse_profile", "pullback_to_sphere", "radial_cells", "run_scan", "scan_members",
-            "sharp_constant", "sphere_area", "stability_ratio", "to_json_dict",
-            "unit_ball_radius", "verify_theorem2", "weak_norm",
+            "sharp_constant", "sphere_area", "stability_ratio", "unit_ball_radius",
+            "verify_theorem2", "weak_norm",
         ]
 
     @pytest.mark.parametrize("name, module", [("PROFILE_GRAMMAR", "conformal")])

@@ -1,14 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from sobstab._util import RefusalError
 from sobstab.conformal import (
     ManifoldPoint,
     RadialFunction,
     bump_profile,
     extremizer_profile,
     gaussian_profile,
+    mollified_extremizer_profile,
     parse_profile,
     pullback_to_sphere,
 )
@@ -90,6 +93,17 @@ class TestPullback:
         bad = RadialFunction(P32, lambda r: np.full_like(r, np.nan))
         with pytest.raises(ValueError):
             pullback_to_sphere(bad, rule, 8)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("profile", [bump_profile(P32, 0.001), gaussian_profile(P32, 1e300),
+                                         mollified_extremizer_profile(P32, 1e150)],
+                             ids=lambda u: u.name)
+    def test_profile_zero_at_every_node_is_refused(self, profile):
+        # each pulled back to the zero function; an overflow that rounds a sample
+        # to 0.0 warns of nothing
+        message = rf"^profile {re.escape(profile.name)} is 0\.0 at all 34 quadrature nodes"
+        with pytest.raises(RefusalError, match=message):
+            pullback_to_sphere(profile, default_rule(3, 16), 16)
 
 
 class TestManifoldZonal:
@@ -184,6 +198,14 @@ class TestProfiles:
             parse_profile("bump:1,2,3,4", P32)
         with pytest.raises(ValueError):
             parse_profile("gaussian:abc", P32)
+
+    @pytest.mark.parametrize("scale, mu", [(1e200, "inf"), (1e-320, "0.0"), (1e-160, "1e-320")])
+    def test_extremizer_scale_outside_the_doubles_is_refused(self, scale, mu):
+        # mu = scale^(2/(N-s)) = scale^2 at (3, 2): an OverflowError, or subnormal samples
+        for build in (extremizer_profile, mollified_extremizer_profile):
+            with pytest.raises(RefusalError, match=rf"^the dilation .* is {re.escape(mu)}, outside "):
+                build(P32, scale)
+        assert extremizer_profile(P32, 1e150).profile(np.array([0.0])) == 1e150
 
     def test_support_masking(self):
         u = bump_profile(P32, 1.0, 1.0)

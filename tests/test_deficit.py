@@ -215,6 +215,16 @@ class TestDistance:
 
         assert projection(nearest.t0) > projection(0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_member_is_refused(self, rule32):
+        # returned d = nan and a nearest t0 of -0.91 (the true one is about 1.4e-8),
+        # with three numpy warnings
+        u = 1e160 * (constant(P32, 1.0, 64) + 0.1 * basis_function(P32, 3, 64))
+        with pytest.raises(RefusalError, match="^member 0: norm_star_sq is inf: "):
+            distance(u, rule32)
+        with pytest.raises(RefusalError, match="^member 1: norm_star_sq is inf: "):
+            distance([constant(P32, 1.0, 64), u], rule32)
+
 
 class TestStabilityRatio:
     def test_sandwich_upper_bound(self, rule32):

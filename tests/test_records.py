@@ -188,5 +188,3 @@ def test_records_keep_their_key_order():
                                                       "C2", "C0", "C"]
     assert DeficitReport._fields == ("norm_star_sq", "lq_norm", "deficit", "distance",
                                      "nearest", "ratio", "boundary_hit")
-    assert list(ScanResult([], 0.5, 0.25, 3, 1, 7).summary_dict()) == [
-        "alpha_hat", "local_constant", "n_members", "seed", "n_skipped"]

@@ -27,7 +27,6 @@ from sobstab.zonal import (
     node_values,
     norm_lp,
     norm_star,
-    to_json_dict,
     _recurrence_sq,
 )
 
@@ -461,26 +460,6 @@ class TestBatchNorms:
             norm_star([])
         with pytest.raises(ValueError, match="at least one member"):
             norm_lp([], P32.q, rule32)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(9)
-        u = smooth_random_zonal(P32, rng, K=10, max_degree=10)
-        d = to_json_dict(u)
-        assert list(d.keys()) == ["N", "s", "K", "coeffs"]
-        v = ZonalFunction(SobolevParams(d["N"], d["s"]), d["coeffs"])
-        assert v.K == d["K"]
-        assert v.params == u.params
-        assert np.array_equal(v.coeffs, u.coeffs)
-
-
-class TestDomainChecks:
-    def test_norm_lp_rejects_mismatched_rule_dimension(self):
-        u = constant(P32, 1.0, 4)
-        rule2 = gauss_jacobi_rule(2, 12)
-        with pytest.raises(ValueError):
-            norm_lp(u, 2.0, rule2)
 
 
 # Every function that evaluates a member on a rule, as f(u, rule)

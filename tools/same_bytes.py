@@ -62,6 +62,10 @@ ERROR_ARGVS = [
     # too few nodes for the degree: refused where the rule builds its basis
     ["export-function", *_NS, "--profile", "gaussian", "--K", "64", "--M", "30"],
     ["export-function", *_NS, "--profile", "gaussian", "--K", "64", "--M", "64"],
+    # a profile that is 0.0 at every node, and an extremizer scale whose dilation overflows
+    ["verify-theorem2", *_NS, "--profiles", "bump:0.001,1"],
+    ["export-function", *_NS, "--K", "16", "--profile", "gaussian:1e300"],
+    ["export-function", *_NS, "--K", "16", "--profile", "extremizer:1e200"],
     # every member's deficit rounds to zero: alpha_hat <= 0 is refused
     [*_SMALL_SCAN, "--eps", "1e-7", "--n-normal", "5", "--bubbles", "0.5"],
     # every member lies on the manifold
