@@ -127,7 +127,7 @@ def bump_profile(params: SobolevParams, radius: float = 1.0,
 def extremizer_profile(params: SobolevParams, scale: float = 1.0) -> RadialFunction:
     """Rescaled extremizer scale * (1 + (mu r)^2)^(-(N-s)/2) with mu = scale^(2/(N-s)).
 
-    A scale whose mu is not a normal double is refused (RefusalError).
+    A scale, or its mu, that is not a normal double is refused (RefusalError).
     """
     if not scale > 0:
         raise ValueError("extremizer scale must be positive")
@@ -137,6 +137,7 @@ def extremizer_profile(params: SobolevParams, scale: float = 1.0) -> RadialFunct
     except OverflowError:
         mu = math.inf
     _in_range(mu, "the dilation scale^(2/(N-s)) of extremizer:{:g}", scale)
+    _in_range(scale, "the scale of extremizer:{:g}", scale)
     return RadialFunction(params, lambda r: scale * (1.0 + (mu * r) ** 2) ** -beta,
                           name=f"extremizer:{scale:g}")
 

@@ -18,11 +18,13 @@ import numpy as np
 
 from ._util import _INVPHI, _INVPHI2, RefusalError, checked_make, fmt12
 from .conformal import ManifoldPoint, manifold_samples
-from .specfun import SobolevParams, local_constant, sharp_constant
+from .specfun import SobolevParams, _in_range, local_constant, sharp_constant
 from .zonal import (
     QuadratureRule,
     ZonalFunction,
     _stacked,
+    _star,
+    _unscaled,
     analyze,
     constant,
     gauss_jacobi_rule,
@@ -83,26 +85,31 @@ def deficit(u: ZonalFunction, rule: QuadratureRule) -> float:
 
 
 def _parts(us, rule):
-    # (||u||_*^2, |u|_q, Psi(u)) of each member of a batch: the one
-    # expression of Psi, for deficit and the reports
+    # (||u||_*, |u|_q, Psi(u)) of each member of a batch: the one expression
+    # of Psi, for deficit and the reports.  x * x, not x ** 2: it scales
+    # exactly with x (Psi(2^k u) = 4^k Psi(u)) and is inf past the doubles
     s_const = sharp_constant(us[0].params)
-    ns2 = [x ** 2 for x in norm_star(us)]
-    return [(x, lq, x - s_const * lq * lq)
-            for x, lq in zip(ns2, norm_lp(us, us[0].params.q, rule))]
+    return [(x, lq, x * x - s_const * lq * lq)
+            for x, lq in zip(norm_star(us), norm_lp(us, us[0].params.q, rule))]
 
 
 def gradient_form(u: ZonalFunction, v: ZonalFunction, rule: QuadratureRule) -> float:
     """Directional derivative Psi'(u)v = 2<u,v>_* - 2 S |u|_q^(2-q) int |u|^(q-2) u v.
 
-    |u|_q is `norm_lp`'s, so an underflowed |u|_q is refused (RefusalError).
+    1-homogeneous in u: evaluated at the unit scale of u (see
+    `zonal._stacked`) and scaled back exactly, so that of 2^k u is 2^k times
+    that of u, bit for bit.
     """
-    if norm_star(u) == 0.0:
+    _, (row,), (e,) = _stacked(u)
+    if not row.any():
         raise ValueError("gradient form undefined at u = 0")
+    u = ZonalFunction(u.params, row)
     q = u.params.q
     lq = norm_lp(u, q, rule)
     uv = node_values(u, rule)
     iv = float(rule.weights @ (np.abs(uv) ** (q - 2.0) * uv * node_values(v, rule)))
-    return 2.0 * inner_star(u, v) - 2.0 * sharp_constant(u.params) * lq ** (2.0 - q) * iv
+    return _unscaled(
+        2.0 * inner_star(u, v) - 2.0 * sharp_constant(u.params) * lq ** (2.0 - q) * iv, e)
 
 
 class _AxialTable:
@@ -212,8 +219,9 @@ def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
     golden-section refinement of every local optimum.  Returns
     (d, nearest); d is exact within the axial family and an upper bound
     for the distance to the full manifold.  The zero function sits in the
-    closure of the family: (0.0, None).  A member whose ||u||_*^2 overflows
-    is refused (RefusalError), as `stability_ratio` refuses it.
+    closure of the family: (0.0, None).  The search runs on the unit-scale
+    rows of `zonal._stacked`, and d and c are scaled back exactly, so those
+    of 2^k u are 2^k times those of u and t0 is the same, bit for bit.
 
     `u` is one member or a list of members that share K and (N, s) (else
     ValueError).  A list returns (float64 array of d, list of nearest) in
@@ -230,20 +238,15 @@ def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
     product lam_coeffs @ g, so the result does not depend on how the grid
     product rounds.
     """
-    members, coeffs = _stacked(u)
+    members, coeffs, e = _stacked(u)
     K, p = members[0].K, members[0].params
     rule._check_dimension(p.N)
-    with np.errstate(over="ignore"):
-        ns2 = [x ** 2 for x in norm_star(members)]
-    for i, x in enumerate(ns2):
-        if not math.isfinite(x):
-            raise RefusalError(f"member {i}: norm_star_sq is {x}: the member's norms overflow "
-                               "double precision, so no distance is defined")
     if table is None:
         table = _AxialTable(rule, K, p)
     elif table.key != (rule, K, p):
         raise ValueError("extremizer table was built for another rule, K or (N, s)")
-    ds, nearest = [0.0] * len(members), [None] * len(members)
+    ns2 = [x ** 2 for x in _star(coeffs, table.lam).tolist()]
+    ds, cs, t0_best = [0.0] * len(members), [0.0] * len(members), [0.0] * len(members)
     live = [i for i, x in enumerate(ns2) if x != 0.0]
     if live:
         lam_coeffs = table.lam * coeffs[live]
@@ -263,17 +266,23 @@ def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
         for member, (projection, j) in zip(live, found):
             ds[member] = math.sqrt(max(ns2[member] - projection, 0.0))
             if j is not None:
-                c_best = ugs[j] / ggs[j]
-                nearest[member] = None if c_best == 0.0 else ManifoldPoint(c_best, t0s[j])
+                cs[member], t0_best[member] = ugs[j] / ggs[j], t0s[j]
+    ds, cs = _unscaled([ds, cs], e)
+    nearest = [None if c == 0.0 else ManifoldPoint(c, t0) for c, t0 in zip(cs, t0_best)]
     if isinstance(u, ZonalFunction):
         return ds[0], nearest[0]
     return np.array(ds), nearest
 
 
-def _report(ns2, lq, psi, d, nearest) -> DeficitReport | None:
-    # The report of one member's parts and distance; None on the manifold
-    if d <= 1e-9 * math.sqrt(ns2):
+def _report(label, ns, lq, psi, d, nearest) -> DeficitReport | None:
+    # The report of one member's parts and distance, None on the manifold; a
+    # reported value, or the d^2 the ratio divides by, outside the normal
+    # doubles is refused by the member's label
+    if d <= 1e-9 * ns:
         return None
+    ns2 = ns * ns
+    for name, value in (("norm_star_sq", ns2), ("lq_norm", lq), ("distance^2", d * d)):
+        _in_range(value, "member {}: {}", label, name)
     boundary = bool(nearest is not None and abs(nearest.t0) >= T0_CAP - 1e-6)
     return DeficitReport(
         norm_star_sq=ns2,
@@ -287,31 +296,14 @@ def _report(ns2, lq, psi, d, nearest) -> DeficitReport | None:
 
 
 def _reports(labels, us, rule: QuadratureRule) -> list[DeficitReport | None]:
-    # The report of each member, None on the manifold: the first member in
-    # order whose part overflows or whose |u|_q underflows is refused by
-    # label before the one lockstep search, and numpy warns of none of it;
-    # a finite ||u||_*^2 makes d finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            parts = _parts(us, rule)
-        except RefusalError:  # an underflow: one member at a time, so the first is named
-            parts = [None] * len(us)
-        checked = []
-        for label, u, part in zip(labels, us, parts):
-            if part is None:
-                try:
-                    (part,) = _parts([u], rule)
-                except RefusalError as exc:
-                    raise RefusalError(f"member {label}: {exc}") from None
-            for name, value in zip(("norm_star_sq", "lq_norm", "deficit"), part):
-                if not math.isfinite(value):
-                    raise RefusalError(
-                        f"member {label}: {name} is {value}: the member's norms overflow "
-                        "double precision, so no stability ratio is defined")
-            checked.append(part)
-        table = _AxialTable(rule, us[0].K, us[0].params)  # dies with the call
-        ds, nearest = distance(us, rule, table)
-    return [_report(*part, d, near) for part, d, near in zip(checked, ds.tolist(), nearest)]
+    # The report of each member, None on the manifold, from one batch of
+    # parts and one lockstep search; the first member in order with a value
+    # outside the normal doubles is refused by label, without numpy warnings
+    parts = _parts(us, rule)
+    table = _AxialTable(rule, us[0].K, us[0].params)  # dies with the call
+    ds, nearest = distance(us, rule, table)
+    return [_report(label, *part, d, near)
+            for label, part, d, near in zip(labels, parts, ds.tolist(), nearest)]
 
 
 def stability_ratio(u: ZonalFunction, rule: QuadratureRule) -> DeficitReport:
@@ -320,8 +312,9 @@ def stability_ratio(u: ZonalFunction, rule: QuadratureRule) -> DeficitReport:
     The ratio never exceeds 1 (up to quadrature slack): the first half of
     the two-sided stability bound, which only strengthens when d is the
     axial upper bound.  A lone member is a scan of one: `run_scan` builds
-    its reports the same way, so an overflowing ||u||_*^2, |u|_q or Psi is
-    refused (RefusalError, as member u) before the search.
+    its reports the same way, so a value outside the normal doubles, such
+    as the ||u||_*^2 of 1e200 u, is refused (RefusalError, as member u).
+    The ratio and t0 of 2^k u are those of u, bit for bit.
     """
     (report,) = _reports(["u"], [u], rule)
     if report is None:
@@ -483,8 +476,8 @@ def run_scan(p: SobolevParams, cfg: ScanConfig) -> ScanResult:
     with one extremizer table, which lives no longer than the scan.
     Members on the manifold are skipped; the rest are reduced in member
     order.  Raises OnManifoldError when every member lies on the
-    manifold, and RefusalError when a member's numbers overflow (naming
-    it, before any search) or, unless `violation` is set,
+    manifold, and RefusalError when a member's reported numbers leave the
+    normal doubles (naming the first such member) or, unless `violation` is set,
     alpha_hat <= 0, or a `local:e2` member at eps <= _GAP_EPS (N >= 2)
     has a ratio of at least local_constant: König's strict gap puts the
     ratio below it, so the scan cannot resolve alpha at that eps.

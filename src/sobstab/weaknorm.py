@@ -23,7 +23,7 @@ import numpy as np
 from ._util import RefusalError
 from .conformal import RadialFunction, pullback_to_sphere
 # the closed forms are bound here too (not in __all__), for callers that look them up here
-from .specfun import (SobolevParams, _sphere_area, ball_volume, compute_constants,
+from .specfun import (SobolevParams, _in_range, _sphere_area, ball_volume, compute_constants,
                       extremizer_weak_norm, sharp_constant, unit_ball_radius)
 from .zonal import default_rule, gauss_jacobi_rule, lambdas, norm_lp, norm_star
 
@@ -128,7 +128,8 @@ def verify_theorem2(u: RadialFunction, K: int = 384, n_cells: int = 2048) -> The
     support ball and |u|_w on `n_cells` radial cells.  Spectral truncation
     is refused when the top coefficient band exceeds 1e-6 of the norm.
     A profile without compact support and fewer than one cell are refused
-    (ValueError) before the rule is built.
+    (ValueError) before the rule is built; an lhs or rhs outside the normal
+    doubles, such as the 0.0 of `bump:0.62,500` at (3, 2), is refused.
     """
     p = u.params
     if not math.isfinite(u.support_radius):
@@ -148,6 +149,8 @@ def verify_theorem2(u: RadialFunction, K: int = 384, n_cells: int = 2048) -> The
     wk = weak_norm(values, measures, p)
     omega = ball_volume(p.N) * u.support_radius ** p.N
     rhs = compute_constants(p).C * omega ** (-2.0 / p.q) * wk * wk
+    for side, value in (("lhs", lhs), ("rhs", rhs)):
+        _in_range(value, "profile {}: {}", u.name or "radial", side)
     return Theorem2Case(
         profile=u.name or "radial",
         lhs=lhs,

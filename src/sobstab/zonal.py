@@ -15,12 +15,11 @@ integral over S^N reduces to one over t in (-1, 1) against the measure
 from __future__ import annotations
 
 import math
-import sys
 from functools import cache, lru_cache
 
 import numpy as np
 
-from ._util import Frozen, RefusalError
+from ._util import Frozen
 from .specfun import SobolevParams, _sphere_area, eigenvalue
 
 __all__ = [
@@ -310,25 +309,42 @@ def node_values(u: ZonalFunction, rule: QuadratureRule) -> np.ndarray:
     return u.coeffs.dot(rule.basis(u.K))
 
 
-def _stacked(u) -> tuple[list[ZonalFunction], np.ndarray]:
-    # One member or a list that shares K and (N, s): the members and their coefficient rows
+def _stacked(u) -> tuple[list[ZonalFunction], np.ndarray, np.ndarray]:
+    # One member or a list that shares K and (N, s): the members, their
+    # coefficient rows divided by the powers of two 2^e that bring each largest
+    # |a_k| into [0.5, 1) (e = 0 for the zero function), and e.  The one place
+    # a member's scale is decided: u and 2^k u give the same rows, bit for bit.
     members = [u] if isinstance(u, ZonalFunction) else list(u)
     if not members:
         raise ValueError("a batch needs at least one member")
     if any(v.K != members[0].K or v.params != members[0].params for v in members):
         raise ValueError("a batch of members must share K and (N, s)")
-    return members, np.array([v.coeffs for v in members])
+    A = np.array([v.coeffs for v in members])
+    e = np.frexp(np.abs(A).max(axis=1))[1]
+    return members, np.ldexp(A, -e[:, None]), e
+
+
+def _unscaled(x, e) -> list[float] | float:
+    # x * 2^e as Python floats, exact within the doubles; past them inf or
+    # a rounded subnormal, as a product would give, and no numpy warning
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, e).tolist()
+
+
+def _star(B: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    # sqrt(lam @ (b * b)) of each row b, one dot per row as in a lone call
+    return np.sqrt(np.matmul(lam, (B * B)[:, :, None])[:, 0])
 
 
 def norm_star(u: ZonalFunction | list[ZonalFunction]):
     """Spectral norm sqrt(sum lambda_k a_k^2) of the conformal quadratic form.
 
-    A list of members that share K and (N, s) gives a list of the norms,
-    each its lone call's bit for bit.
+    Evaluated at the unit scale of the member (see `_stacked`) and scaled
+    back exactly.  A list of members that share K and (N, s) gives a list
+    of the norms, each its lone call's bit for bit.
     """
-    members, A = _stacked(u)
-    lam = lambdas(members[0].params, members[0].K)
-    norms = [math.sqrt(x) for x in np.matmul(lam, (A * A)[:, :, None])[:, 0].tolist()]
+    members, B, e = _stacked(u)
+    norms = _unscaled(_star(B, lambdas(members[0].params, members[0].K)), e)
     return norms[0] if isinstance(u, ZonalFunction) else norms
 
 
@@ -341,39 +357,24 @@ def inner_star(u: ZonalFunction, v: ZonalFunction) -> float:
     return float(lam @ (u.coeffs[:n] * v.coeffs[:n]))
 
 
-# Below this sum of w |u|^p, node terms that underflowed can move |u|_p by more than roundoff
-_LP_SUM_MIN = sys.float_info.min / sys.float_info.epsilon
-
-
 def norm_lp(u: ZonalFunction | list[ZonalFunction], p: float, rule: QuadratureRule):
     """L^p(S^N) norm by quadrature of |u|^p at the rule nodes; 1 <= p < inf.
 
-    A list gives a list, as for `norm_star`.  The last power is taken per
-    member, as a scalar: numpy's array power rounds some norms otherwise.
-    A nonzero member is refused (RefusalError) when its sum of w |u|^p is
-    below min/eps of the doubles and a node term |u|^p, or w |u|^p with a
-    normal weight w, fell below the smallest normal double: its norm
-    would lose more than roundoff, down to 0.0.  A small sum of normal
-    terms (from a small |S^N|, say) keeps its norm; the zero function
-    has norm 0.0.
+    With x_i = w_i^(1/p) |u(t_i)| at the unit scale of the member (see
+    `_stacked`) and m = max x_i, the norm is m (sum (x_i / m)^p)^(1/p),
+    scaled back exactly.  The sum lies in [1, M], so no N or p makes it
+    underflow or overflow; the zero function has norm 0.0.  A list gives
+    a list, as for `norm_star`.  The last power is taken per member, as a
+    scalar: numpy's array power rounds some norms otherwise.
     """
     if not 1.0 <= p < math.inf:
         raise ValueError(f"norm_lp requires 1 <= p < inf, got {p}")
-    members, A = _stacked(u)
+    members, B, e = _stacked(u)
     rule._check_dimension(members[0].params.N)
-    vals = np.abs(np.matmul(A[:, None, :], rule.basis(members[0].K)))[:, 0]
-    terms = vals**p
-    sums = np.matmul(rule.weights, terms[:, :, None])[:, 0]
-    small = np.flatnonzero((sums < _LP_SUM_MIN) & A.any(axis=1))
-    if small.size:
-        x = terms[small]
-        w, tiny = rule.weights, sys.float_info.min
-        lost = (vals[small] > 0.0) & ((x < tiny) | ((w * x < tiny) & (w >= tiny)))
-        refused = small[(sums[small] == 0.0) | lost.any(axis=1)]
-        if refused.size:
-            raise RefusalError(
-                f"|u|_{p:g} underflows: node terms of its quadrature sum of w |u|^{p:g} fell "
-                f"below the smallest normal double, and the sum, {float(sums[refused[0]])!r}, "
-                f"is below min/eps, where they move |u|_{p:g} by more than roundoff")
-    norms = [float(x ** (1.0 / p)) for x in sums]
+    values = np.abs(np.matmul(B[:, None, :], rule.basis(members[0].K)))[:, 0]
+    x = rule.weights ** (1.0 / p) * values
+    m = x.max(axis=1, keepdims=True)
+    m[m == 0.0] = 1.0  # the zero function: every term is 0.0
+    sums = ((x / m) ** p).sum(axis=1).tolist()
+    norms = _unscaled([top * s ** (1.0 / p) for top, s in zip(m[:, 0].tolist(), sums)], e)
     return norms[0] if isinstance(u, ZonalFunction) else norms

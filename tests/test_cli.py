@@ -324,26 +324,38 @@ class TestScanCommands:
         assert out == ""
         assert err.startswith("refused: scan produced no usable members")
 
-    def test_strict_gap_break_is_refused(self, capsys):
+    def test_strict_gap_break_is_refused(self):
         # König: for N >= 2 the e2 ratio lies strictly below local_constant
         # at small eps.  At (8, 3.3), eps = 1e-4 the d/Psi cancellation lifts
-        # it above, and this scan used to exit 0 with alpha_hat 0.496384391486
-        code, out, err = run(["deficit-scan", "--N", "8", "--s", "3.3", "--seed", "1",
-                              "--K", "384", "--eps", "1e-4", "--n-normal", "0",
-                              "--n-random", "0", "--bubbles", ""], capsys)
-        assert (code, out) == (3, "")
-        assert err.startswith("refused: member local:e2:eps=0.0001: stability ratio "
-                              "0.496384391486 is not below local_constant 0.496240601504")
+        # it above, and this scan used to exit 0 with alpha_hat 0.496384391486.
+        # The ratio is roundoff there, and the 770-node rule's last bits
+        # depend on the BLAS thread count, so the digits are those of the
+        # CLI's one thread (0.496384391486 before |u|_q was taken at unit scale)
+        env = python_env()
+        for var in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(var, None)
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sobstab.cli", "deficit-scan", "--N", "8", "--s", "3.3",
+             "--seed", "1", "--K", "384", "--eps", "1e-4", "--n-normal", "0", "--n-random", "0",
+             "--bubbles", ""], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("refused: member local:e2:eps=0.0001: stability ratio "
+                                      "0.496316172458 is not below local_constant 0.496240601504")
 
     @pytest.mark.parametrize("flags, reason", [
         # one overflowing member among finite ones used to print NaN and exit 0
         (["--eps", "1e300,0.1", "--n-normal", "0", "--n-random", "0", "--bubbles", "",
-          "--modes", "2"], "member local:e2:eps=1e+300: norm_star_sq is inf: "),
+          "--modes", "2"], "member local:e2:eps=1e+300: norm_star_sq is inf, outside the range "
+                           "of normal doubles\n"),
         (["--eps", "1e300", "--n-normal", "1", "--n-random", "0", "--bubbles", "",
-          "--modes", ""], "member local:rand0:eps=1e+300: norm_star_sq is inf: "),
-        # |u|_q overflows at q = 6e6
+          "--modes", ""], "member local:rand0:eps=1e+300: norm_star_sq is inf, outside the "
+                          "range of normal doubles\n"),
+        # |u|_q at q = 6e6 was refused as an overflow; at unit scale it is
+        # finite, and the 18-node rule cannot resolve |u|^q, which the strict gap shows
         (["--s", "2.999999", "--K", "8", "--n-normal", "1", "--n-random", "1"],
-         "member local:e2:eps=0.1: lq_norm is inf: "),
+         "member local:e2:eps=0.01: stability ratio 0.999896393334 is not below "
+         "local_constant 0.74999984375, "),
     ], ids=["one-of-two", "every-member", "lq-norm"])
     def test_overflowing_member_is_refused(self, capsys, flags, reason):
         with warnings.catch_warnings(record=True) as caught:
@@ -466,13 +478,28 @@ class TestVerifyCommand:
         assert code == 3
         assert "increase K" in err
 
+    @pytest.mark.filterwarnings("error")
     def test_underflowing_pullback_is_refused(self, capsys):
+        # the deficit of the first pullback is below the doubles (lhs would
+        # print as 0.0); the second has an lhs of about 6.4e-306 and a subnormal rhs
+        for profile, side in (("bump:0.62,500", "lhs is 0.0"),
+                              ("bump:0.62,350", "rhs is 2.77339433752598e-309")):
+            code, out, err = run(["verify-theorem2", "--N", "3", "--s", "2",
+                                  "--profiles", profile], capsys)
+            assert (code, out) == (3, "")
+            assert err == (f"refused: profile {profile}: {side}, outside the range of "
+                           "normal doubles\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_small_pullback_keeps_its_lhs(self, capsys):
         # |u|^6 underflowed at every node, and lhs printed as ||u||_*^2,
-        # 5.61e-262 (a scaled sum gives 1.86e-262), with exit 0
+        # 5.61e-262, with exit 0; later the underflow was refused
         code, out, err = run(["verify-theorem2", "--N", "3", "--s", "2",
                               "--profiles", "bump:0.62,300"], capsys)
-        assert (code, out) == (3, "")
-        assert err.startswith("refused: |u|_6 underflows: ")
+        assert (code, err) == (0, "")
+        (case,) = strict_json(out)["cases"]
+        assert case["lhs"] == pytest.approx(1.85696500937e-262, rel=1e-9)
+        assert case["margin"] > 0
 
     def test_zero_cells_is_usage_error(self, capsys):
         # no cell would give a weak norm of 0 and a margin equal to the lhs
@@ -605,6 +632,10 @@ class TestUnresolvableProfiles:
         (["export-function", "--N", "3", "--s", "2", "--K", "16", "--profile",
           "extremizer:1e-320"],
          "the dilation scale^(2/(N-s)) of extremizer:9.99989e-321 is 0.0, "),
+        # a subnormal scale whose mu is normal printed subnormal coefficients with exit 0
+        (["export-function", "--N", "8", "--s", "3.3", "--K", "4", "--profile",
+          "extremizer:1e-320"],
+         "the scale of extremizer:9.99989e-321 is 1e-320, outside the range of normal doubles"),
     ])
     def test_refused(self, capsys, argv, reason):
         with warnings.catch_warnings(record=True) as caught:

@@ -111,13 +111,14 @@ class TestGradientForm:
         with pytest.raises(ValueError):
             gradient_form(zero, constant(P32, 1.0, 7), rule32)
 
-    def test_underflowed_lq_is_refused(self, rule32):
-        # |u|^6 underflows at every node: |u|_q read 0.0, and 0.0 ** (2 - q) raised
-        # ZeroDivisionError
+    def test_small_member_keeps_its_gradient(self, rule32):
+        # |u|^6 underflowed at every node: |u|_q read 0.0, 0.0 ** (2 - q) raised
+        # ZeroDivisionError, and later the underflow was refused
         a = np.zeros(65)
         a[0], a[2] = 1e-100, 1e-103
-        with pytest.raises(RefusalError, match="^[|]u[|]_6 underflows: "):
-            gradient_form(ZonalFunction(P32, a), basis_function(P32, 2, 64), rule32)
+        v = basis_function(P32, 2, 64)
+        assert gradient_form(ZonalFunction(P32, a), v, rule32) == pytest.approx(
+            1e-100 * gradient_form(ZonalFunction(P32, a * 1e100), v, rule32), rel=1e-13)
 
 
 class TestHessianForm:
@@ -216,14 +217,18 @@ class TestDistance:
         assert projection(nearest.t0) > projection(0.0)
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_member_is_refused(self, rule32):
+    def test_large_member_keeps_its_distance(self, rule32):
         # returned d = nan and a nearest t0 of -0.91 (the true one is about 1.4e-8),
-        # with three numpy warnings
-        u = 1e160 * (constant(P32, 1.0, 64) + 0.1 * basis_function(P32, 3, 64))
-        with pytest.raises(RefusalError, match="^member 0: norm_star_sq is inf: "):
-            distance(u, rule32)
-        with pytest.raises(RefusalError, match="^member 1: norm_star_sq is inf: "):
-            distance([constant(P32, 1.0, 64), u], rule32)
+        # with three numpy warnings, and later was refused for its ||u||_*^2
+        base = constant(P32, 1.0, 64) + 0.1 * basis_function(P32, 3, 64)
+        d, nearest = distance(base, rule32)
+        for u in (1e160 * base, [constant(P32, 1.0, 64), 1e160 * base]):
+            dc, near = distance(u, rule32)
+            if isinstance(u, list):
+                dc, near = dc[1], near[1]
+            assert dc == pytest.approx(1e160 * d, rel=1e-13)
+            assert near.c == pytest.approx(1e160 * nearest.c, rel=1e-13)
+            assert near.t0 == pytest.approx(nearest.t0, abs=1e-9)
 
 
 class TestStabilityRatio:
@@ -254,34 +259,45 @@ class TestStabilityRatio:
             stability_ratio(v, rule32)
 
     def test_overflowing_member_is_refused(self, rule32):
-        # a lone member is a scan of one: refused before the search, and
-        # numpy warns of nothing, so -W error still sees the refusal
+        # a lone member is a scan of one: its ||u||_*^2 is past the doubles,
+        # and numpy warns of nothing, so -W error still sees the refusal
         a = np.zeros(65)
         a[0] = a[3] = 1e200
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(RefusalError, match="^member u: norm_star_sq is inf: "):
+            with pytest.raises(RefusalError, match="^member u: norm_star_sq is inf, outside "
+                                                   "the range of normal doubles$"):
                 stability_ratio(ZonalFunction(P32, a), rule32)
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.filterwarnings("error")
     def test_underflowing_member_is_refused(self, rule32):
-        # |u|^6 underflowed at every node: lq_norm 0.0, ratio 85715.29 and
-        # deficit == ||u||_*^2, where the ratio is 0.5709 at scale 1
-        a = np.zeros(65)
-        a[0], a[2] = 1e-100, 1e-103
-        u = ZonalFunction(P32, a)
-        with pytest.raises(RefusalError, match=r"^member u: \|u\|_6 underflows: "):
-            stability_ratio(u, rule32)
-        with pytest.raises(RefusalError, match=r"^\|u\|_6 underflows: "):
-            deficit(u, rule32)
+        # at 2^-1000 ||u||_*^2 and d^2 underflow to 0.0, so the ratio would
+        # divide by zero; at 2^-513 ||u||_*^2 is subnormal
+        u = constant(P32, 1.0, 64) + 0.3 * basis_function(P32, 1, 64)
+        for k, value in ((-1000, "0.0"), (-513, "2.105741284203345e-308")):
+            with pytest.raises(RefusalError, match=f"^member u: norm_star_sq is {value}, "
+                                                   "outside the range of normal doubles$"):
+                stability_ratio(2.0 ** k * u, rule32)
+        # a value, not a report: Psi(u) times 4^-1000 rounds to 0.0
+        assert deficit(2.0 ** -1000 * u, rule32) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_squared_distance_is_refused(self, rule32):
+        # ||u||_*^2 is a normal double, but d^2, which the ratio divides by, is not
+        u = 2.0 ** -511 * (constant(P32, 1.0, 64) + 1e-3 * unit_mode(P32, 2))
+        with pytest.raises(RefusalError, match="^member u: distance\\^2 is 2.225073849e-314, "
+                                               "outside the range of normal doubles$"):
+            stability_ratio(u, rule32)
+
+    @pytest.mark.filterwarnings("error")
     def test_scan_names_the_first_refused_member(self, rule32):
-        tiny = ZonalFunction(P32, np.r_[1e-160, 0.0, 1e-163, np.zeros(62)])
-        huge = ZonalFunction(P32, np.r_[1e200, 0.0, 0.0, 1e200, np.zeros(61)])
         ok = constant(P32, 1.0, 64) + 0.1 * unit_mode(P32, 2)
-        for members, message in (([ok, tiny], r"^member b: \|u\|_6 underflows: "),
-                                 ([tiny, huge], r"^member a: \|u\|_6 underflows: "),
-                                 ([huge, tiny], "^member a: norm_star_sq is inf: ")):
+        tiny = 2.0 ** -1000 * ok
+        huge = ZonalFunction(P32, np.r_[1e200, 0.0, 0.0, 1e200, np.zeros(61)])
+        for members, message in (([ok, tiny], "^member b: norm_star_sq is 0.0, "),
+                                 ([tiny, huge], "^member a: norm_star_sq is 0.0, "),
+                                 ([huge, tiny], "^member a: norm_star_sq is inf, ")):
             with pytest.raises(RefusalError, match=message):
                 deficit_module._reports(["a", "b"], members, rule32)
 
@@ -771,8 +787,15 @@ class TestBitIdenticalArithmetic:
             assert stars == [norm_star(u) for u in members]
             assert stars == [math.sqrt(float(lam.dot(u.coeffs * u.coeffs))) for u in members]
             assert lqs == [norm_lp(u, p.q, rule) for u in members]
-            assert lqs == [float(rule.weights.dot(np.abs(u.coeffs.dot(basis)) ** p.q)
-                                 ** (1.0 / p.q)) for u in members]
+            assert lqs == [self.plain_lq(u, p.q, rule.weights, basis) for u in members]
+
+    @staticmethod
+    def plain_lq(u, q, weights, basis):
+        # m (sum (x / m)^q)^(1/q) with x = w^(1/q) |u| at unit scale, scaled back
+        e = math.frexp(float(np.abs(u.coeffs).max()))[1]
+        x = weights ** (1.0 / q) * np.abs(np.ldexp(u.coeffs, -e).dot(basis))
+        top = float(x.max())
+        return math.ldexp(top * float(((x / top) ** q).sum()) ** (1.0 / q), e)
 
     @pytest.mark.parametrize("N, s", BENCH_PAIRS + [(4, 2.0)])  # N - s = 2: beta = 1
     def test_table_rows_equal_the_power_expression(self, N, s):
@@ -849,6 +872,55 @@ class TestBitIdenticalArithmetic:
             out[threads] = proc.stdout.split()
         assert out["1"][1] == "True"  # the one-thread product, row by row
         assert out["1"][0] == out["2"][0]
+
+
+class TestExactHomogeneity:
+    # Psi and d^2 are 2-homogeneous and the ratio is scale-free: every member
+    # is evaluated at the power of two that brings its largest coefficient
+    # into [0.5, 1), so 2^k u reports u's values times exact powers of two.
+    # The ratio of 2^40 u differed from u's in the 13th digit, 2^+-400 u was
+    # refused, and distance(2^508 u) returned d = 0.0 with numpy warnings.
+    KS = (-400, -40, 40, 400, 508)
+
+    @staticmethod
+    def member(p):
+        return (basis_function(p, 0, 64) + 0.3 * basis_function(p, 1, 64)
+                + 0.2 * basis_function(p, 3, 64))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("N, s", BENCH_PAIRS)
+    def test_report_scales_by_powers_of_two(self, N, s):
+        p = SobolevParams(N, s)
+        rule = default_rule(N, 64)
+        u = self.member(p)
+        base = stability_ratio(u, rule)
+        for k in self.KS:
+            report = stability_ratio(2.0 ** k * u, rule)
+            assert (report.ratio, report.nearest.t0) == (base.ratio, base.nearest.t0), k
+            assert report.distance == math.ldexp(base.distance, k), k
+            assert report.lq_norm == math.ldexp(base.lq_norm, k), k
+            assert report.nearest.c == math.ldexp(base.nearest.c, k), k
+            assert report.norm_star_sq == math.ldexp(base.norm_star_sq, 2 * k), k
+            assert report.deficit == math.ldexp(base.deficit, 2 * k), k
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("N, s", BENCH_PAIRS)
+    def test_gradient_scales_by_powers_of_two(self, N, s):
+        p = SobolevParams(N, s)
+        rule = default_rule(N, 64)
+        u, v = self.member(p), basis_function(p, 2, 64)
+        base = gradient_form(u, v, rule)
+        for k in self.KS:
+            assert gradient_form(2.0 ** k * u, v, rule) == math.ldexp(base, k), k
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_member_is_off_the_manifold(self, rule32):
+        u = constant(P32, 1.0, 64) + 0.3 * basis_function(P32, 1, 64) + 0.2 * basis_function(
+            P32, 3, 64)
+        d, nearest = distance(u, rule32)
+        assert d == pytest.approx(0.78480, abs=1e-5)
+        assert distance(2.0 ** 508 * u, rule32) == (
+            math.ldexp(d, 508), ManifoldPoint(math.ldexp(nearest.c, 508), nearest.t0))
 
 
 class TestUlpSensitiveDistances:

@@ -10,7 +10,6 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_jacobi
 
 from sobstab import zonal
-from sobstab._util import RefusalError
 from sobstab.conformal import manifold_samples
 from sobstab.deficit import deficit, distance, gradient_form, stability_ratio
 from sobstab.specfun import SobolevParams, eigenvalue, sphere_area, _sphere_area
@@ -399,14 +398,17 @@ class TestNormLp:
         a[0], a[2] = scale, 1e-3 * scale
         return ZonalFunction(P32, a)
 
-    @pytest.mark.parametrize("scale", [1e-51, 1e-100, 1e-200, 1e-320])
-    def test_underflowed_sum_is_refused(self, rule32, scale):
-        # node terms underflowed and the sum is below min/eps: |u|_q came
-        # out 0.0 at 1e-100; a batch refuses as its members do
-        with pytest.raises(RefusalError, match=r"^\|u\|_6 underflows: "):
-            norm_lp(self.scaled(scale), P32.q, rule32)
-        with pytest.raises(RefusalError, match=r"^\|u\|_6 underflows: "):
-            norm_lp([self.scaled(1.0), self.scaled(scale)], P32.q, rule32)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-51, 1e-100, 1e-200, 1e-300, 1e100, 1e200, 1e300])
+    def test_member_far_from_unit_scale_keeps_its_norm(self, rule32, scale):
+        # the node terms |u|^6 underflowed (|u|_q came out 0.0 at 1e-100, and
+        # later was refused) or overflowed (refused from 1e100); evaluated at
+        # unit scale, each sum of (x / max x)^6 lies in [1, M]
+        base = norm_lp(self.scaled(1.0), P32.q, rule32)
+        assert norm_lp(self.scaled(scale), P32.q, rule32) == pytest.approx(scale * base,
+                                                                           rel=1e-13)
+        assert norm_lp([self.scaled(1.0), self.scaled(scale)], P32.q, rule32) == [
+            base, norm_lp(self.scaled(scale), P32.q, rule32)]
 
     @pytest.mark.parametrize("scale", [1e-20, 1e-40, 1e-48])
     def test_small_sum_above_the_bound_keeps_its_norm(self, rule32, scale):
@@ -420,15 +422,15 @@ class TestNormLp:
 
     @pytest.mark.parametrize("N", [421, 430])
     def test_constant_on_a_small_sphere_keeps_its_norm(self, N):
-        # |S^N| < 1e-292, so the sum of w |1|^q is below min/eps; at N = 430
-        # some weights are subnormal themselves
+        # |S^N| < 1e-292, so the plain sum of w |1|^q is below min/eps; at
+        # N = 430 some weights are subnormal themselves.  The constant 1e-100
+        # was refused as an underflow; w^(1/q) |u| / max keeps its terms normal
         p = SobolevParams(N, 2.0)
         rule = default_rule(N, 8)
         assert sphere_area(N) < 1e-292
-        assert norm_lp(constant(p, 1.0, 8), p.q, rule) == pytest.approx(
-            sphere_area(N) ** (1 / p.q), rel=1e-14)
-        with pytest.raises(RefusalError, match="underflows"):
-            norm_lp(constant(p, 1e-100, 8), p.q, rule)
+        for value in (1.0, 1e-100):
+            assert norm_lp(constant(p, value, 8), p.q, rule) == pytest.approx(
+                value * sphere_area(N) ** (1 / p.q), rel=1e-14)
 
     def test_zero_function_has_norm_zero(self, rule32):
         zero = constant(P32, 0.0, 8)

@@ -26,6 +26,13 @@ sobstab.cli` and `python -m sobstab` each run every command of
 numpy and one that loads neither numpy nor the scan modules (`constants
 --format csv`).  They are compared and counted the same way.
 
+Each tree's operations are also checked against the committed reference
+values, with `bench/check.py` and the `bench/refs/` values at the
+`bench/spec.json` tolerances, as the benchmark checks them: a change that
+moves last digits must keep every reference.  Each failure is printed by
+thread count, tree, operation and field, with a count per tree, and
+any failure makes the exit status 1 as well.
+
 Every operation is compared at two BLAS thread counts, since the last
 digits of large products (and LAPACK's divide-and-conquer merges) may
 depend on it: at one thread (`OPENBLAS_NUM_THREADS=1`, what the CLI
@@ -45,7 +52,9 @@ import sys
 from pathlib import Path
 
 sys.dont_write_bytecode = True
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+from check import check, load_refs, ref_for  # noqa: E402
 from workloads import PAIRS, WORKLOADS, all_ops  # noqa: E402
 
 # The variables OpenBLAS reads its thread count from; unset, it uses one thread per CPU.
@@ -66,13 +75,18 @@ ERROR_ARGVS = [
     ["verify-theorem2", *_NS, "--profiles", "bump:0.001,1"],
     ["export-function", *_NS, "--K", "16", "--profile", "gaussian:1e300"],
     ["export-function", *_NS, "--K", "16", "--profile", "extremizer:1e200"],
+    # a subnormal extremizer scale whose dilation is a normal double
+    ["export-function", "--N", "8", "--s", "3.3", "--K", "4", "--profile", "extremizer:1e-320"],
+    # a pullback whose |u|^6 underflows at every node: lhs near 1.86e-262, and 0.0 (refused)
+    ["verify-theorem2", *_NS, "--profiles", "bump:0.62,300"],
+    ["verify-theorem2", *_NS, "--profiles", "bump:0.62,500"],
     # every member's deficit rounds to zero: alpha_hat <= 0 is refused
     [*_SMALL_SCAN, "--eps", "1e-7", "--n-normal", "5", "--bubbles", "0.5"],
     # every member lies on the manifold
     [*_SMALL_SCAN, "--eps", "1e-12", "--n-normal", "1", "--bubbles", ""],
     # half the members lie on the manifold and are skipped (exit 0, n_skipped 4)
     [*_SMALL_SCAN, "--eps", "1e-12,0.1", "--n-normal", "1", "--bubbles", ""],
-    # one member's norms overflow: refused by its label before the search
+    # one member's ||u||_*^2 is past the doubles: refused by its label
     ["deficit-scan", *_NS, "--seed", "1", "--eps", "1e300,0.1", "--n-normal", "0",
      "--n-random", "0", "--bubbles", "", "--modes", "2"],
     # random members of degree 0 are constants, on the manifold: refused
@@ -174,10 +188,21 @@ def main(argv: list[str] | None = None) -> int:
                               for module in ENTRY_MODULES for argv in ENTRY_ARGVS]
     names = ([f"{workload} {op.kind} {op.key}" for workload, op in ops]
              + [group for group, group_argvs in groups.items() for _ in group_argvs])
+    refs = {workload: load_refs(workload) for workload in WORKLOADS}
+    tol = json.loads((BENCH / "spec.json").read_text())["tolerances"]
     counts = []
     for label, threads in THREADS.items():
         children = [(start(tree, runs, threads), tree) for tree in (args.src_a, args.src_b)]
         a, b = (finish(proc, tree) + entry_points(tree, threads) for proc, tree in children)
+        for tree, results in ((args.src_a, a), (args.src_b, b)):
+            failed = 0
+            for (workload, op), (code, out, _) in zip(ops, results):
+                problems = check(op, code, out, ref_for(refs[workload], op), tol)
+                failed += bool(problems)
+                for problem in problems:
+                    print(f"{label}: {tree}: {workload} {op.kind} {op.key}: {problem}")
+            print(f"{label}: {tree}: {len(ops)} operations, {failed} fail their reference checks")
+            counts.append(failed)
         differ = []
         for name, argv, left, right in zip(names, runs + groups["entry points"], a, b):
             parts = [part for part, x, y in zip(("exit code", "stdout", "stderr"), left, right)
