@@ -27,7 +27,7 @@ from .specfun import (SobolevParams, compute_constants, eigenvalue, local_consta
                       sharp_constant, unit_ball_radius)
 
 if TYPE_CHECKING:
-    from .deficit import DeficitReport, ScanConfig, ScanResult
+    from .deficit import ScanConfig, ScanResult
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,27 +54,35 @@ def _jsonl_line(obj) -> str:
     return json.dumps(round_floats(obj)) + "\n"
 
 
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_RECORD = ('{{"index": {}, "family": {}, "label": {}, "skipped": false, "norm_star_sq": {}, '
+           '"lq_norm": {}, "deficit": {}, "distance": {}, "nearest": {}, "ratio": {}, '
+           '"boundary_hit": {}}}\n')
+_SKIPPED = '{{"index": {}, "family": {}, "label": {}, "skipped": true}}\n'
 
 
-def _num(x: float) -> str:
-    # a float as json.dumps(round_floats(x)) prints it
-    text = repr(float(fmt12(x)))
-    return _JSON_NONFINITE.get(text, text)
+def _member_records(entries) -> list[str]:
+    """The deficit-scan member records as `_jsonl_line` prints them: the record schema.
 
-
-def _member_line(index: int, family: str, label: str, report: DeficitReport | None) -> str:
-    """A deficit-scan member record as `_jsonl_line` prints it: the record schema."""
-    head = (f'{{"index": {index}, "family": {_json_str(family)}, '
-            f'"label": {_json_str(label)}, "skipped": ')
-    if report is None:
-        return head + "true}\n"
-    point = report.nearest
-    near = "null" if point is None else f'{{"c": {_num(point.c)}, "t0": {_num(point.t0)}}}'
-    return head + ('false, "norm_star_sq": {}, "lq_norm": {}, "deficit": {}, "distance": {}, '
-                   '"nearest": {}, "ratio": {}, "boundary_hit": {}}}\n').format(
-        *map(_num, (report.norm_star_sq, report.lq_norm, report.deficit, report.distance)),
-        near, _num(report.ratio), "true" if report.boundary_hit else "false")
+    Each line is json.dumps(round_floats(record)) of its record, in one pass
+    over all of them: one '%.12g' formatting rounds every number, and one
+    json.dumps of the rounded floats prints them.
+    """
+    numbers = [x for *_, r in entries if r is not None
+               for x in (r.norm_star_sq, r.lq_norm, r.deficit, r.distance,
+                         *(r.nearest or (0.0, 0.0)), r.ratio)]
+    rounded = [float(text) for text in ("%.12g " * len(numbers) % tuple(numbers)).split()]
+    texts = json.dumps(rounded)[1:-1].split(", ")
+    lines, at = [], 0
+    for index, family, label, r in entries:
+        if r is None:
+            lines.append(_SKIPPED.format(index, _json_str(family), _json_str(label)))
+            continue
+        ns2, lq, psi, d, c, t0, ratio = texts[at:at + 7]
+        at += 7
+        near = "null" if r.nearest is None else f'{{"c": {c}, "t0": {t0}}}'
+        lines.append(_RECORD.format(index, _json_str(family), _json_str(label), ns2, lq, psi, d,
+                                    near, ratio, "true" if r.boundary_hit else "false"))
+    return lines
 
 
 def _summary(result: ScanResult) -> dict:
@@ -203,7 +211,7 @@ def cmd_deficit_scan(args) -> int:
     p = _params(args)
     cfg = _scan_config(args)
     result = run_scan(p, cfg)
-    lines = [_member_line(*entry) for entry in result.entries]
+    lines = _member_records(result.entries)
     lines.append(_jsonl_line({**_summary(result), "families": cfg.families, "K": cfg.K,
                               "M": cfg.rule_size, "t0_cap": T0_CAP}))
     _write_output("".join(lines), args.out)

@@ -12,6 +12,7 @@ over seeded scan families.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -22,6 +23,7 @@ from .specfun import SobolevParams, _in_range, local_constant, sharp_constant
 from .zonal import (
     QuadratureRule,
     ZonalFunction,
+    _members,
     _stacked,
     _star,
     _unscaled,
@@ -81,16 +83,19 @@ class DeficitReport(NamedTuple):
 
 def deficit(u: ZonalFunction, rule: QuadratureRule) -> float:
     """Psi(u) = ||u||_*^2 - S |u|_q^2; nonnegative, zero on the manifold."""
-    return _parts([u], rule)[0][2]
+    return _parts([u], rule)[2].item()
 
 
 def _parts(us, rule):
-    # (||u||_*, |u|_q, Psi(u)) of each member of a batch: the one expression
-    # of Psi, for deficit and the reports.  x * x, not x ** 2: it scales
-    # exactly with x (Psi(2^k u) = 4^k Psi(u)) and is inf past the doubles
-    s_const = sharp_constant(us[0].params)
-    return [(x, lq, x * x - s_const * lq * lq)
-            for x, lq in zip(norm_star(us), norm_lp(us, us[0].params.q, rule))]
+    # Arrays of ||u||_*, |u|_q and Psi(u) over a batch, both norms from one
+    # stack of its unit-scale rows: the one expression of Psi, for deficit
+    # and the reports.  x * x, not x ** 2: it scales exactly with x
+    # (Psi(2^k u) = 4^k Psi(u)) and is inf past the doubles
+    stack = _stacked(us)
+    p = us[0].params
+    ns, lq = np.array(norm_star(stack)), np.array(norm_lp(stack, p.q, rule))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ns, lq, ns * ns - sharp_constant(p) * lq * lq
 
 
 def gradient_form(u: ZonalFunction, v: ZonalFunction, rule: QuadratureRule) -> float:
@@ -274,36 +279,36 @@ def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
     return np.array(ds), nearest
 
 
-def _report(label, ns, lq, psi, d, nearest) -> DeficitReport | None:
-    # The report of one member's parts and distance, None on the manifold; a
-    # reported value, or the d^2 the ratio divides by, outside the normal
-    # doubles is refused by the member's label
-    if d <= 1e-9 * ns:
-        return None
-    ns2 = ns * ns
-    for name, value in (("norm_star_sq", ns2), ("lq_norm", lq), ("distance^2", d * d)):
-        _in_range(value, "member {}: {}", label, name)
-    boundary = bool(nearest is not None and abs(nearest.t0) >= T0_CAP - 1e-6)
-    return DeficitReport(
-        norm_star_sq=ns2,
-        lq_norm=lq,
-        deficit=psi,
-        distance=d,
-        nearest=nearest,
-        ratio=psi / (d * d),
-        boundary_hit=boundary,
-    )
+def _report(ns2, lq, psi, d, nearest, ratio) -> DeficitReport:
+    # The report of one member off the manifold, from its checked values
+    boundary = nearest is not None and abs(nearest.t0) >= T0_CAP - 1e-6
+    return DeficitReport(ns2, lq, psi, d, nearest, ratio, boundary)
+
+
+_CHECKED = ("norm_star_sq", "lq_norm", "distance^2")  # in the order a member's are checked
 
 
 def _reports(labels, us, rule: QuadratureRule) -> list[DeficitReport | None]:
-    # The report of each member, None on the manifold, from one batch of
-    # parts and one lockstep search; the first member in order with a value
-    # outside the normal doubles is refused by label, without numpy warnings
-    parts = _parts(us, rule)
+    # The report of each member from one batch of parts and one lockstep
+    # search.  A member with a finite ||u||_* and d <= 1e-9 ||u||_* is on the
+    # manifold (None).  Of the others, the first in order with a reported
+    # value, or the d^2 the ratio divides by, outside the normal doubles is
+    # refused by its label and the first such field, without numpy warnings
+    ns, lq, psi = _parts(us, rule)
     table = _AxialTable(rule, us[0].K, us[0].params)  # dies with the call
     ds, nearest = distance(us, rule, table)
-    return [_report(label, *part, d, near)
-            for label, part, d, near in zip(labels, parts, ds.tolist(), nearest)]
+    with np.errstate(all="ignore"):
+        checked = np.stack((ns * ns, lq, ds * ds))
+        ratios = psi / checked[2]
+        on = (ds <= 1e-9 * ns) & np.isfinite(ns)
+        bad = ~(np.isfinite(checked) & (np.abs(checked) >= sys.float_info.min)) & ~on
+    if bad.any():
+        j = int(bad.any(axis=0).argmax())
+        i = int(bad[:, j].argmax())
+        _in_range(checked[i, j].item(), "member {}: {}", labels[j], _CHECKED[i])
+    rows = zip(checked[0].tolist(), lq.tolist(), psi.tolist(), ds.tolist(), nearest,
+               ratios.tolist())
+    return [None if skip else _report(*row) for skip, row in zip(on.tolist(), rows)]
 
 
 def stability_ratio(u: ZonalFunction, rule: QuadratureRule) -> DeficitReport:
@@ -313,7 +318,9 @@ def stability_ratio(u: ZonalFunction, rule: QuadratureRule) -> DeficitReport:
     the two-sided stability bound, which only strengthens when d is the
     axial upper bound.  A lone member is a scan of one: `run_scan` builds
     its reports the same way, so a value outside the normal doubles, such
-    as the ||u||_*^2 of 1e200 u, is refused (RefusalError, as member u).
+    as the ||u||_*^2 of 1e200 u, is refused (RefusalError, as member u),
+    and a member whose ||u||_* is not finite is refused, never taken to be
+    on the manifold.
     The ratio and t0 of 2^k u are those of u, bit for bit.
     """
     (report,) = _reports(["u"], [u], rule)
@@ -411,7 +418,11 @@ class ScanConfig(_ScanFields):
 
 
 def scan_members(p: SobolevParams, cfg: ScanConfig) -> Iterator[tuple[str, str, ZonalFunction]]:
-    """Yield (family, label, member) in the deterministic scan order."""
+    """Yield (family, label, member) in the deterministic scan order.
+
+    The near-manifold members of each eps, and the random members, are the
+    rows of one coefficient block, copied and checked once (`zonal._members`).
+    """
     rng = np.random.default_rng(cfg.seed)
     rule = gauss_jacobi_rule(p.N, cfg.rule_size)
     K = cfg.K
@@ -434,14 +445,14 @@ def scan_members(p: SobolevParams, cfg: ScanConfig) -> Iterator[tuple[str, str, 
         a *= eps
         a += one
         labels = [f"e{k}" for k in modes] + [f"rand{j}" for j in range(cfg.n_normal)]
-        for label, row in zip(labels, a):
-            yield "local", f"local:{label}:eps={eps:g}", ZonalFunction(p, row)
+        for label, u in zip(labels, _members(p, a)):
+            yield "local", f"local:{label}:eps={eps:g}", u
 
     a = np.zeros((cfg.n_random, K + 1))
     a[:, :kmax + 1] = (rng.standard_normal((cfg.n_random, kmax + 1))
                        * _RANDOM_DECAY ** np.arange(kmax + 1))
-    for j, row in enumerate(a):
-        yield "random", f"random:{j}", ZonalFunction(p, row)
+    for j, u in enumerate(_members(p, a)):
+        yield "random", f"random:{j}", u
 
     for t0 in cfg.bubble_t0:
         vals = (manifold_samples(p, 1.0, t0, rule.nodes)
@@ -450,7 +461,11 @@ def scan_members(p: SobolevParams, cfg: ScanConfig) -> Iterator[tuple[str, str, 
 
 
 class ScanResult(NamedTuple):
-    """Ordered member reports plus the scan summary."""
+    """Ordered member reports plus the scan summary.
+
+    `violation` is True when a member breaks 0 <= Psi <= d^2 beyond
+    roundoff (`_sandwich_broken`); `run_scan` decides it once.
+    """
 
     entries: list  # (index, family, label, DeficitReport | None)
     alpha_hat: float
@@ -458,13 +473,14 @@ class ScanResult(NamedTuple):
     n_members: int
     n_skipped: int
     seed: int
+    violation: bool
 
-    @property
-    def violation(self) -> bool:
-        """True when a member breaks 0 <= Psi <= d^2 beyond roundoff; NaN breaks it."""
-        return any(not -_SANDWICH_SLACK * r.norm_star_sq <= r.deficit
-                   <= r.distance**2 + _SANDWICH_SLACK * r.norm_star_sq
-                   for *_, r in self.entries if r is not None)
+
+def _sandwich_broken(reports) -> bool:
+    # True when a report breaks 0 <= Psi <= d^2 beyond roundoff; NaN breaks it
+    return any(not -_SANDWICH_SLACK * r.norm_star_sq <= r.deficit
+               <= r.distance**2 + _SANDWICH_SLACK * r.norm_star_sq
+               for r in reports if r is not None)
 
 
 def run_scan(p: SobolevParams, cfg: ScanConfig) -> ScanResult:
@@ -484,20 +500,20 @@ def run_scan(p: SobolevParams, cfg: ScanConfig) -> ScanResult:
     """
     rule = gauss_jacobi_rule(p.N, cfg.rule_size)
     families, labels, members = zip(*scan_members(p, cfg))
-    entries = list(zip(range(len(members)), families, labels, _reports(labels, members, rule)))
-
-    ratios = [report.ratio for *_, report in entries if report is not None]
+    reports = _reports(labels, members, rule)
+    ratios = [report.ratio for report in reports if report is not None]
     if not ratios:
         raise OnManifoldError(
             f"scan produced no usable members: all {len(members)} lie on the "
             "extremizer manifold, so no stability ratio is defined")
     result = ScanResult(
-        entries=entries,
+        entries=list(zip(range(len(members)), families, labels, reports)),
         alpha_hat=min(ratios),
         local_constant=local_constant(p),
         n_members=len(members),
-        n_skipped=len(entries) - len(ratios),
+        n_skipped=len(members) - len(ratios),
         seed=cfg.seed,
+        violation=_sandwich_broken(reports),
     )
     if result.violation:
         return result
@@ -507,7 +523,7 @@ def run_scan(p: SobolevParams, cfg: ScanConfig) -> ScanResult:
             "rounds to zero, so alpha > 0 cannot be resolved; raise the smallest --eps")
     gap = ({f"local:e2:eps={eps:g}" for eps in cfg.eps_grid if eps <= _GAP_EPS}
            if p.N >= 2 else set())
-    for _, _, label, report in entries:
+    for label, report in zip(labels, reports):
         if label in gap and report is not None and not report.ratio < result.local_constant:
             raise RefusalError(
                 f"member {label}: stability ratio {fmt12(report.ratio)} is not below "

@@ -218,19 +218,18 @@ class ZonalFunction(Frozen):
 
     Parseval: the L^2(S^N) norm is sqrt(sum a_k^2); the conformal-operator
     norm is ||u||_*^2 = sum lambda_k(s) a_k^2.  Immutable (the coefficients
-    are a read-only copy) and equal only to itself.
+    are a read-only copy, checked finite) and equal only to itself.  A lone
+    function is a block of one row; a scan builds a family's members as
+    the rows of one block (`_members`).
     """
 
     __slots__ = ("params", "coeffs")
 
     def __init__(self, params: SobolevParams, coeffs) -> None:
-        arr = np.array(coeffs, dtype=float)
+        arr = np.asarray(coeffs, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("coeffs must be a non-empty 1-D array")
-        if not np.isfinite(arr).all():
-            raise ValueError("coefficients must be finite")
-        arr.setflags(write=False)
-        self._set(params=params, coeffs=arr)
+        self._set(params=params, coeffs=_block(arr[None])[0])  # a block of one
 
     @property
     def K(self) -> int:
@@ -258,6 +257,28 @@ class ZonalFunction(Frozen):
 
     def __neg__(self) -> "ZonalFunction":
         return self * -1.0
+
+
+def _block(rows) -> np.ndarray:
+    # A read-only copy of a 2-D block of coefficient rows, refused unless every
+    # entry is finite: the one check of every member's coefficients
+    block = np.array(rows, dtype=float)
+    if not np.isfinite(block).all():
+        raise ValueError("coefficients must be finite")
+    block.setflags(write=False)
+    return block
+
+
+def _members(params: SobolevParams, rows) -> list[ZonalFunction]:
+    # One member per row of a 2-D block, each equal to ZonalFunction(params,
+    # row) bit for bit: the rows are views of one checked, read-only copy, so
+    # the block costs one copy and one check, not one per member
+    members = []
+    for row in _block(rows):
+        u = object.__new__(ZonalFunction)
+        u._set(params=params, coeffs=row)
+        members.append(u)
+    return members
 
 
 def constant(params: SobolevParams, value: float, K: int) -> ZonalFunction:
@@ -309,11 +330,20 @@ def node_values(u: ZonalFunction, rule: QuadratureRule) -> np.ndarray:
     return u.coeffs.dot(rule.basis(u.K))
 
 
-def _stacked(u) -> tuple[list[ZonalFunction], np.ndarray, np.ndarray]:
+class _Stack(tuple):
+    # (members, unit-scale rows, exponents) of a batch, as `_stacked` returns it
+    __slots__ = ()
+
+
+def _stacked(u) -> _Stack:
     # One member or a list that shares K and (N, s): the members, their
     # coefficient rows divided by the powers of two 2^e that bring each largest
     # |a_k| into [0.5, 1) (e = 0 for the zero function), and e.  The one place
     # a member's scale is decided: u and 2^k u give the same rows, bit for bit.
+    # A _Stack is returned as it is, so that the norms of one batch can share
+    # one stack.
+    if isinstance(u, _Stack):
+        return u
     members = [u] if isinstance(u, ZonalFunction) else list(u)
     if not members:
         raise ValueError("a batch needs at least one member")
@@ -321,7 +351,7 @@ def _stacked(u) -> tuple[list[ZonalFunction], np.ndarray, np.ndarray]:
         raise ValueError("a batch of members must share K and (N, s)")
     A = np.array([v.coeffs for v in members])
     e = np.frexp(np.abs(A).max(axis=1))[1]
-    return members, np.ldexp(A, -e[:, None]), e
+    return _Stack((members, np.ldexp(A, -e[:, None]), e))
 
 
 def _unscaled(x, e) -> list[float] | float:

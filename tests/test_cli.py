@@ -368,15 +368,15 @@ class TestScanCommands:
         assert [str(w.message) for w in caught] == []
 
     def test_nan_deficit_is_a_sandwich_violation(self, capsys, monkeypatch):
+        # the scan's one sandwich check sees the NaN, and the exit code follows it
         from sobstab import deficit
-        from sobstab.deficit import DeficitReport, ScanResult
+        from sobstab.deficit import DeficitReport
 
         report = DeficitReport(norm_star_sq=1.0, lq_norm=1.0, deficit=math.nan, distance=0.5,
                                nearest=None, ratio=0.5)
-        result = ScanResult(entries=[(0, "local", "local:e2:eps=0.1", report)], alpha_hat=0.5,
-                            local_constant=4 / 7, n_members=1, n_skipped=0, seed=1)
-        monkeypatch.setattr(deficit, "run_scan", lambda p, cfg: result)
-        code, out, _ = run(["alpha-estimate", "--N", "3", "--s", "2", "--seed", "1"], capsys)
+        monkeypatch.setattr(deficit, "_report", lambda *values: report)
+        code, out, _ = run(["alpha-estimate", "--N", "3", "--s", "2", "--seed", "1", "--K", "8",
+                            "--n-normal", "0", "--n-random", "1", "--bubbles", ""], capsys)
         assert code == 4
         assert strict_json(out)["alpha_hat"] == 0.5
 
@@ -398,11 +398,12 @@ class TestScanCommands:
 
 
 class TestMemberRecords:
-    # cli._member_line writes each deficit-scan member record; its bytes are
-    # those of json.dumps(round_floats(record)) on the record as a dict
+    # cli._member_records writes every deficit-scan member record in one
+    # pass; each line's bytes are json.dumps(round_floats(record)) of the
+    # record as a dict
 
     @staticmethod
-    def old_line(index, family, label, report):
+    def dict_line(index, family, label, report):
         from sobstab._util import round_floats
 
         record = {"index": index, "family": family, "label": label, "skipped": report is None}
@@ -442,20 +443,27 @@ class TestMemberRecords:
             (6, 'fam"ily\\', 'la"bel\\ \u00e9\u2013\U0001d400\n\t\x00', report()),
             (7, "random", "random:7", report(nearest=ManifoldPoint(1.0, 0.95), boundary_hit=True)),
         ]
+        # all eight in one call, as a scan writes them, and each alone
+        assert cli._member_records(entries) == [self.dict_line(*e) for e in entries]
         for entry in entries:
-            assert cli._member_line(*entry) == self.old_line(*entry), entry[2]
+            assert cli._member_records([entry]) == [self.dict_line(*entry)], entry[2]
+        assert cli._member_records([]) == []
 
     def test_scan_lines_equal_the_dict_recipe(self, capsys):
+        # at the benchmark's four pairs; the on-manifold members (eps = 1e-12)
+        # are skipped, so one scan writes both record shapes
         from sobstab.deficit import ScanConfig, run_scan
 
-        argv = ["deficit-scan", "--N", "5", "--s", "0.5", "--seed", "3", "--n-normal", "4",
-                "--n-random", "4", "--eps", "1e-12,0.1"]
-        code, out, _ = run(argv, capsys)
-        assert code == 0
-        result = run_scan(SobolevParams(5, 0.5), ScanConfig(seed=3, n_normal=4, n_random=4,
-                                                            eps_grid=(1e-12, 0.1)))
-        assert result.n_skipped > 0
-        assert out.splitlines(keepends=True)[:-1] == [self.old_line(*e) for e in result.entries]
+        for N, s in ((3, "2"), (2, "1"), (5, "0.5"), (8, "3.3")):
+            argv = ["deficit-scan", "--N", str(N), "--s", s, "--seed", "3", "--n-normal", "4",
+                    "--n-random", "4", "--eps", "1e-12,0.1"]
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            result = run_scan(SobolevParams(N, float(s)),
+                              ScanConfig(seed=3, n_normal=4, n_random=4, eps_grid=(1e-12, 0.1)))
+            assert result.n_skipped > 0
+            lines = [self.dict_line(*entry) for entry in result.entries]
+            assert out.splitlines(keepends=True)[:-1] == lines, (N, s)
 
 
 class TestVerifyCommand:

@@ -21,7 +21,6 @@ from sobstab.deficit import (
     DeficitReport,
     OnManifoldError,
     ScanConfig,
-    ScanResult,
     _RANDOM_DECAY,
     _T0_GRID,
     _T0_TOL,
@@ -33,7 +32,7 @@ from sobstab.deficit import (
     scan_members,
     stability_ratio,
 )
-from sobstab.specfun import SobolevParams, eigenvalue, local_constant
+from sobstab.specfun import SobolevParams, eigenvalue, local_constant, sphere_area
 from sobstab.zonal import (
     ZonalFunction,
     basis_function,
@@ -301,6 +300,28 @@ class TestStabilityRatio:
             with pytest.raises(RefusalError, match=message):
                 deficit_module._reports(["a", "b"], members, rule32)
 
+    @pytest.mark.filterwarnings("error")
+    def test_member_whose_norm_overflows_is_refused_not_skipped(self):
+        # ||u||_* of 1e307 (e_0 + e_5) is inf, and inf <= 1e-9 inf held, so
+        # the member passed for one on the manifold: OnManifoldError alone,
+        # skipped in a scan, while 1e300 times it was refused.  A non-finite
+        # ||u||_* is refused before the manifold test.
+        p = SobolevParams(8, 3.3)
+        rule = gauss_jacobi_rule(8, 130)
+        a = np.zeros(65)
+        a[[0, 5]] = 1.0
+        zero = ZonalFunction(p, np.zeros(65))
+        message = "^member {}: norm_star_sq is inf, outside the range of normal doubles$"
+        assert norm_star(ZonalFunction(p, 1e307 * a)) == math.inf
+        for scale in (1e307, 1e300):
+            u = ZonalFunction(p, scale * a)
+            with pytest.raises(RefusalError, match=message.format("u")):
+                stability_ratio(u, rule)
+            with pytest.raises(RefusalError, match=message.format("b")):
+                deficit_module._reports(["a", "b"], [zero, u], rule)
+        # the zero function stays on the manifold: skipped
+        assert deficit_module._reports(["a"], [zero], rule) == [None]
+
     def test_local_limit_along_e2(self, rule32):
         ratios = {}
         for eps in (1e-2, 1e-3):
@@ -518,13 +539,11 @@ class TestScans:
         (-2e-9, True), (0.25 + 2e-9, True), (math.nan, True), (math.inf, True),
     ])
     def test_violation_is_the_sandwich_check(self, psi, violation):
-        # 0 <= Psi <= d^2 up to 1e-9 ||u||_*^2; a NaN deficit breaks it
+        # 0 <= Psi <= d^2 up to 1e-9 ||u||_*^2; a NaN deficit breaks it.
+        # run_scan sets ScanResult.violation from this check, once per scan.
         report = DeficitReport(norm_star_sq=1.0, lq_norm=1.0, deficit=psi, distance=0.5,
                                nearest=None, ratio=psi / 0.25)
-        entries = [(0, "random", "random:0", None), (1, "random", "random:1", report)]
-        result = ScanResult(entries=entries, alpha_hat=0.5, local_constant=4 / 7,
-                            n_members=2, n_skipped=1, seed=1)
-        assert result.violation is violation
+        assert deficit_module._sandwich_broken([None, report]) is violation
 
     @pytest.mark.parametrize("degree, message", [
         (1, "random normal-space members need random_max_degree >= 2, got 1"),
@@ -726,6 +745,34 @@ class TestSharedExtremizerTable:
 
 
 BENCH_PAIRS = [(3, 2.0), (2, 1.0), (5, 0.5), (8, 3.3)]
+
+
+class TestExactLocalValues:
+    # A local member is u = 1 + eps v with ||v||_* = 1 and v of degrees >= 2
+    # only, so eps v is orthogonal to the manifold's tangent space at the
+    # constant 1, which is u's nearest manifold point for small eps: d = eps
+    # exactly, and ||u||_*^2 = lambda_0 |S^N| + eps^2.  One seed=1 scan per
+    # benchmark pair, with the benchmark's near-manifold family at K = 64
+    # and K = 384 (the random and bubble members do not change it).
+    # The distance's worst |d - eps| / eps is 6.27e-7 at (8, 3.3), eps = 1e-3,
+    # K = 64 (2.85e-7 at K = 384): the cancellation in ||u||_*^2 - projection,
+    # which a residual form of the distance removes.  Elsewhere it is below
+    # 5e-9.  The norm's worst relative error is 4.1e-16.
+
+    @pytest.mark.parametrize("K, n_normal", [(64, 20), (384, 3)])
+    @pytest.mark.parametrize("N, s", BENCH_PAIRS)
+    def test_local_members_sit_at_distance_eps(self, N, s, K, n_normal):
+        p = SobolevParams(N, s)
+        cfg = ScanConfig(seed=1, K=K, n_normal=n_normal, n_random=0, bubble_t0=())
+        base = eigenvalue(p, 0) * sphere_area(N)
+        result = run_scan(p, cfg)
+        assert result.n_skipped == 0 and len(result.entries) == cfg.n_members
+        for _, family, label, report in result.entries:
+            eps = float(label.rsplit("eps=", 1)[1])
+            assert family == "local" and eps in cfg.eps_grid
+            assert abs(report.distance - eps) <= 1e-6 * eps, label
+            expected = base + eps * eps
+            assert abs(report.norm_star_sq - expected) <= 1e-15 * expected, label
 
 
 def unit_normal_directions(p, cfg):

@@ -35,7 +35,7 @@ def instances():
         RadialFunction: (gaussian_profile(P32), "support_radius"),
         ScanConfig: (ScanConfig(seed=1), "K"),
         DeficitReport: (report, "ratio"),
-        ScanResult: (ScanResult([], 0.5, 0.5, 1, 0, 1), "alpha_hat"),
+        ScanResult: (ScanResult([], 0.5, 0.5, 1, 0, 1, False), "alpha_hat"),
         Theorem2Case: (Theorem2Case("p", 1.0, 0.5, 0.5, 1.0, 1.0, 2.0, 1.0), "lhs"),
         WeakNormConstants: (compute_constants(P32), "rho"),
     }

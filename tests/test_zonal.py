@@ -464,6 +464,49 @@ class TestBatchNorms:
             norm_lp([], P32.q, rule32)
 
 
+class TestMemberBlock:
+    # zonal._members builds a scan family's members from one copied,
+    # finite-checked, read-only block; ZonalFunction(p, a) is its batch of one
+
+    def test_members_equal_their_lone_construction(self):
+        rows = np.random.default_rng(12).standard_normal((7, 65))
+        rows[3, :4] = [-0.0, 0.0, 5e-324, -1e300]
+        members = zonal._members(P32, rows)
+        assert len(members) == 7
+        for u, row in zip(members, rows):
+            alone = ZonalFunction(P32, row)
+            assert type(u) is ZonalFunction and u.params == P32 and u.K == 64
+            assert u.coeffs.tobytes() == alone.coeffs.tobytes() == row.tobytes()
+        assert zonal._members(P32, np.zeros((0, 65))) == []
+
+    def test_members_are_read_only_copies(self):
+        rows = np.random.default_rng(13).standard_normal((3, 9))
+        before = rows.copy()
+        members = zonal._members(P32, rows)
+        lone = ZonalFunction(P32, rows[0])
+        for u in (*members, lone):
+            assert not u.coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                u.coeffs[0] = 1.0
+            with pytest.raises(ValueError):
+                u.coeffs.setflags(write=True)
+        rows[:] = 7.0  # the source array stays the caller's
+        assert all(np.array_equal(u.coeffs, b) for u, b in zip(members, before))
+        assert np.array_equal(lone.coeffs, before[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_is_refused(self, bad):
+        rows = np.ones((4, 9))
+        rows[2, 5] = bad
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            zonal._members(P32, rows)
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            ZonalFunction(P32, rows[2])
+        for shape in ((), (0,), (2, 3)):
+            with pytest.raises(ValueError, match="^coeffs must be a non-empty 1-D array$"):
+                ZonalFunction(P32, np.ones(shape))
+
+
 # Every function that evaluates a member on a rule, as f(u, rule)
 EVALUATIONS = {
     "node_values": node_values,

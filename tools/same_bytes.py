@@ -31,7 +31,11 @@ values, with `bench/check.py` and the `bench/refs/` values at the
 `bench/spec.json` tolerances, as the benchmark checks them: a change that
 moves last digits must keep every reference.  Each failure is printed by
 thread count, tree, operation and field, with a count per tree, and
-any failure makes the exit status 1 as well.
+any failure makes the exit status 1 as well.  For information only, and
+without changing the exit status, each tree's worst `|d - eps| / eps`
+over its `local:` members is printed by workload, (N, s) and eps: such a
+member is `1 + eps v` with `v` orthogonal to the manifold's tangent space
+at the constant 1 and `||v||_* = 1`, so its exact distance is eps.
 
 Every operation is compared at two BLAS thread counts, since the last
 digits of large products (and LAPACK's divide-and-conquer merges) may
@@ -172,6 +176,21 @@ def entry_points(tree: Path, threads: dict) -> list:
     return [[proc.returncode, proc.stdout, proc.stderr] for proc in procs]
 
 
+def local_deviations(ops, results) -> dict:
+    """{workload: {(N, s): {eps: worst |d - eps| / eps}}} over the local members printed."""
+    worst = {}
+    for (workload, op), (_, out, _) in zip(ops, results):
+        if op.kind != workload:  # cold-cli prints no member records
+            continue
+        by_eps = worst.setdefault(workload, {}).setdefault((op.N, op.s), {})
+        for line in out.splitlines():
+            record = json.loads(line)
+            if record.get("family") == "local" and not record["skipped"]:
+                eps = float(record["label"].rsplit("eps=", 1)[1])
+                by_eps[eps] = max(by_eps.get(eps, 0.0), abs(record["distance"] - eps) / eps)
+    return worst
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("src_a", type=Path)
@@ -203,6 +222,12 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{label}: {tree}: {workload} {op.kind} {op.key}: {problem}")
             print(f"{label}: {tree}: {len(ops)} operations, {failed} fail their reference checks")
             counts.append(failed)
+            for workload, pairs in local_deviations(ops, results).items():
+                print(f"{label}: {tree}: {workload}: worst |d - eps|/eps of the local members "
+                      "(information only): " + "; ".join(
+                          f"({N}, {s}) " + ", ".join(f"eps={eps:g} {dev:.3g}"
+                                                     for eps, dev in by_eps.items())
+                          for (N, s), by_eps in pairs.items()))
         differ = []
         for name, argv, left, right in zip(names, runs + groups["entry points"], a, b):
             parts = [part for part, x, y in zip(("exit code", "stdout", "stderr"), left, right)
