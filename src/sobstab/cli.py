@@ -64,14 +64,22 @@ def _member_records(entries) -> list[str]:
     """The deficit-scan member records as `_jsonl_line` prints them: the record schema.
 
     Each line is json.dumps(round_floats(record)) of its record, in one pass
-    over all of them: one '%.12g' formatting rounds every number, and one
-    json.dumps of the rounded floats prints them.
+    over all of them: one '%.12g' formatting rounds every number, and each
+    number prints as its text.  That text is the `repr` of the rounded
+    float but for notation: no two decimals of at most 15 significant
+    digits round to one normal double, so the shortest round-trip digits
+    are the 12-digit ones.  An integral text gets the '.0' that `repr`
+    appends; json.dumps of the float prints an 'e+' exponent (`repr` writes
+    1e12 <= |x| < 1e16 in fixed notation), nan and inf, and a three-digit
+    negative exponent (a subnormal keeps fewer digits).
     """
     numbers = [x for *_, r in entries if r is not None
                for x in (r.norm_star_sq, r.lq_norm, r.deficit, r.distance,
                          *(r.nearest or (0.0, 0.0)), r.ratio)]
-    rounded = [float(text) for text in ("%.12g " * len(numbers) % tuple(numbers)).split()]
-    texts = json.dumps(rounded)[1:-1].split(", ")
+    texts = [t if "e" not in t and "." in t
+             else json.dumps(float(t)) if "e+" in t or "n" in t or t[-5:-2] == "e-3"
+             else t if "e" in t else t + ".0"
+             for t in ("%.12g " * len(numbers) % tuple(numbers)).split()]
     lines, at = [], 0
     for index, family, label, r in entries:
         if r is None:

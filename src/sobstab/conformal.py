@@ -148,6 +148,8 @@ def mollified_extremizer_profile(params: SobolevParams, scale: float = 1.0,
 
     Smooth, compactly supported on r < radius; near-extremal for large radius.
     """
+    if not radius > 0:
+        raise ValueError(f"mollified_extremizer radius must be positive, got {radius:g}")
     base = extremizer_profile(params, scale)
 
     def profile(r: np.ndarray) -> np.ndarray:

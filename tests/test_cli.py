@@ -442,12 +442,51 @@ class TestMemberRecords:
             (5, "bubble", "bubble:t0=1e+20", report(deficit=1e20, ratio=1e-300, lq_norm=5e-324)),
             (6, 'fam"ily\\', 'la"bel\\ \u00e9\u2013\U0001d400\n\t\x00', report()),
             (7, "random", "random:7", report(nearest=ManifoldPoint(1.0, 0.95), boundary_hit=True)),
+            # integral texts, which print with '.0'
+            (8, "random", "random:8", report(norm_star_sq=0.0, lq_norm=12345.0,
+                                             deficit=99999999999.0, ratio=-3.0)),
+            # '%.12g' writes 1e12 <= |x| < 1e16 with an exponent, repr in fixed notation
+            (9, "random", "random:9", report(norm_star_sq=1e12, lq_norm=999999999999.5,
+                                             deficit=123456789012345.0,
+                                             distance=9999999999999998.0, ratio=1e16,
+                                             nearest=ManifoldPoint(-1e15, 0.5))),
+            # the switch to exponent notation below 1e-4, in both writers
+            (10, "local", "local:e2:eps=1e-05", report(deficit=1e-4, distance=1e-5,
+                                                      ratio=9.9999999999995e-5,
+                                                      nearest=ManifoldPoint(1e-4, -1e-5))),
+            # the smallest normal double, and subnormals, which keep fewer digits
+            (11, "bubble", "bubble:t0=0.9", report(deficit=2.2250738585072014e-308,
+                                                  distance=1e-310,
+                                                  ratio=2.225073858507201e-308,
+                                                  nearest=ManifoldPoint(1e-300, -1e-310))),
         ]
-        # all eight in one call, as a scan writes them, and each alone
+        # all of them in one call, as a scan writes them, and each alone
         assert cli._member_records(entries) == [self.dict_line(*e) for e in entries]
         for entry in entries:
             assert cli._member_records([entry]) == [self.dict_line(*entry)], entry[2]
         assert cli._member_records([]) == []
+
+    def test_random_doubles_equal_the_dict_recipe(self):
+        # seeded random 64-bit patterns: every exponent, NaN among them
+        # (exponent bits all set) and subnormals (all clear); then integral
+        # values, values of either sign over decimal exponents -20..20, and
+        # subnormals of every size, down to those that keep one digit
+        import numpy as np
+
+        from sobstab.deficit import DeficitReport
+
+        rng = np.random.default_rng(20260)
+        patterns = rng.integers(0, 2**64, size=20_000, dtype=np.uint64).view(np.float64)
+        assert np.isnan(patterns).any() and (np.abs(patterns) < sys.float_info.min).any()
+        scaled = rng.choice((-1.0, 1.0), 20_000) * 10.0 ** rng.uniform(-20, 20, 20_000)
+        tiny = rng.random(5_000) * 2.0 ** rng.integers(-1073, -1021, 5_000)
+        specials = [math.inf, -math.inf, math.nan, -0.0, 0.0]
+        for numbers in (patterns, np.round(scaled[:5_000]), scaled, tiny):
+            numbers = [*numbers.tolist(), *specials]  # five to a record
+            entries = [(i, "random", f"random:{i}", DeficitReport(*numbers[i:i + 4], None,
+                                                                  numbers[i + 4]))
+                       for i in range(0, len(numbers), 5)]
+            assert cli._member_records(entries) == [self.dict_line(*e) for e in entries]
 
     def test_scan_lines_equal_the_dict_recipe(self, capsys):
         # at the benchmark's four pairs; the on-manifold members (eps = 1e-12)

@@ -198,6 +198,10 @@ class TestProfiles:
             parse_profile("bump:1,2,3,4", P32)
         with pytest.raises(ValueError):
             parse_profile("gaussian:abc", P32)
+        for radius in ("0", "-2", "nan"):
+            with pytest.raises(ValueError, match=rf"^mollified_extremizer radius must be "
+                                                 rf"positive, got {radius}$"):
+                parse_profile(f"mollified_extremizer:1,{radius}", P32)
 
     @pytest.mark.parametrize("scale, mu", [(1e200, "inf"), (1e-320, "0.0"), (1e-160, "1e-320")])
     def test_extremizer_scale_outside_the_doubles_is_refused(self, scale, mu):

@@ -17,7 +17,8 @@ operations run is compared the same way, and counted apart; so is a
 fixed list (`ERROR_ARGVS`) of refusals, usage errors, a scan that skips
 on-manifold members and small scans whose stacked member arrays have
 shapes no benchmark scan builds (no mode rows, random members up to
-degree K, no near-manifold family), and so are the `constants` text and
+degree K, no near-manifold family) or whose records print a number in
+each notation the record writer tells apart, and so are the `constants` text and
 CSV formats at the benchmark's (N, s) pairs (`FORMAT_ARGVS`; the
 operations print JSON): paths that no benchmark operation takes.  Last, since the
 in-process runs bypass the modules' `__main__` blocks, `python -m
@@ -103,6 +104,10 @@ ERROR_ARGVS = [
      "--n-random", "2"],
     ["deficit-scan", *_NS, "--seed", "1", "--K", "8", "--eps", "", "--n-random", "2",
      "--bubbles", "0.5"],
+    # records in each notation the record writer tells apart: 100000000000000.0 and
+    # 78861017137800.0 ('%.12g' writes 1e+14), 1.0 (an integral text), 5.70994266162e-05
+    ["deficit-scan", *_NS, "--seed", "1", "--K", "8", "--eps", "1e7,1e-2", "--n-normal", "1",
+     "--n-random", "0", "--bubbles", "0.5", "--modes", "2"],
     # a local:e2 ratio at or above local_constant breaks the strict gap
     ["deficit-scan", "--N", "8", "--s", "3.3", "--seed", "1", "--K", "384", "--eps", "1e-4",
      "--n-normal", "0", "--n-random", "0", "--bubbles", ""],
