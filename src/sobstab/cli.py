@@ -54,10 +54,11 @@ def _jsonl_line(obj) -> str:
     return json.dumps(round_floats(obj)) + "\n"
 
 
-_RECORD = ('{{"index": {}, "family": {}, "label": {}, "skipped": false, "norm_star_sq": {}, '
-           '"lq_norm": {}, "deficit": {}, "distance": {}, "nearest": {}, "ratio": {}, '
-           '"boundary_hit": {}}}\n')
-_SKIPPED = '{{"index": {}, "family": {}, "label": {}, "skipped": true}}\n'
+_RECORD = ('{"index": %d, "family": %s, "label": %s, "skipped": false, "norm_star_sq": %s, '
+           '"lq_norm": %s, "deficit": %s, "distance": %s, "nearest": %s, "ratio": %s, '
+           '"boundary_hit": %s}\n')
+_NEAREST = '{"c": %s, "t0": %s}'
+_SKIPPED = '{"index": %d, "family": %s, "label": %s, "skipped": true}\n'
 
 
 def _member_records(entries) -> list[str]:
@@ -83,13 +84,13 @@ def _member_records(entries) -> list[str]:
     lines, at = [], 0
     for index, family, label, r in entries:
         if r is None:
-            lines.append(_SKIPPED.format(index, _json_str(family), _json_str(label)))
+            lines.append(_SKIPPED % (index, _json_str(family), _json_str(label)))
             continue
         ns2, lq, psi, d, c, t0, ratio = texts[at:at + 7]
         at += 7
-        near = "null" if r.nearest is None else f'{{"c": {c}, "t0": {t0}}}'
-        lines.append(_RECORD.format(index, _json_str(family), _json_str(label), ns2, lq, psi, d,
-                                    near, ratio, "true" if r.boundary_hit else "false"))
+        near = "null" if r.nearest is None else _NEAREST % (c, t0)
+        lines.append(_RECORD % (index, _json_str(family), _json_str(label), ns2, lq, psi, d,
+                                near, ratio, "true" if r.boundary_hit else "false"))
     return lines
 
 

@@ -25,7 +25,6 @@ from .zonal import (
     ZonalFunction,
     _members,
     _stacked,
-    _star,
     _unscaled,
     analyze,
     constant,
@@ -87,12 +86,12 @@ def deficit(u: ZonalFunction, rule: QuadratureRule) -> float:
 
 
 def _parts(us, rule):
-    # Arrays of ||u||_*, |u|_q and Psi(u) over a batch, both norms from one
-    # stack of its unit-scale rows: the one expression of Psi, for deficit
-    # and the reports.  x * x, not x ** 2: it scales exactly with x
+    # Arrays of ||u||_*, |u|_q and Psi(u) over a batch or its stack, both norms
+    # from one stack of its unit-scale rows: the one expression of Psi, for
+    # deficit and the reports.  x * x, not x ** 2: it scales exactly with x
     # (Psi(2^k u) = 4^k Psi(u)) and is inf past the doubles
     stack = _stacked(us)
-    p = us[0].params
+    p = stack[0][0].params
     ns, lq = np.array(norm_star(stack)), np.array(norm_lp(stack, p.q, rule))
     with np.errstate(over="ignore", invalid="ignore"):
         return ns, lq, ns * ns - sharp_constant(p) * lq * lq
@@ -228,8 +227,10 @@ def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
     rows of `zonal._stacked`, and d and c are scaled back exactly, so those
     of 2^k u are 2^k times those of u and t0 is the same, bit for bit.
 
-    `u` is one member or a list of members that share K and (N, s) (else
-    ValueError).  A list returns (float64 array of d, list of nearest) in
+    `u` is one member, a list of members that share K and (N, s) (else
+    ValueError), or the `zonal._Stack` of such a list, whose rows and
+    unit-scale ||u||_* the search reuses (a scan passes its norms' stack).
+    A list or stack returns (float64 array of d, list of nearest) in
     member order, and every member's result equals its lone call's bit
     for bit: the brackets of all members are refined in lockstep, and
     each round builds the rows of its distinct t0 values in one batch.
@@ -243,14 +244,14 @@ def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
     product lam_coeffs @ g, so the result does not depend on how the grid
     product rounds.
     """
-    members, coeffs, e = _stacked(u)
+    members, coeffs, e = stack = _stacked(u)
     K, p = members[0].K, members[0].params
     rule._check_dimension(p.N)
     if table is None:
         table = _AxialTable(rule, K, p)
     elif table.key != (rule, K, p):
         raise ValueError("extremizer table was built for another rule, K or (N, s)")
-    ns2 = [x ** 2 for x in _star(coeffs, table.lam).tolist()]
+    ns2 = [x ** 2 for x in stack.star.tolist()]
     ds, cs, t0_best = [0.0] * len(members), [0.0] * len(members), [0.0] * len(members)
     live = [i for i, x in enumerate(ns2) if x != 0.0]
     if live:
@@ -273,7 +274,9 @@ def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
             if j is not None:
                 cs[member], t0_best[member] = ugs[j] / ggs[j], t0s[j]
     ds, cs = _unscaled([ds, cs], e)
-    nearest = [None if c == 0.0 else ManifoldPoint(c, t0) for c, t0 in zip(cs, t0_best)]
+    # tuple.__new__ skips ManifoldPoint's checks, which hold: c != 0.0, |t0| <= T0_CAP
+    nearest = [None if c == 0.0 else tuple.__new__(ManifoldPoint, (c, t0))
+               for c, t0 in zip(cs, t0_best)]
     if isinstance(u, ZonalFunction):
         return ds[0], nearest[0]
     return np.array(ds), nearest
@@ -294,9 +297,10 @@ def _reports(labels, us, rule: QuadratureRule) -> list[DeficitReport | None]:
     # manifold (None).  Of the others, the first in order with a reported
     # value, or the d^2 the ratio divides by, outside the normal doubles is
     # refused by its label and the first such field, without numpy warnings
-    ns, lq, psi = _parts(us, rule)
+    stack = _stacked(us)  # one for the norms and the search
+    ns, lq, psi = _parts(stack, rule)
     table = _AxialTable(rule, us[0].K, us[0].params)  # dies with the call
-    ds, nearest = distance(us, rule, table)
+    ds, nearest = distance(stack, rule, table)
     with np.errstate(all="ignore"):
         checked = np.stack((ns * ns, lq, ds * ds))
         ratios = psi / checked[2]

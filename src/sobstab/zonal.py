@@ -15,7 +15,7 @@ integral over S^N reduces to one over t in (-1, 1) against the measure
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -272,11 +272,13 @@ def _block(rows) -> np.ndarray:
 def _members(params: SobolevParams, rows) -> list[ZonalFunction]:
     # One member per row of a 2-D block, each equal to ZonalFunction(params,
     # row) bit for bit: the rows are views of one checked, read-only copy, so
-    # the block costs one copy and one check, not one per member
+    # the block costs one copy and one check, not one per member (slots set by descriptor)
+    set_params, set_coeffs = ZonalFunction.params.__set__, ZonalFunction.coeffs.__set__
     members = []
     for row in _block(rows):
         u = object.__new__(ZonalFunction)
-        u._set(params=params, coeffs=row)
+        set_params(u, params)
+        set_coeffs(u, row)
         members.append(u)
     return members
 
@@ -331,8 +333,11 @@ def node_values(u: ZonalFunction, rule: QuadratureRule) -> np.ndarray:
 
 
 class _Stack(tuple):
-    # (members, unit-scale rows, exponents) of a batch, as `_stacked` returns it
-    __slots__ = ()
+    # (members, unit-scale rows, exponents) of a batch, as `_stacked` returns
+    # it; `star` is the rows' unit-scale ||.||_*, computed once per stack
+    @cached_property
+    def star(self) -> np.ndarray:
+        return _star(self[1], lambdas(self[0][0].params, self[0][0].K))
 
 
 def _stacked(u) -> _Stack:
@@ -340,14 +345,14 @@ def _stacked(u) -> _Stack:
     # coefficient rows divided by the powers of two 2^e that bring each largest
     # |a_k| into [0.5, 1) (e = 0 for the zero function), and e.  The one place
     # a member's scale is decided: u and 2^k u give the same rows, bit for bit.
-    # A _Stack is returned as it is, so that the norms of one batch can share
-    # one stack.
+    # A _Stack is returned as it is, so that the norms and the distance search
+    # of one batch share one stack.
     if isinstance(u, _Stack):
         return u
     members = [u] if isinstance(u, ZonalFunction) else list(u)
     if not members:
         raise ValueError("a batch needs at least one member")
-    if any(v.K != members[0].K or v.params != members[0].params for v in members):
+    if len({v.params for v in members}) > 1 or len({v.coeffs.size for v in members}) > 1:
         raise ValueError("a batch of members must share K and (N, s)")
     A = np.array([v.coeffs for v in members])
     e = np.frexp(np.abs(A).max(axis=1))[1]
@@ -373,8 +378,8 @@ def norm_star(u: ZonalFunction | list[ZonalFunction]):
     back exactly.  A list of members that share K and (N, s) gives a list
     of the norms, each its lone call's bit for bit.
     """
-    members, B, e = _stacked(u)
-    norms = _unscaled(_star(B, lambdas(members[0].params, members[0].K)), e)
+    stack = _stacked(u)
+    norms = _unscaled(stack.star, stack[2])
     return norms[0] if isinstance(u, ZonalFunction) else norms
 
 

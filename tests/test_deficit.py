@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import sobstab.deficit as deficit_module
+import sobstab.zonal as zonal_module
 from sobstab._util import RefusalError, golden_section_min
 from sobstab.conformal import ManifoldPoint
 from sobstab.deficit import (
@@ -35,6 +36,7 @@ from sobstab.deficit import (
 from sobstab.specfun import SobolevParams, eigenvalue, local_constant, sphere_area
 from sobstab.zonal import (
     ZonalFunction,
+    _Stack,
     basis_function,
     constant,
     default_rule,
@@ -614,8 +616,9 @@ class TestSharedExtremizerTable:
 
     def test_scan_passes_one_table_to_distance(self, monkeypatch):
         # Wrappers of the module binding `distance` (the benchmark's spans
-        # and planted errors) see one call with (members, rule, table) as
-        # three positionals, and what they return is what the scan reports.
+        # and planted errors) see one call with (stack, rule, table) as three
+        # positionals, the stack being that of the members' norms, and what
+        # they return is what the scan reports.
         calls = []
         original = deficit_module.distance
 
@@ -627,11 +630,13 @@ class TestSharedExtremizerTable:
         monkeypatch.setattr(deficit_module, "distance", spy)
         base = run_scan(P32, self.CFG)
         assert len(calls) == 1
-        (members, rule, table), kwargs, d = calls[0]
-        assert not kwargs and isinstance(table, _AxialTable)
-        assert len(members) == self.CFG.n_members
-        for (_, _, u), v in zip(scan_members(P32, self.CFG), members):
+        (stack, rule, table), kwargs, d = calls[0]
+        assert not kwargs and isinstance(table, _AxialTable) and isinstance(stack, _Stack)
+        members, rows, e = stack
+        assert len(members) == len(rows) == len(e) == self.CFG.n_members
+        for (_, _, u), v, row, k in zip(scan_members(P32, self.CFG), members, rows, e):
             assert np.array_equal(u.coeffs, v.coeffs)
+            assert np.array_equal(np.ldexp(row, k), u.coeffs)  # the searched row, unit scale
         assert rule is gauss_jacobi_rule(3, self.CFG.rule_size)
         assert isinstance(d, np.ndarray) and d.dtype == np.float64
         assert d.tolist() == [r.distance for *_, r in base.entries]
@@ -745,6 +750,60 @@ class TestSharedExtremizerTable:
 
 
 BENCH_PAIRS = [(3, 2.0), (2, 1.0), (5, 0.5), (8, 3.3)]
+
+
+def _bits(d, nearest):
+    # The bits of a distance result, -0.0 and NaN told apart
+    return (np.asarray(d, dtype=float).tobytes(),
+            [None if n is None else (n.c.hex(), n.t0.hex()) for n in nearest])
+
+
+class TestOneStackPerScan:
+    # A scan stacks its member rows once, for both norms, and hands that stack
+    # to `distance`, which reuses its rows, exponents and unit-scale ||u||_*:
+    # one stack and one ||.||_* evaluation per scan, with the results of a
+    # list of members and of each lone member, bit for bit.  The benchmark's
+    # two scan shapes (scan-wide and scan-deep) at seed 1.
+    CONFIGS = {"K=64": ScanConfig(seed=1, K=64, n_normal=20, n_random=20),
+               "K=384": ScanConfig(seed=1, K=384, n_normal=3, n_random=6, bubble_t0=(0.5, 0.8))}
+
+    @pytest.mark.parametrize("shape", CONFIGS)
+    @pytest.mark.parametrize("N, s", BENCH_PAIRS)
+    def test_scan_stacks_and_norms_its_members_once(self, N, s, shape, monkeypatch):
+        built, starred, searched = [], [], []
+        stacked, star, search = deficit_module._stacked, zonal_module._star, distance
+
+        def spy_stacked(u):
+            if not isinstance(u, _Stack):  # a stack comes back as it is
+                built.append(u)
+            return stacked(u)
+
+        def spy_star(*args):
+            starred.append(args)
+            return star(*args)
+
+        def spy_distance(*args):
+            searched.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(deficit_module, "_stacked", spy_stacked)
+        for module in (zonal_module, deficit_module):  # every binding of `_star`
+            if hasattr(module, "_star"):
+                monkeypatch.setattr(module, "_star", spy_star)
+        monkeypatch.setattr(deficit_module, "distance", spy_distance)
+        cfg = self.CONFIGS[shape]
+        result = run_scan(SobolevParams(N, s), cfg)
+        monkeypatch.undo()
+        assert len(built) == 1 and len(built[0]) == cfg.n_members
+        assert len(starred) == 1 and len(starred[0][0]) == cfg.n_members
+        (stack, rule, table), = searched
+        assert isinstance(stack, _Stack) and stack[0] == list(built[0])
+        scanned = _bits([r.distance for *_, r in result.entries],
+                        [r.nearest for *_, r in result.entries])
+        assert _bits(*distance(stack, rule, table)) == scanned
+        assert _bits(*distance(stack[0], rule, table)) == scanned
+        alone = [distance(u, rule, table) for u in stack[0]]
+        assert _bits(*zip(*alone)) == scanned
 
 
 class TestExactLocalValues:
