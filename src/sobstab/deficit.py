@@ -175,40 +175,40 @@ def _golden_lockstep(table: _AxialTable, lam_coeffs: np.ndarray, owner: np.ndarr
     lam_coeffs[owner[j]].  Every bracket takes exactly the steps of
     `_util.golden_section_min` with tol=_T0_TOL, in the same float
     operations, so NaN goes right and each bracket stops on its own; the
-    brackets only share each round's row builds, one per distinct t0.
-    Returns a (4, n) array: per bracket the final t0, its value,
-    <u,g>_* and ||g||_*^2.
+    brackets only share each round's rows, one per distinct t0 (-0.0 is 0.0).
+    Returns (t0, value, <u,g>_*, ||g||_*^2) per bracket as a (4, n) array.
     """
 
-    def evaluate(x, members):
-        # (t0, value, <u,g>_*, ||g||_*^2) at the points x, stacked as rows;
-        # with return_inverse, np.unique leaves numpy.ma unimported
-        distinct, index = np.unique(x, return_inverse=True)
+    def evaluate(x, lc):
+        # One column per point; equal points are neighbours in the sort and share a row
+        xs = np.sort(x)
+        distinct = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
         g, gg = table.rows(distinct)
-        g, gg = g[index], gg[index]
-        ug = np.matmul(lam_coeffs[members][:, None, :], g[:, :, None])[:, 0, 0]
-        return np.stack((x, -(ug * ug / gg), ug, gg))
+        index = distinct.searchsorted(x)
+        ug, gg = np.matmul(lc[:, None, :], g[index][:, :, None])[:, 0, 0], gg[index]
+        out = np.empty((4, x.size))
+        out[0], out[1], out[2], out[3] = x, -(ug * ug / gg), ug, gg
+        return out
 
     n = a.size
     h = b - a
-    both = evaluate(np.concatenate((a + _INVPHI2 * h, a + _INVPHI * h)),
-                    np.concatenate((owner, owner)))
+    lc = lam_coeffs[owner]  # each bracket's row, gathered once
+    both = evaluate(np.concatenate((a + _INVPHI2 * h, a + _INVPHI * h)), np.concatenate((lc, lc)))
     c, d = both[:, :n], both[:, n:]
     best = np.empty((4, n))
     live = np.arange(n)
     while live.size:
-        done = ~(h > _T0_TOL)
-        if done.any():
-            best[:, live[done]] = np.where(c[1] < d[1], c, d)[:, done]
-            keep = ~done
-            live, owner, a, b, h, c, d = (live[keep], owner[keep], a[keep], b[keep],
-                                          h[keep], c[:, keep], d[:, keep])
+        keep = h > _T0_TOL
+        if not keep.all():
+            best[:, live[~keep]] = np.where(c[1] < d[1], c, d)[:, ~keep]
+            live, lc, a, b, h, c, d = (live[keep], lc[keep], a[keep], b[keep], h[keep],
+                                       c[:, keep], d[:, keep])
             continue
         # fc < fd: b, d, fd = d, c, fc and c is new; else a, c, fc = c, d, fd and d is new
         left = c[1] < d[1]
         a, b = np.where(left, a, c[0]), np.where(left, d[0], b)
         h = b - a
-        new = evaluate(a + np.where(left, _INVPHI2, _INVPHI) * h, owner)
+        new = evaluate(a + np.where(left, _INVPHI2, _INVPHI) * h, lc)
         c, d = np.where(left, new, d), np.where(left, c, new)
     return best
 

@@ -1160,13 +1160,21 @@ class TestBatchDistance:
     # A list of members is searched in lockstep: every member's (d, nearest)
     # must equal the per-point search's bit for bit, the sign of t0 of the
     # exactly even bubbles included.
+    SHAPES = {64: dict(n_random=20), 384: dict(n_random=6, bubble_t0=(0.5, 0.8))}
 
-    @pytest.mark.parametrize("N, s, K, n", [(3, 2.0, 64, 20), (5, 0.5, 384, 3)])
+    @pytest.mark.parametrize("N, s, K, n", [(N, s, K, n) for N, s in BENCH_PAIRS
+                                            for K, n in ((64, 20), (384, 3))])
     def test_scan_batch_equals_the_per_point_search(self, N, s, K, n):
+        # The benchmark's scan shapes (n normal members per eps) at its four
+        # (N, s) pairs, among them the most fragile bits of the search: at
+        # (8, 3.3) the eps = 1e-3 distances, where one ulp of the projection
+        # moves d by about 1e-7, and at (5, 0.5) and K = 384 the tie of the
+        # exactly even bubble:t0=0.8 between its +t0 and -t0 brackets
         p = SobolevParams(N, s)
-        cfg = ScanConfig(seed=5, K=K, n_normal=n, n_random=2 * n, bubble_t0=(0.5, 0.8))
+        cfg = ScanConfig(seed=5, K=K, n_normal=n, **self.SHAPES[K])
         rule = gauss_jacobi_rule(N, cfg.rule_size)
         labels, members = zip(*((label, u) for _, label, u in scan_members(p, cfg)))
+        assert {"local:e2:eps=0.001", "bubble:t0=0.8"} <= set(labels)
         ds, nearest = distance(list(members), rule, _AxialTable(rule, K, p))
         assert isinstance(ds, np.ndarray) and ds.dtype == np.float64
         assert len(ds) == len(nearest) == cfg.n_members
@@ -1179,6 +1187,41 @@ class TestBatchDistance:
         assert type(d) is float
         ds, points = distance([u], rule32)
         assert ds.tolist() == [d] and points == [nearest]
+
+    def test_repeated_members_equal_their_lone_calls(self, rule32):
+        # Repeated members put equal t0 values into every round, which share a row
+        rng = np.random.default_rng(15)
+        u = smooth_random_zonal(P32, rng, K=64, offset=1.0)
+        v = smooth_random_zonal(P32, rng, K=64)
+        ds, nearest = distance([u, v, u, u], rule32)
+        assert list(zip(ds.tolist(), nearest)) == [distance(w, rule32) for w in (u, v, u, u)]
+
+    def test_brackets_that_finish_in_different_rounds(self, rule32):
+        # The grid cells beside the inserted starts 0.4 and -0.8 are narrower,
+        # so the bracket around such a start takes fewer golden-section steps
+        # than one around an equispaced point: members peaked there leave the
+        # lockstep before the others, whatever their place in the batch.
+        grid = _T0_GRID.tolist()
+
+        def bracket(t0):
+            i = grid.index(t0)
+            return grid[i - 1], grid[i + 1]
+
+        def steps(t0):
+            return TestSearchBound.evaluations(lambda x: x, *bracket(t0), _T0_TOL)
+
+        assert steps(0.4) < steps(0.0) and steps(-0.8) < steps(0.0)
+        rng = np.random.default_rng(16)
+        starts = (0.0, 0.4, -0.8, grid[40])
+        members = [manifold_zonal(P32, ManifoldPoint(1.0, t0), rule32, 64)
+                   + 0.01 * smooth_random_zonal(P32, rng) for t0 in starts]
+        lone = [distance(u, rule32) for u in members]
+        for t0, (_, point) in zip(starts, lone):
+            lo, hi = bracket(t0)
+            assert lo < point.t0 < hi, t0
+        for order in ([0, 1, 2, 3], [1, 3, 0, 2], [3, 2, 1, 0], [2, 2, 0, 1, 1]):
+            ds, nearest = distance([members[i] for i in order], rule32)
+            assert list(zip(ds.tolist(), nearest)) == [lone[i] for i in order], order
 
     def test_mixed_batch_is_refused(self, rule32):
         rng = np.random.default_rng(13)

@@ -19,7 +19,8 @@ on-manifold members and small scans whose stacked member arrays have
 shapes no benchmark scan builds (no mode rows, random members up to
 degree K, no near-manifold family), whose records print a number in
 each notation the record writer tells apart, of one member, or of one
-member whose `+t0` and `-t0` brackets tie, and so are the `constants` text and
+member whose `+t0` and `-t0` brackets tie, or on a rule of odd size (its
+middle node is `t = 0`), and so are the `constants` text and
 CSV formats at the benchmark's (N, s) pairs (`FORMAT_ARGVS`; the
 operations print JSON): paths that no benchmark operation takes.  Last, since the
 in-process runs bypass the modules' `__main__` blocks, `python -m
@@ -115,6 +116,9 @@ ERROR_ARGVS = [
      "--n-random", "1", "--bubbles", ""],
     ["deficit-scan", "--N", "5", "--s", "0.5", "--seed", "1", "--K", "8", "--eps", "",
      "--n-normal", "0", "--n-random", "0", "--bubbles", "0.8"],
+    # a rule of odd size, whose middle node is exactly t = 0
+    ["deficit-scan", *_NS, "--seed", "1", "--K", "8", "--M", "19", "--n-normal", "1",
+     "--n-random", "2", "--bubbles", "0.5"],
     # a local:e2 ratio at or above local_constant breaks the strict gap
     ["deficit-scan", "--N", "8", "--s", "3.3", "--seed", "1", "--K", "384", "--eps", "1e-4",
      "--n-normal", "0", "--n-random", "0", "--bubbles", ""],
