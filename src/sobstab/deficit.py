@@ -2,7 +2,7 @@
 
 The deficit Psi(u) = ||u||_*^2 - S |u|_q^2 vanishes exactly on the
 extremizer manifold and controls the squared distance to it from both
-sides.  This module evaluates Psi and its first derivative form,
+sides.  This module evaluates Psi (its one expression is `zonal._parts`),
 computes the distance to the axial manifold slice (an upper bound for
 the full distance, exact within the axial family), and estimates the
 stability constant empirically as the minimum deficit/distance^2 ratio
@@ -19,21 +19,18 @@ import numpy as np
 
 from ._util import _INVPHI, _INVPHI2, RefusalError, checked_make, fmt12
 from .conformal import ManifoldPoint, manifold_samples
-from .specfun import SobolevParams, _in_range, local_constant, sharp_constant
+from .specfun import SobolevParams, _in_range, local_constant
 from .zonal import (
     QuadratureRule,
     ZonalFunction,
     _members,
+    _parts,
     _stacked,
     _unscaled,
     analyze,
     constant,
     gauss_jacobi_rule,
-    inner_star,
     lambdas,
-    node_values,
-    norm_lp,
-    norm_star,
 )
 
 __all__ = [
@@ -43,7 +40,6 @@ __all__ = [
     "ScanConfig",
     "ScanResult",
     "deficit",
-    "gradient_form",
     "distance",
     "stability_ratio",
     "scan_members",
@@ -83,37 +79,6 @@ class DeficitReport(NamedTuple):
 def deficit(u: ZonalFunction, rule: QuadratureRule) -> float:
     """Psi(u) = ||u||_*^2 - S |u|_q^2; nonnegative, zero on the manifold."""
     return _parts([u], rule)[2].item()
-
-
-def _parts(us, rule):
-    # Arrays of ||u||_*, |u|_q and Psi(u) over a batch or its stack, both norms
-    # from one stack of its unit-scale rows: the one expression of Psi, for
-    # deficit and the reports.  x * x, not x ** 2: it scales exactly with x
-    # (Psi(2^k u) = 4^k Psi(u)) and is inf past the doubles
-    stack = _stacked(us)
-    p = stack[0][0].params
-    ns, lq = np.array(norm_star(stack)), np.array(norm_lp(stack, p.q, rule))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return ns, lq, ns * ns - sharp_constant(p) * lq * lq
-
-
-def gradient_form(u: ZonalFunction, v: ZonalFunction, rule: QuadratureRule) -> float:
-    """Directional derivative Psi'(u)v = 2<u,v>_* - 2 S |u|_q^(2-q) int |u|^(q-2) u v.
-
-    1-homogeneous in u: evaluated at the unit scale of u (see
-    `zonal._stacked`) and scaled back exactly, so that of 2^k u is 2^k times
-    that of u, bit for bit.
-    """
-    _, (row,), (e,) = _stacked(u)
-    if not row.any():
-        raise ValueError("gradient form undefined at u = 0")
-    u = ZonalFunction(u.params, row)
-    q = u.params.q
-    lq = norm_lp(u, q, rule)
-    uv = node_values(u, rule)
-    iv = float(rule.weights @ (np.abs(uv) ** (q - 2.0) * uv * node_values(v, rule)))
-    return _unscaled(
-        2.0 * inner_star(u, v) - 2.0 * sharp_constant(u.params) * lq ** (2.0 - q) * iv, e)
 
 
 class _AxialTable:
@@ -251,7 +216,7 @@ def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
         table = _AxialTable(rule, K, p)
     elif table.key != (rule, K, p):
         raise ValueError("extremizer table was built for another rule, K or (N, s)")
-    ns2 = [x ** 2 for x in stack.star.tolist()]
+    ns2 = [x * x for x in stack.star.tolist()]
     ds, cs, t0_best = [0.0] * len(members), [0.0] * len(members), [0.0] * len(members)
     live = [i for i, x in enumerate(ns2) if x != 0.0]
     if live:

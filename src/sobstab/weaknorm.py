@@ -24,8 +24,8 @@ from ._util import RefusalError
 from .conformal import RadialFunction, pullback_to_sphere
 # the closed forms are bound here too (not in __all__), for callers that look them up here
 from .specfun import (SobolevParams, _in_range, _sphere_area, ball_volume, compute_constants,
-                      extremizer_weak_norm, sharp_constant, unit_ball_radius)
-from .zonal import default_rule, gauss_jacobi_rule, lambdas, norm_lp, norm_star
+                      extremizer_weak_norm)
+from .zonal import _parts, _stacked, default_rule, gauss_jacobi_rule, lambdas
 
 __all__ = [
     "TruncationError",
@@ -127,28 +127,34 @@ def verify_theorem2(u: RadialFunction, K: int = 384, n_cells: int = 2048) -> The
     involved); the right side is C |Omega|^(-2/q) |u|_w^2 with Omega the
     support ball and |u|_w on `n_cells` radial cells.  Spectral truncation
     is refused when the top coefficient band exceeds 1e-6 of the norm.
+    The norms, the deficit and that share come from the pullback's
+    unit-scale stack, as a scan member's do (`zonal._stacked`,
+    `zonal._parts`), so no coefficient square underflows.
     A profile without compact support and fewer than one cell are refused
-    (ValueError) before the rule is built; an lhs or rhs outside the normal
-    doubles, such as the 0.0 of `bump:0.62,500` at (3, 2), is refused.
+    (ValueError) before the rule is built; a ||v||_*^2 that is not finite,
+    and an lhs or rhs outside the normal doubles, such as the 0.0 of
+    `bump:0.62,500` at (3, 2), are refused.
     """
     p = u.params
     if not math.isfinite(u.support_radius):
         raise ValueError("verification requires a compactly supported profile")
     _check_cells(n_cells)
     rule = default_rule(p.N, K)
-    v = pullback_to_sphere(u, rule, K)
-    ns2 = norm_star(v) ** 2
+    stack = _stacked(pullback_to_sphere(u, rule, K))
+    ns, lq, lhs = (x.item() for x in _parts(stack, rule))
     # the share of ||v||_* in the top 8 coefficients
-    frac = math.sqrt(float(lambdas(p, K)[-8:] @ (v.coeffs[-8:] ** 2)) / ns2) if ns2 else 0.0
+    top, star = stack[1][0, -8:], stack.star.item()
+    frac = math.sqrt(float(lambdas(p, K)[-8:] @ (top * top)) / (star * star)) if star else 0.0
     if frac > 1e-6:
         raise TruncationError(
             f"coefficient tail is {frac:.2e} of the norm; increase K (K={K})")
-    lq = norm_lp(v, p.q, rule)
-    lhs = ns2 - sharp_constant(p) * lq * lq
     values, measures = radial_cells(u, n_cells=n_cells)
     wk = weak_norm(values, measures, p)
     omega = ball_volume(p.N) * u.support_radius ** p.N
     rhs = compute_constants(p).C * omega ** (-2.0 / p.q) * wk * wk
+    ns2 = ns * ns
+    if not math.isfinite(ns2):  # else lhs would be inf - inf
+        _in_range(ns2, "profile {}: norm_star_sq", u.name or "radial")
     for side, value in (("lhs", lhs), ("rhs", rhs)):
         _in_range(value, "profile {}: {}", u.name or "radial", side)
     return Theorem2Case(

@@ -7,9 +7,10 @@ integral over S^N reduces to one over t in (-1, 1) against the measure
   * Gauss-Jacobi quadrature for that measure (Golub-Welsch construction),
   * the orthonormal zonal-harmonic basis e_k (normalized ultraspherical
     polynomials with positive leading coefficient),
-  * analysis of node samples into coefficients and synthesis at the nodes,
+  * analysis of node samples into coefficients,
   * L^p norms and the spectral quadratic form sum lambda_k a_k^2 that
-    realizes the conformal operator norm ||.||_*.
+    realizes the conformal operator norm ||.||_*, and from both the
+    deficit Psi(u) = ||u||_*^2 - S |u|_q^2.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from functools import cache, cached_property, lru_cache
 import numpy as np
 
 from ._util import Frozen
-from .specfun import SobolevParams, _sphere_area, eigenvalue
+from .specfun import SobolevParams, _sphere_area, eigenvalue, sharp_constant
 
 __all__ = [
     "QuadratureRule",
@@ -29,7 +30,6 @@ __all__ = [
     "default_rule",
     "analyze",
     "norm_star",
-    "inner_star",
     "norm_lp",
     "lambdas",
     "constant",
@@ -326,12 +326,6 @@ def analyze(params: SobolevParams, samples, rule: QuadratureRule, K: int) -> Zon
     return ZonalFunction(params, coeffs)
 
 
-def node_values(u: ZonalFunction, rule: QuadratureRule) -> np.ndarray:
-    """Values of u at the rule's nodes (cached basis fast path)."""
-    rule._check_dimension(u.params.N)
-    return u.coeffs.dot(rule.basis(u.K))
-
-
 class _Stack(tuple):
     # (members, unit-scale rows, exponents) of a batch, as `_stacked` returns
     # it; `star` is the rows' unit-scale ||.||_*, computed once per stack
@@ -383,15 +377,6 @@ def norm_star(u: ZonalFunction | list[ZonalFunction]):
     return norms[0] if isinstance(u, ZonalFunction) else norms
 
 
-def inner_star(u: ZonalFunction, v: ZonalFunction) -> float:
-    """Spectral inner product sum lambda_k a_k b_k; the polarization of norm_star."""
-    if u.params != v.params:
-        raise ValueError("operands have different (N, s) parameters")
-    n = min(u.coeffs.size, v.coeffs.size)
-    lam = lambdas(u.params, n - 1)
-    return float(lam @ (u.coeffs[:n] * v.coeffs[:n]))
-
-
 def norm_lp(u: ZonalFunction | list[ZonalFunction], p: float, rule: QuadratureRule):
     """L^p(S^N) norm by quadrature of |u|^p at the rule nodes; 1 <= p < inf.
 
@@ -413,3 +398,15 @@ def norm_lp(u: ZonalFunction | list[ZonalFunction], p: float, rule: QuadratureRu
     sums = ((x / m) ** p).sum(axis=1).tolist()
     norms = _unscaled([top * s ** (1.0 / p) for top, s in zip(m[:, 0].tolist(), sums)], e)
     return norms[0] if isinstance(u, ZonalFunction) else norms
+
+
+def _parts(us, rule):
+    # Arrays of ||u||_*, |u|_q and Psi(u) over a batch or its stack, both norms
+    # from one stack of its unit-scale rows: the one expression of Psi, for
+    # deficit, the reports and verify_theorem2.  x * x, not x ** 2: it scales
+    # exactly with x (Psi(2^k u) = 4^k Psi(u)) and is inf past the doubles
+    stack = _stacked(us)
+    p = stack[0][0].params
+    ns, lq = np.array(norm_star(stack)), np.array(norm_lp(stack, p.q, rule))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ns, lq, ns * ns - sharp_constant(p) * lq * lq

@@ -7,10 +7,10 @@ import pytest
 
 from sobstab import (ManifoldPoint, QuadratureRule, RadialFunction, SobolevParams,
                      WeakNormConstants, ZonalFunction, analyze, constant, default_rule,
-                     inner_star, manifold_samples, norm_lp, sharp_constant)
+                     lambdas, manifold_samples, norm_lp, sharp_constant)
 from sobstab.specfun import _sphere_area
 from sobstab.weaknorm import _gl_nodes
-from sobstab.zonal import _basis_matrix, node_values
+from sobstab.zonal import _basis_matrix, _stacked, _unscaled
 
 # Desk-scale parameter grid: every (N, s) with N in 1..8, s from the fixed
 # menu, s < N.  47 pairs; exercises fractional and integer orders.
@@ -84,6 +84,40 @@ def dilate(u: RadialFunction, lam: float) -> RadialFunction:
     mu = lam ** (1.0 / u.params.beta)
     return RadialFunction(u.params, lambda r: lam * u.profile(mu * r),
                           support_radius=u.support_radius / mu)
+
+
+def node_values(u: ZonalFunction, rule: QuadratureRule) -> np.ndarray:
+    """Values of u at the rule's nodes (cached basis fast path)."""
+    rule._check_dimension(u.params.N)
+    return u.coeffs.dot(rule.basis(u.K))
+
+
+def inner_star(u: ZonalFunction, v: ZonalFunction) -> float:
+    """Spectral inner product sum lambda_k a_k b_k; the polarization of norm_star."""
+    if u.params != v.params:
+        raise ValueError("operands have different (N, s) parameters")
+    n = min(u.coeffs.size, v.coeffs.size)
+    lam = lambdas(u.params, n - 1)
+    return float(lam @ (u.coeffs[:n] * v.coeffs[:n]))
+
+
+def gradient_form(u: ZonalFunction, v: ZonalFunction, rule: QuadratureRule) -> float:
+    """Directional derivative Psi'(u)v = 2<u,v>_* - 2 S |u|_q^(2-q) int |u|^(q-2) u v.
+
+    1-homogeneous in u: evaluated at the unit scale of u (see
+    `zonal._stacked`) and scaled back exactly, so that of 2^k u is 2^k times
+    that of u, bit for bit.
+    """
+    _, (row,), (e,) = _stacked(u)
+    if not row.any():
+        raise ValueError("gradient form undefined at u = 0")
+    u = ZonalFunction(u.params, row)
+    q = u.params.q
+    lq = norm_lp(u, q, rule)
+    uv = node_values(u, rule)
+    iv = float(rule.weights @ (np.abs(uv) ** (q - 2.0) * uv * node_values(v, rule)))
+    return _unscaled(
+        2.0 * inner_star(u, v) - 2.0 * sharp_constant(u.params) * lq ** (2.0 - q) * iv, e)
 
 
 def hessian_form(u: ZonalFunction, v: ZonalFunction, w: ZonalFunction,

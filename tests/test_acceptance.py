@@ -18,7 +18,6 @@ from sobstab.deficit import (
     ScanConfig,
     deficit,
     distance,
-    gradient_form,
     run_scan,
     stability_ratio,
 )
@@ -28,12 +27,13 @@ from sobstab.specfun import (
     local_constant,
     sharp_constant,
     sphere_area,
+    unit_ball_radius,
 )
-from sobstab.weaknorm import compute_constants, unit_ball_radius, verify_theorem2
+from sobstab.weaknorm import compute_constants, verify_theorem2
 from sobstab.zonal import basis_function, constant, default_rule, norm_lp, norm_star
 
-from conftest import (PARAM_GRID, P32, conformal_shift, eq_rho_residual, hessian_form,
-                      manifold_zonal, smooth_random_zonal)
+from conftest import (PARAM_GRID, P32, conformal_shift, eq_rho_residual, gradient_form,
+                      hessian_form, manifold_zonal, smooth_random_zonal)
 
 
 class _Criterion:

@@ -970,12 +970,11 @@ class TestPackageNamespace:
             "T0_CAP", "Theorem2Case", "TruncationError", "WeakNormConstants", "ZonalFunction",
             "analyze", "ball_volume", "basis_function", "bump_profile", "compute_constants",
             "constant", "default_rule", "distance", "eigenvalue", "extremizer_profile",
-            "extremizer_weak_norm", "gauss_jacobi_rule", "gaussian_profile", "gradient_form",
-            "inner_star", "lambdas", "local_constant", "log_gamma", "manifold_samples",
-            "mollified_extremizer_profile", "multiplicity", "norm_lp", "norm_star",
-            "parse_profile", "pullback_to_sphere", "radial_cells", "run_scan", "scan_members",
-            "sharp_constant", "sphere_area", "stability_ratio", "unit_ball_radius",
-            "verify_theorem2", "weak_norm",
+            "extremizer_weak_norm", "gauss_jacobi_rule", "gaussian_profile", "lambdas",
+            "local_constant", "log_gamma", "manifold_samples", "mollified_extremizer_profile",
+            "multiplicity", "norm_lp", "norm_star", "parse_profile", "pullback_to_sphere",
+            "radial_cells", "run_scan", "scan_members", "sharp_constant", "sphere_area",
+            "stability_ratio", "unit_ball_radius", "verify_theorem2", "weak_norm",
         ]
 
     @pytest.mark.parametrize("name, module", [("PROFILE_GRAMMAR", "conformal")])

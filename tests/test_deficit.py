@@ -28,7 +28,6 @@ from sobstab.deficit import (
     _AxialTable,
     deficit,
     distance,
-    gradient_form,
     run_scan,
     scan_members,
     stability_ratio,
@@ -41,14 +40,13 @@ from sobstab.zonal import (
     constant,
     default_rule,
     gauss_jacobi_rule,
-    inner_star,
     lambdas,
     norm_lp,
     norm_star,
 )
 
-from conftest import (PARAM_GRID, P32, conformal_shift, hessian_form, manifold_zonal, python_env,
-                      smooth_random_zonal)
+from conftest import (PARAM_GRID, P32, conformal_shift, gradient_form, hessian_form, inner_star,
+                      manifold_zonal, python_env, smooth_random_zonal)
 
 
 def unit_mode(p, k, K=64):
@@ -1119,7 +1117,8 @@ def per_point_distance(u, rule):
                                      grid[min(i + 1, grid.size - 1)], tol=_T0_TOL)
         if -neg > best[0]:
             best = (-neg, float(t0), proj(t0)[1])
-    d = math.sqrt(max(norm_star(u) ** 2 - best[0], 0.0))
+    ns = norm_star(u)
+    d = math.sqrt(max(ns * ns - best[0], 0.0))
     return d, ManifoldPoint(best[2], best[1])
 
 

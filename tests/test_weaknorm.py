@@ -6,14 +6,17 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from sobstab._util import RefusalError
 from sobstab.conformal import (
+    RadialFunction,
     bump_profile,
     extremizer_profile,
     gaussian_profile,
     mollified_extremizer_profile,
+    parse_profile,
 )
-from sobstab.deficit import deficit
-from sobstab.specfun import SobolevParams, sharp_constant, sphere_area
+from sobstab.deficit import deficit, stability_ratio
+from sobstab.specfun import SobolevParams, sharp_constant, sphere_area, unit_ball_radius
 from sobstab.weaknorm import (
     Theorem2Case,
     TruncationError,
@@ -21,7 +24,6 @@ from sobstab.weaknorm import (
     compute_constants,
     extremizer_weak_norm,
     radial_cells,
-    unit_ball_radius,
     verify_theorem2,
     weak_norm,
 )
@@ -372,6 +374,35 @@ class TestVerifyTheorem2:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError, match="^truncation degree K must be >= 0, got -1$"):
             verify_theorem2(bump_profile(P32, unit_ball_radius(3), 1.0), -1)
+
+    @pytest.mark.parametrize("scale", [1e-50, 1e-152, 1e-154])
+    def test_tail_share_is_taken_on_the_unit_scale(self, scale):
+        # the share is 1.455418e-06 at every scale; from the coefficients' own
+        # squares it read 1.389874e-06 at 1e-152 and 0 at 1e-154, where they
+        # underflow, and 1e-154 was refused only for its subnormal rhs
+        u = parse_profile(f"mollified_extremizer:{scale},1", SobolevParams(8, 3.3))
+        with pytest.raises(TruncationError, match=r"^coefficient tail is 1\.46e-06 of the norm; "
+                                                  r"increase K \(K=384\)$"):
+            verify_theorem2(u, 384)
+
+    @pytest.mark.filterwarnings("error")
+    def test_profile_whose_norm_overflows_is_refused(self):
+        # norm_star(v) ** 2 raised OverflowError; unchecked, lhs is inf - inf
+        bump = bump_profile(P32)
+        u = RadialFunction(P32, lambda r: 1e160 * bump(r), support_radius=1.0)
+        with pytest.raises(RefusalError, match=r"^profile radial: norm_star_sq is inf, "
+                                               "outside the range of normal doubles$"):
+            verify_theorem2(u, 384)
+
+    def test_parts_are_those_of_a_scan_member(self):
+        # one evaluation path: ||v||_*^2 was norm_star(v) ** 2, whose libm pow
+        # gave 0x1.bda749356cc57p-1 here, one ulp above the product
+        rule = default_rule(3, 384)
+        u = parse_profile("bump:0.73625,1", P32)
+        case = verify_theorem2(u, 384)
+        report = stability_ratio(pullback_to_sphere(u, rule, 384), rule)
+        assert case.norm_star_sq == report.norm_star_sq == float.fromhex("0x1.bda749356cc56p-1")
+        assert (case.lq_norm, case.lhs) == (report.lq_norm, report.deficit)
 
     @pytest.mark.parametrize("margin, violated", [(0.5, False), (-5e-7, False), (-2e-6, True)])
     def test_violated_below_the_roundoff_margin(self, margin, violated):

@@ -11,7 +11,7 @@ from scipy.special import roots_jacobi
 
 from sobstab import zonal
 from sobstab.conformal import manifold_samples
-from sobstab.deficit import deficit, distance, gradient_form, stability_ratio
+from sobstab.deficit import deficit, distance, stability_ratio
 from sobstab.specfun import SobolevParams, eigenvalue, sphere_area, _sphere_area
 from sobstab.zonal import (
     QuadratureRule,
@@ -21,15 +21,13 @@ from sobstab.zonal import (
     constant,
     default_rule,
     gauss_jacobi_rule,
-    inner_star,
     lambdas,
-    node_values,
     norm_lp,
     norm_star,
     _recurrence_sq,
 )
 
-from conftest import P32, python_env, smooth_random_zonal
+from conftest import P32, gradient_form, inner_star, node_values, python_env, smooth_random_zonal
 
 
 class TestGaussJacobiRule:

@@ -14,9 +14,10 @@ the tool only reads.  Every operation whose exit code, stdout or stderr
 differ between the trees is printed, and the exit status is 1 if any
 differ.  The `--help` text of the top level and of each subcommand the
 operations run is compared the same way, and counted apart; so is a
-fixed list (`ERROR_ARGVS`) of refusals, usage errors, a scan that skips
-on-manifold members and small scans whose stacked member arrays have
-shapes no benchmark scan builds (no mode rows, random members up to
+fixed list (`ERROR_ARGVS`) of refusals (a tiny profile's coefficient tail
+among them), usage errors, a scan that skips on-manifold members and
+small scans whose stacked member arrays have shapes no benchmark scan
+builds (no mode rows, random members up to
 degree K, no near-manifold family), whose records print a number in
 each notation the record writer tells apart, of one member, or of one
 member whose `+t0` and `-t0` brackets tie, or on a rule of odd size (its
@@ -87,6 +88,8 @@ ERROR_ARGVS = [
     # a pullback whose |u|^6 underflows at every node: lhs near 1.86e-262, and 0.0 (refused)
     ["verify-theorem2", *_NS, "--profiles", "bump:0.62,300"],
     ["verify-theorem2", *_NS, "--profiles", "bump:0.62,500"],
+    # a profile whose coefficient squares underflow: its tail share is taken on the unit scale
+    ["verify-theorem2", "--N", "8", "--s", "3.3", "--profiles", "mollified_extremizer:1e-154,1"],
     # every member's deficit rounds to zero: alpha_hat <= 0 is refused
     [*_SMALL_SCAN, "--eps", "1e-7", "--n-normal", "5", "--bubbles", "0.5"],
     # every member lies on the manifold
