@@ -116,6 +116,8 @@ class _AxialTable:
         self._nodes = rule.nodes
         self._beta = p.beta
         self.G, self.gg = self.rows(_T0_GRID)
+        # The unit bubble g_t / ||g_t||_* moves at speed v0 / (1 - t^2) in ||.||_*
+        self.v0 = 0.5 * math.sqrt((p.N * p.N - p.s * p.s) / (p.N + 1))
 
     def rows(self, t0s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Stacked products: np.matmul runs one GEMV per row and block and one
@@ -132,16 +134,28 @@ class _AxialTable:
         return g, gg
 
 
-def _golden_lockstep(table: _AxialTable, lam_coeffs: np.ndarray, owner: np.ndarray,
-                     a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _golden_lockstep(table: _AxialTable, lam_coeffs: np.ndarray, norms: np.ndarray,
+                     owner: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimize -<u,g_{t0}>_*^2 / ||g_{t0}||_*^2 on every bracket [a, b] at once.
 
     Bracket j belongs to the member whose lam * coeffs is the row
-    lam_coeffs[owner[j]].  Every bracket takes exactly the steps of
-    `_util.golden_section_min` with tol=_T0_TOL, in the same float
-    operations, so NaN goes right and each bracket stops on its own; the
-    brackets only share each round's rows, one per distinct t0 (-0.0 is 0.0).
-    Returns (t0, value, <u,g>_*, ||g||_*^2) per bracket as a (4, n) array.
+    lam_coeffs[owner[j]] and whose ||u||_* is norms[owner[j]].  Every
+    bracket takes exactly the steps of `_util.golden_section_min` with
+    tol=_T0_TOL, in the same float operations, so NaN goes right and each
+    bracket stops on its own; the brackets only share each round's rows,
+    one per distinct t0 (-0.0 is 0.0).
+    Only the refinement of every local optimum that can still hold the
+    member's nearest bubble runs on.  The unit bubble g_t / ||g_t||_*
+    moves at speed v0 / (1 - t^2) (`_AxialTable.v0`), so by Cauchy-Schwarz
+    sqrt P(t) <= sqrt P(x) + ||u||_* v0 (b - a) / (1 - max(a^2, b^2))
+    on a bracket [a, b] with best point x so far (the max taken on the
+    starting bracket, which holds every later one).  Golden section only
+    raises a bracket's best value, so a bracket whose bound, at twice the
+    reach and with a relative slack of 1e-9, lies below its member's best
+    sqrt P so far could never win the strict `>` and stops: every member's
+    winner is that of its lone call, bit for bit.  NaN stops nothing.
+    Returns (t0, value, <u,g>_*, ||g||_*^2) per bracket as a (4, n) array;
+    a stopped bracket holds its best point so far.
     """
 
     def evaluate(x, lc):
@@ -158,24 +172,29 @@ def _golden_lockstep(table: _AxialTable, lam_coeffs: np.ndarray, owner: np.ndarr
     n = a.size
     h = b - a
     lc = lam_coeffs[owner]  # each bracket's row, gathered once
+    reach = 2.0 * table.v0 * norms[owner] / (1.0 - np.maximum(a * a, b * b))
+    top = np.zeros(len(norms))  # each member's best sqrt P so far
     both = evaluate(np.concatenate((a + _INVPHI2 * h, a + _INVPHI * h)), np.concatenate((lc, lc)))
     c, d = both[:, :n], both[:, n:]
     best = np.empty((4, n))
     live = np.arange(n)
-    while live.size:
-        keep = h > _T0_TOL
+    while True:
+        root = np.sqrt(-np.minimum(c[1], d[1]))
+        np.maximum.at(top, owner, root)
+        keep = (h > _T0_TOL) & ~((root + reach * h) * (1.0 + 1e-9) < top[owner])
         if not keep.all():
             best[:, live[~keep]] = np.where(c[1] < d[1], c, d)[:, ~keep]
-            live, lc, a, b, h, c, d = (live[keep], lc[keep], a[keep], b[keep], h[keep],
-                                       c[:, keep], d[:, keep])
-            continue
+            live, owner, lc, reach, a, b, h, c, d = (
+                live[keep], owner[keep], lc[keep], reach[keep], a[keep], b[keep], h[keep],
+                c[:, keep], d[:, keep])
+        if not live.size:
+            return best
         # fc < fd: b, d, fd = d, c, fc and c is new; else a, c, fc = c, d, fd and d is new
         left = c[1] < d[1]
         a, b = np.where(left, a, c[0]), np.where(left, d[0], b)
         h = b - a
         new = evaluate(a + np.where(left, _INVPHI2, _INVPHI) * h, lc)
         c, d = np.where(left, new, d), np.where(left, c, new)
-    return best
 
 
 def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
@@ -185,7 +204,10 @@ def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
     The amplitude is eliminated in closed form (c* = <u,g>/||g||^2),
     leaving a 1-D minimization of ||u||^2 - <u,g_{t0}>^2/||g_{t0}||^2 over
     t0 in [-T0_CAP, T0_CAP]: a bracketing grid scan followed by
-    golden-section refinement of every local optimum.  Returns
+    golden-section refinement of every local optimum that can still hold
+    the member's nearest bubble (`_golden_lockstep` stops a bracket once
+    the bubbles' speed bounds what it can reach below the member's best
+    value so far, a bound that moves no bit of the result).  Returns
     (d, nearest); d is exact within the axial family and an upper bound
     for the distance to the full manifold.  The zero function sits in the
     closure of the family: (0.0, None).  The search runs on the unit-scale
@@ -228,7 +250,7 @@ def distance(u: ZonalFunction | list[ZonalFunction], rule: QuadratureRule,
         peaks = ~((values < padded[:, :-2]) | (values < padded[:, 2:]))  # local maxima
         owner, i = np.nonzero(peaks)  # by member, then by ascending t0
         t0s, negs, ugs, ggs = _golden_lockstep(
-            table, lam_coeffs, owner, _T0_GRID[np.maximum(i - 1, 0)],
+            table, lam_coeffs, stack.star[live], owner, _T0_GRID[np.maximum(i - 1, 0)],
             _T0_GRID[np.minimum(i + 1, _T0_GRID.size - 1)]).tolist()
         found = [(-math.inf, None)] * len(live)  # (projection, bracket) per member
         for j, member in enumerate(owner.tolist()):
