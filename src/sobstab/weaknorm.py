@@ -71,21 +71,19 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule.nodes, rule.weights / _sphere_area(1)
 
 
-def _check_cells(n_cells: int) -> None:
-    if n_cells < 1:
-        raise ValueError(f"the weak norm needs at least one radial cell, got {n_cells}")
-
-
 def radial_cells(u: RadialFunction, n_cells: int = 2048,
                  r_max: Optional[float] = None) -> tuple[np.ndarray, np.ndarray]:
     """Cell averages of |u| and cell measures on a uniform radial grid.
 
     Cells are the annuli of a uniform partition of [0, r_max]; per-cell
     integrals use 8-point Gauss-Legendre, so the cell data reproduce the
-    exact ball masses at the grid radii.
+    exact ball masses at the grid radii.  No numpy warning escapes: a cell
+    whose measure underflows to 0.0 (`bump:1e-300,1`) averages NaN, and
+    `weak_norm` refuses its measure.
     """
     p = u.params
-    _check_cells(n_cells)
+    if n_cells < 1:
+        raise ValueError(f"the weak norm needs at least one radial cell, got {n_cells}")
     if r_max is None:
         if not math.isfinite(u.support_radius):
             raise ValueError("r_max required for profiles with unbounded support")
@@ -95,10 +93,11 @@ def radial_cells(u: RadialFunction, n_cells: int = 2048,
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     r = mid[:, None] + half[:, None] * gl_x[None, :]
-    integrand = np.abs(u(r.ravel())).reshape(r.shape) * r ** (p.N - 1)
-    cell_mass = _sphere_area(p.N - 1) * half * (integrand @ gl_w)
-    measures = ball_volume(p.N) * np.diff(edges ** p.N)
-    return cell_mass / measures, measures
+    with np.errstate(all="ignore"):
+        integrand = np.abs(u(r.ravel())).reshape(r.shape) * r ** (p.N - 1)
+        cell_mass = _sphere_area(p.N - 1) * half * (integrand @ gl_w)
+        measures = ball_volume(p.N) * np.diff(edges ** p.N)
+        return cell_mass / measures, measures
 
 
 class Theorem2Case(NamedTuple):
@@ -130,15 +129,16 @@ def verify_theorem2(u: RadialFunction, K: int = 384, n_cells: int = 2048) -> The
     The norms, the deficit and that share come from the pullback's
     unit-scale stack, as a scan member's do (`zonal._stacked`,
     `zonal._parts`), so no coefficient square underflows.
-    A profile without compact support and fewer than one cell are refused
-    (ValueError) before the rule is built; a ||v||_*^2 that is not finite,
-    and an lhs or rhs outside the normal doubles, such as the 0.0 of
-    `bump:0.62,500` at (3, 2), are refused.
+    Refused, in order: no compact support, then fewer than one cell
+    (`radial_cells`), before the rule is built (ValueError); the coefficient
+    tail; a cell measure that underflows (`weak_norm`); last, by a scan
+    member's range rule, the first of norm_star_sq, lhs and rhs outside the
+    normal doubles, such as the ||v||_*^2 of 0.0 of `bump:0.62,500` at (3, 2).
     """
     p = u.params
     if not math.isfinite(u.support_radius):
         raise ValueError("verification requires a compactly supported profile")
-    _check_cells(n_cells)
+    values, measures = radial_cells(u, n_cells=n_cells)
     rule = default_rule(p.N, K)
     stack = _stacked(pullback_to_sphere(u, rule, K))
     ns, lq, lhs = (x.item() for x in _parts(stack, rule))
@@ -148,17 +148,14 @@ def verify_theorem2(u: RadialFunction, K: int = 384, n_cells: int = 2048) -> The
     if frac > 1e-6:
         raise TruncationError(
             f"coefficient tail is {frac:.2e} of the norm; increase K (K={K})")
-    values, measures = radial_cells(u, n_cells=n_cells)
     wk = weak_norm(values, measures, p)
     omega = ball_volume(p.N) * u.support_radius ** p.N
     rhs = compute_constants(p).C * omega ** (-2.0 / p.q) * wk * wk
-    ns2 = ns * ns
-    if not math.isfinite(ns2):  # else lhs would be inf - inf
-        _in_range(ns2, "profile {}: norm_star_sq", u.name or "radial")
-    for side, value in (("lhs", lhs), ("rhs", rhs)):
-        _in_range(value, "profile {}: {}", u.name or "radial", side)
+    ns2, name = ns * ns, u.name or "radial"
+    for what, value in (("norm_star_sq", ns2), ("lhs", lhs), ("rhs", rhs)):
+        _in_range(value, "profile {}: {}", name, what)
     return Theorem2Case(
-        profile=u.name or "radial",
+        profile=name,
         lhs=lhs,
         rhs=rhs,
         margin=lhs - rhs,

@@ -251,6 +251,10 @@ class TestScanCommands:
         (["--K", "8", "--eps", "0.1", "--n-normal", "0", "--n-random", "0", "--modes", "2",
           "--bubbles", "0.5,0.50000001"],
          "bubble separations share the member label t0=0.5; labels keep six significant digits"),
+        # a list entry that does not parse
+        (["--eps", "0.1,x"], "bad numeric list '0.1,x': could not convert string to float: 'x'"),
+        (["--modes", "2,y"],
+         "bad integer list '2,y': invalid literal for int() with base 10: 'y'"),
     ])
     def test_unresolvable_scan_is_usage_error(self, capsys, flags, message):
         code, out, err = run(["deficit-scan", "--N", "3", "--s", "2", "--seed", "1", *flags],
@@ -527,9 +531,9 @@ class TestVerifyCommand:
 
     @pytest.mark.filterwarnings("error")
     def test_underflowing_pullback_is_refused(self, capsys):
-        # the deficit of the first pullback is below the doubles (lhs would
-        # print as 0.0); the second has an lhs of about 6.4e-306 and a subnormal rhs
-        for profile, side in (("bump:0.62,500", "lhs is 0.0"),
+        # ||v||_*^2 of the first pullback is below the doubles (lhs would print
+        # as 0.0); the second has an lhs of about 6.4e-306 and a subnormal rhs
+        for profile, side in (("bump:0.62,500", "norm_star_sq is 0.0"),
                               ("bump:0.62,350", "rhs is 2.77339433752598e-309")):
             code, out, err = run(["verify-theorem2", "--N", "3", "--s", "2",
                                   "--profiles", profile], capsys)
@@ -560,6 +564,10 @@ class TestVerifyCommand:
                              capsys)
         assert (code, out) == (2, "")
         assert err == "error: truncation degree K must be >= 0, got -1\n"
+
+    def test_empty_profile_list_is_usage_error(self, capsys):
+        assert run(["verify-theorem2", "--N", "3", "--s", "2", "--profiles", ";"], capsys) == (
+            2, "", "error: no profiles selected\n")
 
     def test_custom_profile_list(self, capsys):
         code, out, _ = run(["verify-theorem2", "--N", "3", "--s", "2",

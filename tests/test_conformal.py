@@ -11,6 +11,7 @@ from sobstab.conformal import (
     bump_profile,
     extremizer_profile,
     gaussian_profile,
+    manifold_samples,
     mollified_extremizer_profile,
     parse_profile,
     pullback_to_sphere,
@@ -131,8 +132,11 @@ class TestManifoldZonal:
     def test_invalid_point(self):
         with pytest.raises(ValueError):
             ManifoldPoint(0.0, 0.3)
-        with pytest.raises(ValueError):
-            ManifoldPoint(1.0, 1.0)
+        for off in (lambda: ManifoldPoint(1.0, 1.0),
+                    lambda: manifold_samples(P32, 1.0, 1.0, np.zeros(3))):
+            with pytest.raises(ValueError, match=r"^axial parameter must satisfy \|t0\| < 1, "
+                                                 r"got 1\.0$"):
+                off()
 
 
 class TestConformalShift:
@@ -202,6 +206,15 @@ class TestProfiles:
             with pytest.raises(ValueError, match=rf"^mollified_extremizer radius must be "
                                                  rf"positive, got {radius}$"):
                 parse_profile(f"mollified_extremizer:1,{radius}", P32)
+
+    @pytest.mark.parametrize("text, message", [
+        ("gaussian:0", "gaussian width must be positive"),
+        ("bump:1,-1", "bump radius and sharpness must be positive"),
+        ("extremizer:0", "extremizer scale must be positive"),
+    ])
+    def test_parameter_that_is_not_positive_is_refused(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_profile(text, P32)
 
     @pytest.mark.parametrize("scale, mu", [(1e200, "inf"), (1e-320, "0.0"), (1e-160, "1e-320")])
     def test_extremizer_scale_outside_the_doubles_is_refused(self, scale, mu):

@@ -799,6 +799,36 @@ class TestOneStackPerScan:
         assert _bits(*zip(*alone)) == scanned
 
 
+class TestLockstepRounds:
+    # The search that runs is the lockstep, whose brackets take the steps of
+    # golden_section_min: a scan's one distance call builds one batch of rows
+    # for the t0 grid and one per round, at most 45 in all.
+    # The benchmark's two scan shapes, and bubbles at 0.9 and 0.99, the last
+    # of whose nearest points sits at the t0 cap at (8, 3.3).
+    CONFIGS = {**TestOneStackPerScan.CONFIGS,
+               "cap": ScanConfig(seed=1, K=64, n_normal=1, n_random=2, bubble_t0=(0.9, 0.99))}
+
+    @pytest.mark.parametrize("shape", CONFIGS)
+    @pytest.mark.parametrize("N, s", BENCH_PAIRS)
+    def test_a_scan_distance_builds_at_most_45_row_batches(self, N, s, shape, monkeypatch):
+        batches, calls = [], []
+        rows, search = _AxialTable.rows, distance
+
+        def spy_rows(table, t0s):
+            batches.append(t0s.size)
+            return rows(table, t0s)
+
+        def spy_distance(*args):
+            calls.append(len(batches))
+            return search(*args)
+
+        monkeypatch.setattr(_AxialTable, "rows", spy_rows)
+        monkeypatch.setattr(deficit_module, "distance", spy_distance)
+        run_scan(SobolevParams(N, s), self.CONFIGS[shape])
+        assert calls == [1]  # the table's grid batch, then the one distance call
+        assert len(batches) <= 45
+
+
 class TestExactLocalValues:
     # A local member is u = 1 + eps v with ||v||_* = 1 and v of degrees >= 2
     # only, so eps v is orthogonal to the manifold's tangent space at the

@@ -60,6 +60,8 @@ class TestWeakNorm:
             weak_norm([1.0], [0.0], P32)
         with pytest.raises(ValueError):
             weak_norm([-1.0], [1.0], P32)
+        with pytest.raises(ValueError, match="^values and measures must have the same shape$"):
+            weak_norm([1.0, 2.0], [1.0], P32)
 
     def test_prefix_scan_beats_any_cell_union(self):
         # the sorted prefix certificate dominates random unions
@@ -73,6 +75,29 @@ class TestWeakNorm:
                 continue
             ratio = (values[mask] @ measures[mask]) * measures[mask].sum() ** (-P32.s / P32.N)
             assert ratio <= best * (1 + 1e-12)
+
+
+class TestRadialCells:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["mollified_extremizer:1e150,1",
+                                      "mollified_extremizer:1e78,1", "bump:1e-300,1"])
+    def test_no_warning_escapes(self, text):
+        # (mu r)^2 overflows in the first two profiles; the cell measures of
+        # the last underflow to 0.0, so its averages are 0/0 = NaN, and
+        # weak_norm refuses those measures before a NaN reaches a number
+        values, measures = radial_cells(parse_profile(text, P32))
+        if text.startswith("bump"):
+            assert np.isnan(values).all() and not measures.any()
+            with pytest.raises(ValueError, match="^cell measures must be positive$"):
+                weak_norm(values, measures, P32)
+        else:
+            assert np.isfinite(values).all() and (measures > 0).all()
+
+    def test_unbounded_support_needs_r_max(self):
+        with pytest.raises(ValueError,
+                           match="^r_max required for profiles with unbounded support$"):
+            radial_cells(gaussian_profile(P32))
+        assert radial_cells(gaussian_profile(P32), 4, r_max=1.0)[0].shape == (4,)
 
 
 class TestBathtub:

@@ -273,6 +273,17 @@ class TestAnalyzeSynthesize:
         with pytest.raises(ValueError):
             analyze(P32, samples, rule32, 4)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: analyze(P32, np.ones(2), gauss_jacobi_rule(3, 10), 4),
+         r"expected 10 samples, got shape \(2,\)"),
+        (lambda: basis_function(P32, 5, 4), "basis degree 5 exceeds truncation 4"),
+        (lambda: constant(P32, 1.0, 2) + constant(SobolevParams(2, 1.0), 1.0, 2),
+         r"operands have different \(N, s\) parameters"),
+    ], ids=["sample-count", "basis-degree", "mixed-params"])
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
     @pytest.mark.parametrize("N, s, M", [(3, 2.0, 130), (3, 2.0, 131), (5, 0.5, 40), (5, 0.5, 41)])
     def test_odd_coefficients_fold_over_parity(self, N, s, M):
         p = SobolevParams(N, s)

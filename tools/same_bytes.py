@@ -15,10 +15,11 @@ differ between the trees is printed, and the exit status is 1 if any
 differ.  The `--help` text of the top level and of each subcommand the
 operations run is compared the same way, and counted apart; so is a
 fixed list (`ERROR_ARGVS`) of refusals (a tiny profile's coefficient tail
-among them), usage errors, a scan that skips on-manifold members and
-small scans whose stacked member arrays have shapes no benchmark scan
-builds (no mode rows, random members up to
-degree K, no near-manifold family), whose records print a number in
+and a profile that overflows in the radial cells, which are built first,
+among them), usage errors (an empty profile list among them), a scan
+that skips on-manifold members and small scans whose stacked member
+arrays have shapes no benchmark scan builds (no mode rows, random
+members up to degree K, no near-manifold family), whose records print a number in
 each notation the record writer tells apart, of one member, or of one
 member whose `+t0` and `-t0` brackets tie, or on a rule of odd size (its
 middle node is `t = 0`), or with a bubble whose nearest point sits at the
@@ -84,6 +85,10 @@ ERROR_ARGVS = [
     ["verify-theorem2", *_NS, "--profiles", "bump:0.001,1"],
     ["export-function", *_NS, "--K", "16", "--profile", "gaussian:1e300"],
     ["export-function", *_NS, "--K", "16", "--profile", "extremizer:1e200"],
+    # the radial cells come first, through a profile that overflows: only the refusal prints
+    ["verify-theorem2", *_NS, "--profiles", "mollified_extremizer:1e150,1"],
+    # a profile list without a profile
+    ["verify-theorem2", *_NS, "--profiles", ";"],
     # a subnormal extremizer scale whose dilation is a normal double
     ["export-function", "--N", "8", "--s", "3.3", "--K", "4", "--profile", "extremizer:1e-320"],
     # a pullback whose |u|^6 underflows at every node: lhs near 1.86e-262, and 0.0 (refused)
