@@ -250,8 +250,8 @@ def cmd_verify_theorem2(args) -> int:
         raise _UsageError("no profiles selected")
     given = {key: value for key, value in (("K", args.K), ("n_cells", args.cells))
              if value is not None}
-    cases = [verify_theorem2(parse_profile(spec_text, p), **given)
-             for spec_text in profile_specs]
+    profiles = [parse_profile(spec, p) for spec in profile_specs]  # all before any verification
+    cases = [verify_theorem2(profile, **given) for profile in profiles]
     doc = {"N": p.N, "s": p.s, "rho": wc.rho, "C1": wc.C1, "C2": wc.C2, "C0": wc.C0, "C": wc.C,
            "cases": [{"profile": c.profile, "lhs": c.lhs, "rhs": c.rhs, "margin": c.margin,
                       "weak_norm": c.weak, "omega_measure": c.omega_measure} for c in cases]}
@@ -261,13 +261,13 @@ def cmd_verify_theorem2(args) -> int:
 
 def cmd_export_function(args) -> int:
     from .conformal import parse_profile, pullback_to_sphere
-    from .zonal import default_rule, gauss_jacobi_rule
+    from .zonal import _rule_size, gauss_jacobi_rule
 
     p = _params(args)
     if args.profile is None:
         raise _UsageError("--profile is required (flag or config file)")
     profile = parse_profile(args.profile, p)
-    rule = default_rule(p.N, args.K) if args.M is None else gauss_jacobi_rule(p.N, args.M)
+    rule = gauss_jacobi_rule(p.N, _rule_size(args.K, args.M))  # refused before it is built
     u = pullback_to_sphere(profile, rule, args.K)
     _write_output(_json_text({"N": p.N, "s": p.s, "K": u.K, "coeffs": u.coeffs.tolist()}),
                   args.out)

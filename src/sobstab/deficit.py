@@ -12,19 +12,19 @@ over seeded scan families.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from ._util import _INVPHI, _INVPHI2, RefusalError, checked_make, fmt12
 from .conformal import ManifoldPoint, manifold_samples
-from .specfun import SobolevParams, _in_range, local_constant
+from .specfun import SobolevParams, _in_range, _normal, local_constant
 from .zonal import (
     QuadratureRule,
     ZonalFunction,
     _members,
     _parts,
+    _rule_size,
     _stacked,
     _unscaled,
     analyze,
@@ -292,7 +292,7 @@ def _reports(labels, us, rule: QuadratureRule) -> list[DeficitReport | None]:
         checked = np.stack((ns * ns, lq, ds * ds))
         ratios = psi / checked[2]
         on = (ds <= 1e-9 * ns) & np.isfinite(ns)
-        bad = ~(np.isfinite(checked) & (np.abs(checked) >= sys.float_info.min)) & ~on
+        bad = ~_normal(checked) & ~on
     if bad.any():
         j = int(bad.any(axis=0).argmax())
         i = int(bad[:, j].argmax())
@@ -355,8 +355,7 @@ class ScanConfig(_ScanFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.K < 2:
             raise ValueError("truncation degree K must be >= 2")
-        if self.M is not None and self.M <= self.K:  # rule.basis would refuse it only mid-scan
-            raise ValueError(f"M={self.M} nodes cannot resolve degree K={self.K} (need M >= K+1)")
+        _rule_size(self.K, self.M)  # rule.basis would refuse it only mid-scan
         if self.n_normal < 0 or self.n_random < 0:
             raise ValueError("family sizes must be nonnegative")
         if any(not 0 < eps < math.inf for eps in self.eps_grid):
@@ -394,7 +393,7 @@ class ScanConfig(_ScanFields):
 
     @property
     def rule_size(self) -> int:
-        return self.M if self.M is not None else 2 * self.K + 2
+        return _rule_size(self.K, self.M)
 
     @property
     def families(self) -> dict[str, int]:
@@ -468,9 +467,9 @@ class ScanResult(NamedTuple):
 
 
 def _sandwich_broken(reports) -> bool:
-    # True when a report breaks 0 <= Psi <= d^2 beyond roundoff; NaN breaks it
+    # True when a report breaks 0 <= Psi <= d * d beyond roundoff; NaN breaks it
     return any(not -_SANDWICH_SLACK * r.norm_star_sq <= r.deficit
-               <= r.distance**2 + _SANDWICH_SLACK * r.norm_star_sq
+               <= r.distance * r.distance + _SANDWICH_SLACK * r.norm_star_sq
                for r in reports if r is not None)
 
 

@@ -1,13 +1,13 @@
 """Closed-form constants of the sharp fractional Sobolev inequality.
 
-Everything in this module is an exact formula: Gamma-function helpers,
-sphere areas and ball volumes, the sharp constant S(N, s), the
-eigenvalues and multiplicities of the conformally covariant operator on
-the sphere, the local stability constant 2s/(N+s+2), and the explicit
-constants rho, C1, C2, C0, C of the weak-norm remainder bound.  All
-Gamma ratios are evaluated as differences of log-Gamma to stay finite
-for large arguments; a value that still leaves the range of normal
-doubles is refused (RefusalError).  The module loads no numpy.
+Everything in this module is an exact formula: sphere areas and ball
+volumes, the sharp constant S(N, s), the eigenvalues and multiplicities
+of the conformally covariant operator on the sphere, the local stability
+constant 2s/(N+s+2), and the explicit constants rho, C1, C2, C0, C of the
+weak-norm remainder bound.  All Gamma ratios are differences of
+math.lgamma (relative error below 1e-13 on [0.5, 200]), finite for large
+arguments; a value that still leaves the range of normal doubles is
+refused (RefusalError).  The module loads no numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from ._util import RefusalError, checked_make
 
 __all__ = [
     "SobolevParams",
-    "log_gamma",
     "sphere_area",
     "sharp_constant",
     "eigenvalue",
@@ -36,20 +35,16 @@ __all__ = [
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0.
-
-    Delegates to the C library lgamma (a Lanczos/Stirling evaluation in
-    log-space); relative error is below 1e-13 on [0.5, 200].
-    """
-    if not x > 0:
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
+def _normal(x):
+    # True where x is a normal double, min <= |x| <= max (false for NaN): the one
+    # such test, of a float or elementwise of a numpy array
+    a = abs(x)
+    return (sys.float_info.min <= a) & (a <= sys.float_info.max)
 
 
 def _in_range(value: float, what: str, *args) -> float:
     """`value` if a normal, finite double, else RefusalError naming `what.format(*args)`."""
-    if not sys.float_info.min <= abs(value) <= sys.float_info.max:
+    if not _normal(value):
         raise RefusalError(
             f"{what.format(*args)} is {value!r}, outside the range of normal doubles")
     return value
@@ -63,7 +58,7 @@ def _exp_in_range(log_value: float, what: str, *args) -> float:
 def _sphere_area(n: int) -> float:
     # Valid down to n = 0 (|S^0| = 2); the public wrapper starts at n = 1.
     return _exp_in_range(math.log(2.0) + 0.5 * (n + 1) * math.log(math.pi)
-                         - log_gamma(0.5 * (n + 1)), "|S^{}|", n)
+                         - math.lgamma(0.5 * (n + 1)), "|S^{}|", n)
 
 
 def sphere_area(n: int) -> float:
@@ -114,8 +109,8 @@ def sharp_constant(p: SobolevParams) -> float:
     """
     N, s = p.N, p.s
     log_s = (s * math.log(2.0) + 0.5 * s * math.log(math.pi)
-             + log_gamma(0.5 * (N + s)) - log_gamma(0.5 * (N - s))
-             + (s / N) * (log_gamma(0.5 * N) - log_gamma(float(N))))
+             + math.lgamma(0.5 * (N + s)) - math.lgamma(0.5 * (N - s))
+             + (s / N) * (math.lgamma(0.5 * N) - math.lgamma(float(N))))
     return _exp_in_range(log_s, "S at (N, s) = ({}, {})", N, s)
 
 
@@ -123,7 +118,8 @@ def eigenvalue(p: SobolevParams, k: int) -> float:
     """k-th eigenvalue Gamma((N+s)/2 + k) / Gamma((N-s)/2 + k); increasing in k."""
     if k < 0:
         raise ValueError(f"eigenvalue index must be >= 0, got {k}")
-    return _exp_in_range(log_gamma(0.5 * (p.N + p.s) + k) - log_gamma(0.5 * (p.N - p.s) + k),
+    return _exp_in_range(math.lgamma(0.5 * (p.N + p.s) + k)
+                         - math.lgamma(0.5 * (p.N - p.s) + k),
                          "lambda_{} at (N, s) = ({}, {})", k, p.N, p.s)
 
 
@@ -152,7 +148,9 @@ def local_constant(p: SobolevParams) -> float:
 
 def ball_volume(N: int) -> float:
     """Volume pi^(N/2) / Gamma(N/2 + 1) of the unit ball in R^N."""
-    return _exp_in_range(0.5 * N * math.log(math.pi) - log_gamma(0.5 * N + 1.0),
+    if N < 1:
+        raise ValueError(f"ball_volume requires N >= 1, got {N}")
+    return _exp_in_range(0.5 * N * math.log(math.pi) - math.lgamma(0.5 * N + 1.0),
                          "|B_1| in R^{}", N)
 
 
@@ -208,7 +206,7 @@ def compute_constants(p: SobolevParams) -> WeakNormConstants:
 
     sq_s = math.sqrt(sharp_constant(p))
     # the tail is checked before r0, so a too-large N names |S^(N-1)|, not |B_1|
-    tail = _sphere_area(N - 1) * math.exp(2.0 * log_gamma(0.5 * N) - log_gamma(N)) / 4.0
+    tail = _sphere_area(N - 1) * math.exp(2.0 * math.lgamma(0.5 * N) - math.lgamma(N)) / 4.0
     x = checked("the L^q tail", tail) ** (1.0 / q) * sq_s
     r0 = checked("r0", unit_ball_radius(N))
     rho = checked("rho", x / (1.0 + x))

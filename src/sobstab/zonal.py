@@ -72,9 +72,7 @@ class QuadratureRule(Frozen):
         """Matrix e_k(t_i), shape (K+1, M), cached: every evaluation's check of 0 <= K < M."""
         E = self._basis_cache.get(K)
         if E is None:
-            _check_degree(K)
-            if K >= self.M:
-                raise ValueError(f"M={self.M} nodes cannot resolve degree K={K} (need M >= K+1)")
+            _rule_size(K, self.M)
             E = _basis_matrix(self.N, K, self.nodes)
             E.setflags(write=False)
             self._basis_cache[K] = E
@@ -178,15 +176,18 @@ def gauss_jacobi_rule(N: int, M: int) -> QuadratureRule:
     return QuadratureRule(N, nodes, weights)
 
 
-def _check_degree(K: int) -> None:
+def _rule_size(K: int, M: int | None = None) -> int:
+    # M, or the default 2K + 2: the one check that a rule's M nodes resolve degree K
     if K < 0:
         raise ValueError(f"truncation degree K must be >= 0, got {K}")
+    if M is not None and M <= K:
+        raise ValueError(f"M={M} nodes cannot resolve degree K={K} (need M >= K+1)")
+    return 2 * K + 2 if M is None else M
 
 
 def default_rule(N: int, K: int) -> QuadratureRule:
     """Rule with the default node count M = 2K + 2 for truncation degree K >= 0."""
-    _check_degree(K)
-    return gauss_jacobi_rule(N, 2 * K + 2)
+    return gauss_jacobi_rule(N, _rule_size(K))
 
 
 def _basis_matrix(N: int, K: int, t: np.ndarray) -> np.ndarray:

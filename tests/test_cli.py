@@ -575,6 +575,17 @@ class TestVerifyCommand:
         assert code == 0
         assert len(strict_json(out)["cases"]) == 2
 
+    def test_every_profile_is_parsed_before_any_verification(self, capsys, monkeypatch):
+        # a malformed entry after valid ones was refused only after their verifications
+        from sobstab import weaknorm
+
+        calls = []
+        monkeypatch.setattr(weaknorm, "verify_theorem2", lambda *args, **kw: calls.append(args))
+        assert run(["verify-theorem2", "--N", "2", "--s", "1", "--K", "512", "--profiles",
+                    "bump:0.62,2;bump:0.62,3;gaussian:0"], capsys) == (
+            2, "", "error: gaussian width must be positive\n")
+        assert calls == []
+
     def test_flags_add_no_defaults(self, capsys, monkeypatch):
         # the CLI passes on only the flags given: verify_theorem2 alone holds the defaults
         from sobstab import weaknorm
@@ -643,12 +654,28 @@ class TestExportCommand:
         assert (code, out) == (2, "")
         assert err == "error: --profile is required (flag or config file)\n"
 
-    @pytest.mark.parametrize("M", ["0", "1"])
-    def test_rule_below_two_nodes_is_usage_error(self, capsys, M):
-        code, out, err = run(["export-function", "--N", "3", "--s", "2", "--K", "4",
+    # below K + 1 nodes the fit check refuses first; one node fits K = 0, and the rule refuses it
+    @pytest.mark.parametrize("K, M, message", [
+        ("4", "0", "M=0 nodes cannot resolve degree K=4 (need M >= K+1)"),
+        ("4", "1", "M=1 nodes cannot resolve degree K=4 (need M >= K+1)"),
+        ("0", "1", "rule size M must be >= 2, got 1"),
+    ], ids=["0", "1", "K0-M1"])
+    def test_rule_below_two_nodes_is_usage_error(self, capsys, K, M, message):
+        code, out, err = run(["export-function", "--N", "3", "--s", "2", "--K", K,
                               "--profile", "gaussian", "--M", M], capsys)
         assert (code, out) == (2, "")
-        assert err == f"error: rule size M must be >= 2, got {M}\n"
+        assert err == f"error: {message}\n"
+
+    def test_unresolvable_degree_is_refused_before_the_rule(self, capsys, monkeypatch):
+        # the rule of 500 nodes was built, then its basis refused degree 600
+        from sobstab import zonal
+
+        built = []
+        monkeypatch.setattr(zonal, "gauss_jacobi_rule", lambda *args: built.append(args))
+        assert run(["export-function", "--N", "3", "--s", "2", "--K", "600",
+                    "--profile", "gaussian", "--M", "500"], capsys) == (
+            2, "", "error: M=500 nodes cannot resolve degree K=600 (need M >= K+1)\n")
+        assert built == []
 
     @pytest.mark.parametrize("rule_size", [[], ["--M", "8"]])
     def test_negative_degree_is_usage_error(self, capsys, rule_size):
@@ -979,7 +1006,7 @@ class TestPackageNamespace:
             "analyze", "ball_volume", "basis_function", "bump_profile", "compute_constants",
             "constant", "default_rule", "distance", "eigenvalue", "extremizer_profile",
             "extremizer_weak_norm", "gauss_jacobi_rule", "gaussian_profile", "lambdas",
-            "local_constant", "log_gamma", "manifold_samples", "mollified_extremizer_profile",
+            "local_constant", "manifold_samples", "mollified_extremizer_profile",
             "multiplicity", "norm_lp", "norm_star", "parse_profile", "pullback_to_sphere",
             "radial_cells", "run_scan", "scan_members", "sharp_constant", "sphere_area",
             "stability_ratio", "unit_ball_radius", "verify_theorem2", "weak_norm",

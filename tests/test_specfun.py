@@ -1,15 +1,18 @@
 import math
+import sys
 
 import mpmath
+import numpy as np
 import pytest
 
 from sobstab._util import RefusalError
 from sobstab.specfun import (
     SobolevParams,
+    _in_range,
+    _normal,
     ball_volume,
     eigenvalue,
     local_constant,
-    log_gamma,
     multiplicity,
     sharp_constant,
     sphere_area,
@@ -20,10 +23,11 @@ from conftest import PARAM_GRID, P32
 
 
 class TestLogGamma:
+    # specfun takes every Gamma ratio from math.lgamma and relies on its accuracy
     def test_known_values(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
+        assert math.lgamma(1.0) == pytest.approx(0.0, abs=1e-15)
+        assert math.lgamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
+        assert math.lgamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
 
     def test_against_high_precision_oracle(self):
         # contract: relative error <= 1e-13 on [0.5, 200]
@@ -31,15 +35,10 @@ class TestLogGamma:
         x = 0.5
         while x <= 200.0:
             exact = float(mpmath.loggamma(x))
-            got = log_gamma(x)
+            got = math.lgamma(x)
             assert got == pytest.approx(exact, rel=1e-13, abs=1e-14), x
             x *= 1.17
-        assert log_gamma(200.0) == pytest.approx(float(mpmath.loggamma(200.0)), rel=1e-13)
-
-    def test_domain_error(self):
-        for bad in (0.0, -1.0, -0.5):
-            with pytest.raises(ValueError):
-                log_gamma(bad)
+        assert math.lgamma(200.0) == pytest.approx(float(mpmath.loggamma(200.0)), rel=1e-13)
 
 
 class TestSphereArea:
@@ -183,6 +182,32 @@ class TestDoubleRange:
         oracle = 2 * mpmath.pi ** 219 / mpmath.gamma(219)
         assert sphere_area(437) == pytest.approx(float(oracle), rel=1e-12)
         assert math.isfinite(sharp_constant(SobolevParams(180, 179.0)))
+
+    @pytest.mark.parametrize("N", [0, -1, -2, -3])
+    @pytest.mark.parametrize("call", [ball_volume, unit_ball_radius])
+    def test_dimension_below_one_is_refused(self, call, N):
+        # ball_volume(-1) and unit_ball_radius(-1) returned 0.318, unit_ball_radius(0)
+        # divided by zero, and ball_volume(-2) was refused by its Gamma function
+        with pytest.raises(ValueError) as info:
+            call(N)
+        assert str(info.value) == f"ball_volume requires N >= 1, got {N}"
+
+    def test_normal_matches_in_range(self):
+        # the one normal-double test: on floats and elementwise on an array it
+        # is true exactly where _in_range passes the value through
+        tiny, huge = sys.float_info.min, sys.float_info.max
+        values = [tiny, math.nextafter(tiny, 0.0), huge, math.inf, -math.inf, math.nan,
+                  0.0, -0.0, -1.0]
+        expected = [True, False, True, False, False, False, False, False, True]
+        passed = []
+        for value in values:
+            try:
+                passed.append(_in_range(value, "x") is value)
+            except RefusalError:
+                passed.append(False)
+        assert passed == expected
+        assert [_normal(value) for value in values] == expected
+        assert _normal(np.array(values)).tolist() == expected
 
     def test_unit_ball_radius_bits(self):
         # verify-theorem2 prints its default bump radii with repr

@@ -16,7 +16,10 @@ differ.  The `--help` text of the top level and of each subcommand the
 operations run is compared the same way, and counted apart; so is a
 fixed list (`ERROR_ARGVS`) of refusals (a tiny profile's coefficient tail
 and a profile that overflows in the radial cells, which are built first,
-among them), usage errors (an empty profile list among them), a scan
+among them), usage errors (an empty profile list, a malformed profile
+after valid ones, which is parsed before any is verified, and a rule
+size that cannot fit the degree, in `export-function` before its rule
+is built and in a scan's config, among them), a scan
 that skips on-manifold members and small scans whose stacked member
 arrays have shapes no benchmark scan builds (no mode rows, random
 members up to degree K, no near-manifold family), whose records print a number in
@@ -81,6 +84,10 @@ ERROR_ARGVS = [
     # too few nodes for the degree: refused where the rule builds its basis
     ["export-function", *_NS, "--profile", "gaussian", "--K", "64", "--M", "30"],
     ["export-function", *_NS, "--profile", "gaussian", "--K", "64", "--M", "64"],
+    # a degree the rule cannot fit, refused before the rule is built
+    ["export-function", *_NS, "--profile", "gaussian", "--K", "600", "--M", "500"],
+    # a scan whose --M cannot fit its K, refused as its config is built
+    ["deficit-scan", *_NS, "--seed", "1", "--M", "10"],
     # a profile that is 0.0 at every node, and an extremizer scale whose dilation overflows
     ["verify-theorem2", *_NS, "--profiles", "bump:0.001,1"],
     ["export-function", *_NS, "--K", "16", "--profile", "gaussian:1e300"],
@@ -89,6 +96,10 @@ ERROR_ARGVS = [
     ["verify-theorem2", *_NS, "--profiles", "mollified_extremizer:1e150,1"],
     # a profile list without a profile
     ["verify-theorem2", *_NS, "--profiles", ";"],
+    # every profile is parsed before the first is verified: a malformed last entry
+    # is a usage error at once, also after one the verification would refuse
+    ["verify-theorem2", *_NS, "--profiles", "bump:0.62,2;gaussian:0"],
+    ["verify-theorem2", *_NS, "--K", "8", "--profiles", "bump:1;gaussian:0"],
     # a subnormal extremizer scale whose dilation is a normal double
     ["export-function", "--N", "8", "--s", "3.3", "--K", "4", "--profile", "extremizer:1e-320"],
     # a pullback whose |u|^6 underflows at every node: lhs near 1.86e-262, and 0.0 (refused)
